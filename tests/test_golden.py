@@ -1,0 +1,40 @@
+"""Golden manifests: the shipped demos must keep writing the same artifact bytes.
+
+Each `tests/data/golden/<demo>.sha256` lists the sha256 of every hashed
+artifact of that demo, in `sha256sum` format. A change that moves any byte
+of a PCAP or CSV fails here; regenerate the file only together with a
+CHANGES.md line that explains the change.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from gridcosim.scenario import HASHED_OUTPUTS, load_scenario, run_scenario
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIR = os.path.join(HERE, "data", "golden")
+SCENARIOS_DIR = os.path.join(os.path.dirname(HERE), "scenarios")
+
+
+def _golden(name: str) -> dict[str, str]:
+    with open(os.path.join(GOLDEN_DIR, f"{name}.sha256"), encoding="utf-8") as fh:
+        pairs = (line.split() for line in fh if line.strip())
+        return {artifact: digest for digest, artifact in pairs}
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", ["attack_demo", "flex_demo"])
+def test_demo_artifacts_match_golden_manifest(tmp_path, name):
+    golden = _golden(name)
+    assert sorted(golden) == sorted(HASHED_OUTPUTS)
+    scenario = load_scenario(os.path.join(SCENARIOS_DIR, name, "scenario.txt"))
+    outputs = run_scenario(scenario, outdir=str(tmp_path))
+    actual = {artifact: _sha256(os.path.join(outputs.outdir, artifact))
+              for artifact in HASHED_OUTPUTS}
+    assert actual == golden
