@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import netsim
+from . import devices, netsim
 
 HTTP_PORT = 80
 
@@ -42,17 +42,20 @@ class PeStage:
 
 @dataclass(frozen=True)
 class ManipulationStrategy:
-    kind: str                       # scale | offset | freeze | fdi_stealth
+    kind: str                       # a devices.MANIPULATION_KINDS key
     factor: float = 1.0
     delta: float = 0.0
     target_ioas: tuple[int, ...] | None = None  # None = all monitor points
 
+    def __post_init__(self):
+        if self.kind not in devices.MANIPULATION_KINDS:
+            raise AttackError(f"unknown manipulation kind '{self.kind}'")
+
     def to_command(self) -> str:
         parts = ["rtu-override", "install", self.kind]
-        if self.kind in ("scale", "fdi_stealth"):
-            parts.append(f"factor={self.factor:g}")
-        if self.kind == "offset":
-            parts.append(f"delta={self.delta:g}")
+        param = devices.MANIPULATION_KINDS[self.kind]
+        if param is not None:
+            parts.append(f"{param}={getattr(self, param):g}")
         if self.target_ioas is None:
             parts.append("targets=all")
         else:
@@ -121,12 +124,6 @@ class Attacker:
             return {}
         self._execute(self.plan.stages[self.state.current_stage], t)
         return {}
-
-    def run_all(self, t: int = 0):
-        """Execute every remaining stage at time t (test convenience)."""
-        while not self.done:
-            self._execute(self.plan.stages[self.state.current_stage], t)
-        return self.trace
 
     # -- stage dispatch --------------------------------------------------------
 
@@ -257,8 +254,3 @@ class Attacker:
         self._log(t, f"  {session.user}@{session.host}$ {command}")
         self._log(t, f"  {result.stdout}")
 
-
-def run_plan(network: netsim.Network, plan: AttackPlan, t: int = 0) -> list[TraceEvent]:
-    """Execute a whole plan immediately; returns its trace."""
-    agent = Attacker(network, plan)
-    return agent.run_all(t)

@@ -14,7 +14,7 @@ from .grid.model import ValidationError
 from .grid.profiles import ProfileError
 from .kernel import KernelError
 from .netsim import NetError
-from .pcap import flags_text, read_pcap
+from .pcap import PcapError, flags_text, read_pcap
 from .scenario import ScenarioError, load_scenario, run_scenario
 
 EXIT_OK = 0
@@ -31,9 +31,7 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        outputs = run_scenario(
-            scenario, outdir=args.out, seed=args.seed, until=args.until
-        )
+        outputs = run_scenario(scenario, outdir=args.out, until=args.until)
     except (KernelError, NetError, RuntimeError) as exc:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -76,10 +74,15 @@ def _describe_apdu(apdu: iec104.Apdu) -> str:
 
 def _cmd_pcap_dump(args) -> int:
     try:
-        records = read_pcap(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _dump_capture(args.file)
+    except (OSError, PcapError, iec104.Iec104Error) as exc:
+        print(f"error: {args.file}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
+
+
+def _dump_capture(path) -> None:
+    records = read_pcap(path)
     streams: dict[tuple, bytes] = {}
     for i, record in enumerate(records):
         line = (
@@ -103,7 +106,6 @@ def _cmd_pcap_dump(args) -> int:
             preview = record.payload[:60].decode("ascii", errors="replace")
             print(f"      data: {preview!r}")
     print(f"{len(records)} records")
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
@@ -116,7 +118,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run a scenario to its horizon")
     p_run.add_argument("scenario", help="scenario file")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override the seed")
     p_run.add_argument("--until", type=int, default=None, help="stop after this many seconds")
     p_run.set_defaults(func=_cmd_run)
 

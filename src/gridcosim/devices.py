@@ -15,17 +15,32 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import iec104
-from .netsim import Network, TcpConnection
+from .netsim import NetError, Network, TcpConnection
 
 REPORT_BUFFER_LIMIT = 100
 POLL_TIMEOUT_STEPS = 3
 
 IEC104_PORT = 2404
 
-MONITOR_FIELDS = (
+# readable and actuatable fields per grid element kind
+_BRANCH_FIELDS = (
     "p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu", "i_ka", "loading_percent",
 )
-CONTROL_FIELDS = ("p_kw", "q_kvar", "status")
+MONITOR_FIELDS = {
+    "bus": ("p_kw", "q_kvar", "v_pu"),
+    "line": _BRANCH_FIELDS,
+    "trafo": _BRANCH_FIELDS,
+    "load": ("p_kw", "q_kvar", "v_pu"),
+    "sgen": ("p_kw", "q_kvar", "v_pu"),
+}
+CONTROL_FIELDS = {
+    "line": ("status",),
+    "load": ("p_kw", "q_kvar"),
+    "sgen": ("p_kw", "q_kvar"),
+}
+
+# manipulation kind -> the rule parameter it takes (freeze takes none)
+MANIPULATION_KINDS = {"scale": "factor", "offset": "delta", "freeze": None, "fdi_stealth": "factor"}
 
 
 def to_f32(value: float) -> float:
@@ -42,10 +57,6 @@ class UnknownIoa(DeviceError):
 
 
 class NegativeConfirm(DeviceError):
-    pass
-
-
-class Timeout(DeviceError):
     pass
 
 
@@ -73,12 +84,15 @@ class DataPointMap:
         if len(ioas) != len(set(ioas)):
             raise DeviceError("IOA assigned twice within one RTU")
         for dp in self.entries:
-            if dp.direction == "monitor" and dp.fieldname not in MONITOR_FIELDS:
-                raise DeviceError(f"IOA {dp.ioa}: '{dp.fieldname}' is not readable")
-            if dp.direction == "control" and dp.fieldname not in CONTROL_FIELDS:
-                raise DeviceError(f"IOA {dp.ioa}: '{dp.fieldname}' is not actuatable")
             if dp.direction not in ("monitor", "control"):
                 raise DeviceError(f"IOA {dp.ioa}: bad direction '{dp.direction}'")
+            monitor = dp.direction == "monitor"
+            allowed = (MONITOR_FIELDS if monitor else CONTROL_FIELDS).get(dp.element_kind, ())
+            if dp.fieldname not in allowed:
+                raise DeviceError(
+                    f"IOA {dp.ioa}: '{dp.entity}:{dp.fieldname}' is not "
+                    f"{'readable' if monitor else 'actuatable'}"
+                )
 
     @property
     def monitor(self) -> list[DataPoint]:
@@ -97,19 +111,21 @@ class DataPointMap:
 
 @dataclass
 class ManipulationRule:
-    kind: str                      # scale | offset | freeze | fdi_stealth
+    kind: str                      # a MANIPULATION_KINDS key
     factor: float = 1.0
     delta: float = 0.0
     frozen: dict[int, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.kind not in MANIPULATION_KINDS:
+            raise DeviceError(f"unknown manipulation kind '{self.kind}'")
+
     def apply(self, ioa: int, value: float) -> float:
-        if self.kind in ("scale", "fdi_stealth"):
-            return to_f32(value * self.factor)
-        if self.kind == "offset":
-            return to_f32(value + self.delta)
         if self.kind == "freeze":
             return self.frozen.setdefault(ioa, value)
-        raise DeviceError(f"unknown manipulation kind '{self.kind}'")
+        if self.kind == "offset":
+            return to_f32(value + self.delta)
+        return to_f32(value * self.factor)  # scale, fdi_stealth
 
 
 @dataclass
@@ -161,9 +177,6 @@ class Rtu:
             return None
         rule = self.overrides.get(ioa)
         return truth if rule is None else rule.apply(ioa, truth)
-
-    def override_active(self, ioa: int) -> bool:
-        return ioa in self.overrides
 
     def report(self, t: int):
         """Spontaneous transmission of every monitor point (buffered when down)."""
@@ -342,7 +355,7 @@ class Mtu:
         entry = self._rtus[name]
         try:
             conn = self.network.open_connection(self.host, entry["ip"], IEC104_PORT, at_s=t)
-        except Exception:
+        except NetError:
             self.events.append((t, "connect-failed", name))
             return
         entry["conn"] = conn
@@ -389,10 +402,7 @@ class Mtu:
                 self.events.append((t, "timeout", name))
         if self.poll_period and t and t % self.poll_period == 0:
             for name in self._rtus:
-                try:
-                    self.poll(name, t)
-                except (Timeout, DeviceError):
-                    pass
+                self.poll(name, t)
         return {}
 
     # -- operations ----------------------------------------------------------
@@ -413,7 +423,7 @@ class Mtu:
             # delivery is synchronous: the act-con arrives inside this call
             # and clears pending_poll via _on_data
             self._transmit(name, entry["session"].send(request), at_s=t)
-        except Exception:
+        except NetError:
             return []
         return self.archive[before:]
 
@@ -522,12 +532,3 @@ class VedRegisterMap:
         self._setpoint_written = False
         return decode_register(self._values[10])
 
-
-def ved_access(ved: VedRegisterMap, op: str, addr: int, value: int | None = None):
-    if op == "read":
-        return ved.read(addr)
-    if op == "write":
-        if value is None:
-            raise DeviceError("write needs a value")
-        return ved.write(addr, value)
-    raise DeviceError(f"unknown register operation '{op}'")

@@ -5,7 +5,6 @@ from .model import (
     GridModel,
     Line,
     Load,
-    ParseError,
     Sgen,
     Trafo,
     ValidationError,
@@ -26,10 +25,7 @@ from .profiles import (
     ProfileError,
     ProfileSet,
     TimeSeriesProfile,
-    UnknownTarget,
-    apply_profiles,
     bus_injections,
-    check_targets,
     element_values_at,
     load_profiles,
     parse_profiles,
@@ -40,7 +36,6 @@ __all__ = [
     "GridModel",
     "Line",
     "Load",
-    "ParseError",
     "Sgen",
     "Trafo",
     "ValidationError",
@@ -57,10 +52,7 @@ __all__ = [
     "ProfileError",
     "ProfileSet",
     "TimeSeriesProfile",
-    "UnknownTarget",
-    "apply_profiles",
     "bus_injections",
-    "check_targets",
     "element_values_at",
     "load_profiles",
     "parse_profiles",

@@ -38,8 +38,6 @@ from ..configfile import (
     single_section,
 )
 
-ParseError = ConfigError
-
 TAP_STEP_PERCENT = 2.5  # voltage ratio change per transformer tap position
 
 
@@ -129,10 +127,6 @@ class GridModel:
     @property
     def slack_bus(self) -> Bus:
         return next(b for b in self.buses if b.type == "slack")
-
-    @property
-    def radial(self) -> bool:
-        return self.branch_count == len(self.buses) - 1
 
     @property
     def branch_count(self) -> int:
@@ -225,21 +219,7 @@ def validate(model: GridModel) -> None:
             raise ValidationError(UNKNOWN_BUS, f"'{elem.id}' references unknown bus")
 
     # Connectivity over all branches, regardless of switching state.
-    adjacency: dict[str, list[str]] = {b.id: [] for b in model.buses}
-    for line in model.lines:
-        adjacency[line.from_bus].append(line.to_bus)
-        adjacency[line.to_bus].append(line.from_bus)
-    for trafo in model.trafos:
-        adjacency[trafo.hv_bus].append(trafo.lv_bus)
-        adjacency[trafo.lv_bus].append(trafo.hv_bus)
-    seen = set()
-    stack = [model.buses[0].id]
-    while stack:
-        bus_id = stack.pop()
-        if bus_id in seen:
-            continue
-        seen.add(bus_id)
-        stack.extend(adjacency[bus_id])
+    seen = connected_buses(model, model.buses[0].id)
     if len(seen) != len(model.buses):
         missing = sorted(bus_ids - seen)
         raise ValidationError(DISCONNECTED, f"buses not connected to the grid: {missing}")
@@ -249,6 +229,27 @@ def validate(model: GridModel) -> None:
             f"{model.branch_count} branches for {len(model.buses)} buses; "
             "flag 'meshed = true' to allow loops",
         )
+
+
+def connected_buses(model: GridModel, start: str, switching: bool = False) -> set[str]:
+    """Buses reachable from `start`; with `switching`, open lines conduct nothing."""
+    adjacency: dict[str, list[str]] = {b.id: [] for b in model.buses}
+    for line in model.lines:
+        if line.in_service or not switching:
+            adjacency[line.from_bus].append(line.to_bus)
+            adjacency[line.to_bus].append(line.from_bus)
+    for trafo in model.trafos:
+        adjacency[trafo.hv_bus].append(trafo.lv_bus)
+        adjacency[trafo.lv_bus].append(trafo.hv_bus)
+    seen: set[str] = set()
+    stack = [start]
+    while stack:
+        bus_id = stack.pop()
+        if bus_id in seen:
+            continue
+        seen.add(bus_id)
+        stack.extend(adjacency[bus_id])
+    return seen
 
 
 def _row_float(row: Row, key: str, source: str) -> float:

@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import GridModel
+from .model import GridModel, connected_buses
 
 TOLERANCE_PU = 1e-8
 MAX_ITERATIONS = 20
@@ -81,26 +81,6 @@ class PowerFlowSolution:
     losses_kvar: float = 0.0
 
 
-def _energized_buses(model: GridModel) -> set[str]:
-    adjacency: dict[str, list[str]] = {b.id: [] for b in model.buses}
-    for line in model.lines:
-        if line.in_service:
-            adjacency[line.from_bus].append(line.to_bus)
-            adjacency[line.to_bus].append(line.from_bus)
-    for trafo in model.trafos:
-        adjacency[trafo.hv_bus].append(trafo.lv_bus)
-        adjacency[trafo.lv_bus].append(trafo.hv_bus)
-    seen: set[str] = set()
-    stack = [model.slack_bus.id]
-    while stack:
-        bus_id = stack.pop()
-        if bus_id in seen:
-            continue
-        seen.add(bus_id)
-        stack.extend(adjacency[bus_id])
-    return seen
-
-
 def _branch_admittances(model: GridModel, energized: set[str]):
     """Per-unit series admittance and tap ratio for every conducting branch."""
     branches = []
@@ -145,7 +125,7 @@ def run_power_flow(
         if bus_id not in model.bus_index:
             raise UnknownElement(f"injection references unknown bus '{bus_id}'")
 
-    energized = _energized_buses(model)
+    energized = connected_buses(model, model.slack_bus.id, switching=True)
     islanded = sorted(set(model.bus_index) - energized)
     solve_buses = [b for b in model.buses if b.id in energized]
     slack_id = model.slack_bus.id

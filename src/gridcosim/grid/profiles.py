@@ -18,10 +18,6 @@ class ProfileError(Exception):
     pass
 
 
-class UnknownTarget(ProfileError):
-    pass
-
-
 @dataclass
 class TimeSeriesProfile:
     element_id: str
@@ -88,16 +84,6 @@ def load_profiles(path) -> ProfileSet:
             raise ProfileError(f"{path}: {exc}") from None
 
 
-def check_targets(profiles: ProfileSet, model: GridModel) -> None:
-    """Every profile target must name a load/sgen p_kw or q_kvar in the model."""
-    targets = {(e.id, f) for e in model.loads + model.sgens for f in ("p_kw", "q_kvar")}
-    for element_id, fieldname in profiles.profiles:
-        if (element_id, fieldname) not in targets:
-            raise UnknownTarget(
-                f"profile targets unknown element field {element_id}.{fieldname}"
-            )
-
-
 def element_values_at(
     model: GridModel,
     profiles: ProfileSet | None,
@@ -142,11 +128,3 @@ def bus_injections(
             injections[bus_id][1] += q
     return {bus_id: (pq[0], pq[1]) for bus_id, pq in injections.items()}
 
-
-def apply_profiles(
-    model: GridModel, profiles: ProfileSet | None, t: int
-) -> dict[str, tuple[float, float]]:
-    """Per-bus injections at time t with profile overrides applied."""
-    if profiles is not None:
-        check_targets(profiles, model)
-    return bus_injections(model, element_values_at(model, profiles, t))

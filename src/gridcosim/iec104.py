@@ -331,10 +331,6 @@ def decode_stream(buf: bytes) -> tuple[list[Apdu], int]:
     return apdus, offset
 
 
-# Session events for session_step()
-Event = tuple
-
-
 @dataclass
 class ConnectionState:
     """Sequence/keep-alive state for one side of a 104 connection.
@@ -420,18 +416,3 @@ class ConnectionState:
             self.unacked_recv = 0
             out.append(s_frame(self.vr))
         return out
-
-    def test_timer(self) -> list[Apdu]:
-        return [u_frame(U_TESTFR_ACT)]
-
-
-def session_step(state: ConnectionState, event: Event) -> tuple[ConnectionState, list[Apdu]]:
-    """Step the session machine: event is ('send', asdu), ('received', apdu) or ('test-timer',)."""
-    kind = event[0]
-    if kind == "send":
-        return state, state.send(event[1])
-    if kind == "received":
-        return state, state.received(event[1])
-    if kind == "test-timer":
-        return state, state.test_timer()
-    raise Iec104Error(f"unknown session event {kind!r}")

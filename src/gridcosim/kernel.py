@@ -11,7 +11,7 @@ step (its declared default at t=0).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 Attr = tuple[str, str]            # (entity, attribute)
@@ -76,7 +76,6 @@ class RunReport:
     until: int
     step_counts: dict[str, int]
     wall_seconds: float
-    step_trace: list[tuple[int, str]] = field(default_factory=list)
 
     def to_text(self) -> str:
         lines = [f"until_s: {self.until}", f"simulators: {len(self.step_counts)}"]
@@ -207,7 +206,6 @@ class Kernel:
         topo = self._topological_order()
         values: dict[Endpoint, Any] = {}
         step_counts = {sim_id: 0 for sim_id in self._order}
-        trace: list[tuple[int, str]] = []
         started = time.perf_counter()
         self._running = True
         try:
@@ -245,7 +243,6 @@ class Kernel:
                             )
                         values[(sim_id, attr[0], attr[1])] = value
                     step_counts[sim_id] += 1
-                    trace.append((t, sim_id))
                 next_times = [
                     (t // d.step_size + 1) * d.step_size
                     for d in self._descriptors.values()
@@ -257,5 +254,4 @@ class Kernel:
             until=until,
             step_counts=step_counts,
             wall_seconds=time.perf_counter() - started,
-            step_trace=trace,
         )

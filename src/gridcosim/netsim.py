@@ -192,13 +192,6 @@ class CommandResult:
     effective_user: str
 
 
-@dataclass
-class DeliveryEvent:
-    send_us: int
-    deliver_us: int
-    record: PacketRecord
-
-
 class TcpConnection:
     """One emulated TCP connection; both ends may send on the byte stream."""
 
@@ -237,9 +230,8 @@ class TcpConnection:
             )
             self.server_seq += len(payload) + (1 if flags & (SYN | FIN) else 0)
         self.network._log(record)
-        return record
 
-    def send(self, payload: bytes, at_s: int | None = None, from_server: bool = False) -> DeliveryEvent:
+    def send(self, payload: bytes, at_s: int | None = None, from_server: bool = False):
         """Send bytes on the stream; the peer handler sees them after one path latency."""
         if self.closed:
             raise NetError("connection is closed")
@@ -247,19 +239,17 @@ class TcpConnection:
             raise Unreachable(
                 f"path between {self.client_host} and {self.server_host} is down"
             )
-        send_us = self.network._clock(at_s)
-        deliver_us = send_us + self.latency_us
-        record = self._record(not from_server, PSH | ACK, payload, deliver_us)
+        deliver_us = self.network._clock(at_s) + self.latency_us
+        self._record(not from_server, PSH | ACK, payload, deliver_us)
         self.network._advance(deliver_us)
         if from_server:
             self.network._dispatch_client_data(self, payload)
         else:
             if self.handler is not None:
                 self.handler.on_client_data(self, payload)
-        return DeliveryEvent(send_us=send_us, deliver_us=deliver_us, record=record)
 
-    def server_send(self, payload: bytes, at_s: int | None = None) -> DeliveryEvent:
-        return self.send(payload, at_s=at_s, from_server=True)
+    def server_send(self, payload: bytes, at_s: int | None = None):
+        self.send(payload, at_s=at_s, from_server=True)
 
     def close(self, at_s: int | None = None):
         if self.closed:
@@ -348,14 +338,12 @@ class Network:
             return 0
         best: dict[str, int] = {src_host: 0}
         queue = deque([src_host])
-        parents: dict[str, str] = {}
         while queue:
             node = queue.popleft()
             for peer, link in self._adjacency[node]:
                 if not link.up or peer in best:
                     continue
                 best[peer] = best[node] + link.latency_us
-                parents[peer] = node
                 if peer == dst_host:
                     return best[peer]
                 queue.append(peer)
@@ -460,13 +448,6 @@ class Network:
         if conn.handler is not None and hasattr(conn.handler, "on_connect"):
             conn.handler.on_connect(conn)
         return conn
-
-    def send(self, src_host: str, dst_ip: str, dst_port: int, payload: bytes,
-             at_s: int | None = None, conn: TcpConnection | None = None) -> DeliveryEvent:
-        """Open (or reuse) a connection and push bytes to the destination service."""
-        if conn is None:
-            conn = self.open_connection(src_host, dst_ip, dst_port, at_s)
-        return conn.send(payload, at_s=at_s)
 
     def close_all(self, at_s: int | None = None):
         for conn in self._connections:
@@ -773,6 +754,3 @@ def load_topology(path) -> Network:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_topology(fh.read(), source=str(path))
 
-
-def build_topology(text: str, source: str = "<topology>") -> Network:
-    return parse_topology(text, source)

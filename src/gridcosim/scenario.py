@@ -9,7 +9,6 @@ Scenario file schema:
   name = <token>
   horizon_s = <int>
   step_s = <int>
-  seed = <int>
   grid_file = <path>
   topology_file = <path>
   profiles_file = <path>          # optional
@@ -23,6 +22,7 @@ Scenario file schema:
   common_address = <int>
   report_period_s = <int>
   datapoint = <ioa> <monitor|control> <kind>:<element>:<field> [scale=<f>] [unit=<text>]
+                                  # fields per kind: devices.MONITOR_FIELDS / CONTROL_FIELDS
 
   [ved <name>]
   host = <topology host>
@@ -39,7 +39,8 @@ Scenario file schema:
   stage = scan <subnet>
   stage = rce <selector>
   stage = pe <suid|sudoers>
-  stage = manipulate <scale|offset|freeze|fdi_stealth> [factor=<f>] [delta=<f>] [targets=all|<ioa,..>]
+  stage = manipulate <kind> [factor=<f>] [delta=<f>] [targets=all|<ioa,..>]
+                                  # kinds: devices.MANIPULATION_KINDS
 """
 
 from __future__ import annotations
@@ -50,7 +51,14 @@ from dataclasses import dataclass, field
 
 from . import attacker as attacker_mod
 from . import devices, ems, netsim
-from .configfile import ConfigError, as_int, parse_config, sections_of, single_section
+from .configfile import (
+    ConfigError,
+    as_float,
+    as_int,
+    parse_config,
+    sections_of,
+    single_section,
+)
 from .grid import (
     GridModel,
     ProfileSet,
@@ -62,8 +70,6 @@ from .grid import (
     run_power_flow,
 )
 from .kernel import Kernel, SimulatorDescriptor, SimulatorFault
-
-ParseError = ConfigError
 
 GROUND_TRUTH_CSV = "ground_truth.csv"
 ARCHIVE_CSV = "archive.csv"
@@ -85,20 +91,6 @@ HASHED_OUTPUTS = (
     ATTACK_TRANSCRIPT,
     EMS_DECISIONS_CSV,
 )
-
-_MONITORABLE = {
-    "bus": {"p_kw", "q_kvar", "v_pu"},
-    "line": {"p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu", "i_ka", "loading_percent"},
-    "trafo": {"p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu", "i_ka", "loading_percent"},
-    "load": {"p_kw", "q_kvar", "v_pu"},
-    "sgen": {"p_kw", "q_kvar", "v_pu"},
-}
-_CONTROLLABLE = {
-    "line": {"status"},
-    "load": {"p_kw", "q_kvar"},
-    "sgen": {"p_kw", "q_kvar"},
-}
-
 
 class ScenarioError(Exception):
     pass
@@ -136,23 +128,24 @@ class Scenario:
     name: str
     horizon_s: int
     step_s: int
-    seed: int
-    grid_file: str
     topology_file: str
-    profiles_file: str | None
     mtu: MtuConfig | None
     rtus: list[devices.RtuConfig]
     veds: list[VedConfig]
     ems_configs: dict[str, EmsConfig]
     attack_plan: attacker_mod.AttackPlan | None
     outdir: str
-    grid_model: GridModel = field(repr=False, default=None)
-    profiles: ProfileSet | None = field(repr=False, default=None)
+    grid_model: GridModel = field(repr=False)
+    profiles: ProfileSet | None = field(repr=False)
 
     def without_attack(self) -> "Scenario":
         copy = Scenario(**{**self.__dict__})
         copy.attack_plan = None
         return copy
+
+
+def _options(tokens) -> dict[str, str]:
+    return dict(tok.split("=", 1) for tok in tokens if "=" in tok)
 
 
 def _parse_datapoint(value: str, source: str, lineno: int) -> devices.DataPoint:
@@ -165,14 +158,14 @@ def _parse_datapoint(value: str, source: str, lineno: int) -> devices.DataPoint:
     ref = tokens[2].split(":")
     if len(ref) != 3:
         raise ConfigError(f"bad element reference '{tokens[2]}'", source, lineno)
-    opts = dict(tok.split("=", 1) for tok in tokens[3:] if "=" in tok)
+    opts = _options(tokens[3:])
     return devices.DataPoint(
         ioa=as_int(tokens[0], "ioa", source, lineno),
         direction=tokens[1],
         element_kind=ref[0],
         element_id=ref[1],
         fieldname=ref[2],
-        scale=float(opts.get("scale", "1.0")),
+        scale=as_float(opts.get("scale", "1.0"), "scale", source, lineno),
         unit=opts.get("unit", ""),
     )
 
@@ -182,35 +175,42 @@ def _parse_stage(value: str, source: str, lineno: int):
     if not tokens:
         raise ConfigError("empty attack stage", source, lineno)
     kind = tokens[0]
+    if kind not in ("scan", "rce", "pe", "manipulate"):
+        raise ConfigError(f"unknown stage kind '{kind}'", source, lineno)
+    if len(tokens) < 2:
+        raise ConfigError(f"stage '{kind}' needs an argument", source, lineno)
     if kind == "scan":
         return attacker_mod.ScanStage(subnet=tokens[1])
     if kind == "rce":
         return attacker_mod.RceStage(selector=tokens[1])
     if kind == "pe":
         return attacker_mod.PeStage(method=tokens[1])
-    if kind == "manipulate":
-        opts = dict(tok.split("=", 1) for tok in tokens[2:] if "=" in tok)
-        targets_raw = opts.get("targets", "all")
-        targets = (
-            None
-            if targets_raw == "all"
-            else tuple(int(part) for part in targets_raw.split(","))
-        )
-        strategy = attacker_mod.ManipulationStrategy(
-            kind=tokens[1],
-            factor=float(opts.get("factor", "1.0")),
-            delta=float(opts.get("delta", "0.0")),
-            target_ioas=targets,
-        )
-        return attacker_mod.ManipulateStage(strategy=strategy)
-    raise ConfigError(f"unknown stage kind '{kind}'", source, lineno)
+    opts = _options(tokens[2:])
+    targets_raw = opts.get("targets", "all")
+    targets = (
+        None
+        if targets_raw == "all"
+        else tuple(as_int(part, "targets", source, lineno) for part in targets_raw.split(","))
+    )
+    strategy = attacker_mod.ManipulationStrategy(
+        kind=tokens[1],
+        factor=as_float(opts.get("factor", "1.0"), "factor", source, lineno),
+        delta=as_float(opts.get("delta", "0.0"), "delta", source, lineno),
+        target_ioas=targets,
+    )
+    return attacker_mod.ManipulateStage(strategy=strategy)
 
 
-def _parse_window_opts(value: str):
-    opts = dict(tok.split("=", 1) for tok in value.split() if "=" in tok)
-    start = int(opts.get("from", "0"))
-    end = int(opts["to"]) if "to" in opts else None
-    return opts, start, end
+def _parse_window(value: str, keys: tuple[str, ...], source: str, lineno: int):
+    """The values of the required `keys` as floats, and the from/to window."""
+    opts = _options(value.split())
+    missing = [key for key in keys if key not in opts]
+    if missing:
+        raise ConfigError(f"'{value}' is missing {missing[0]}=<kW>", source, lineno)
+    values = [as_float(opts[key], key, source, lineno) for key in keys]
+    start = as_int(opts.get("from", "0"), "from", source, lineno)
+    end = as_int(opts["to"], "to", source, lineno) if "to" in opts else None
+    return values, start, end
 
 
 def load_scenario(path) -> Scenario:
@@ -229,7 +229,6 @@ def load_scenario(path) -> Scenario:
     name = head.get("name", "scenario")
     horizon_s = as_int(head.require("horizon_s", source), "horizon_s", source, head.lineno)
     step_s = as_int(head.require("step_s", source), "step_s", source, head.lineno)
-    seed = as_int(head.get("seed", "0"), "seed", source, head.lineno)
     grid_file = resolve(head.require("grid_file", source))
     topology_file = resolve(head.require("topology_file", source))
     profiles_raw = head.get("profiles_file")
@@ -269,6 +268,10 @@ def load_scenario(path) -> Scenario:
             _parse_datapoint(value, source, section.lineno)
             for value in section.get_all("datapoint")
         ]
+        try:
+            datapoints = devices.DataPointMap(entries=points)
+        except devices.DeviceError as exc:
+            raise ConfigError(f"rtu '{section.name}': {exc}", source, section.lineno) from None
         config = devices.RtuConfig(
             name=section.name,
             host=section.require("host", source),
@@ -276,7 +279,7 @@ def load_scenario(path) -> Scenario:
                 section.require("common_address", source), "common_address",
                 source, section.lineno,
             ),
-            datapoints=devices.DataPointMap(entries=points),
+            datapoints=datapoints,
             report_period=as_int(
                 section.require("report_period_s", source), "report_period_s",
                 source, section.lineno,
@@ -300,14 +303,6 @@ def load_scenario(path) -> Scenario:
                     f"{dp.element_kind}:{dp.element_id}",
                     f"rtu '{config.name}' IOA {dp.ioa} targets a missing grid element",
                 )
-            allowed = (_MONITORABLE if dp.direction == "monitor" else _CONTROLLABLE).get(
-                dp.element_kind, set()
-            )
-            if dp.fieldname not in allowed:
-                raise DanglingReference(
-                    f"{dp.element_kind}:{dp.element_id}:{dp.fieldname}",
-                    f"field not {'readable' if dp.direction == 'monitor' else 'actuatable'}",
-                )
         rtus.append(config)
     if len({r.name for r in rtus}) != len(rtus):
         raise ConfigError("duplicate rtu name", source, 1)
@@ -319,7 +314,7 @@ def load_scenario(path) -> Scenario:
         battery = None
         battery_raw = section.get("battery")
         if battery_raw:
-            opts = dict(tok.split("=", 1) for tok in battery_raw.split() if "=" in tok)
+            opts = _options(battery_raw.split())
             try:
                 battery = ems.Battery(
                     capacity_kwh=float(opts["capacity_kwh"]),
@@ -330,6 +325,9 @@ def load_scenario(path) -> Scenario:
                 )
             except KeyError as exc:
                 raise ConfigError(f"battery entry missing {exc}", source, section.lineno) from None
+            except (ValueError, ems.EmsError) as exc:
+                raise ConfigError(f"ved '{section.name}' battery: {exc}",
+                                  source, section.lineno) from None
         config = VedConfig(
             name=section.name,
             host=section.require("host", source),
@@ -350,20 +348,19 @@ def load_scenario(path) -> Scenario:
             raise DanglingReference(section.name, "ems section for unknown ved")
         dso_limits = []
         for value in section.get_all("dso"):
-            opts, start, end = _parse_window_opts(value)
+            (p_import, p_export), start, end = _parse_window(
+                value, ("import", "export"), source, section.lineno
+            )
             dso_limits.append(
                 ems.DsoLimit(
-                    p_max_import_kw=float(opts["import"]),
-                    p_max_export_kw=float(opts["export"]),
+                    p_max_import_kw=p_import, p_max_export_kw=p_export,
                     t_start=start, t_end=end,
                 )
             )
         vpp_schedules = []
         for value in section.get_all("vpp"):
-            opts, start, end = _parse_window_opts(value)
-            vpp_schedules.append(
-                ems.VppSchedule(target_p_kw=float(opts["target"]), t_start=start, t_end=end)
-            )
+            (target,), start, end = _parse_window(value, ("target",), source, section.lineno)
+            vpp_schedules.append(ems.VppSchedule(target_p_kw=target, t_start=start, t_end=end))
         ems_configs[section.name] = EmsConfig(
             ved=section.name,
             dso_limits=tuple(dso_limits),
@@ -376,18 +373,21 @@ def load_scenario(path) -> Scenario:
         foothold = attack_section.require("foothold", source)
         if foothold not in network.hosts:
             raise DanglingReference(foothold, "attack foothold not in topology")
-        stages = tuple(
-            _parse_stage(value, source, attack_section.lineno)
-            for value in attack_section.get_all("stage")
-        )
-        attack_plan = attacker_mod.AttackPlan(
-            foothold=foothold,
-            stages=stages,
-            start_time=as_int(
-                attack_section.get("start_time_s", "0"), "start_time_s",
-                source, attack_section.lineno,
-            ),
-        )
+        try:
+            stages = tuple(
+                _parse_stage(value, source, attack_section.lineno)
+                for value in attack_section.get_all("stage")
+            )
+            attack_plan = attacker_mod.AttackPlan(
+                foothold=foothold,
+                stages=stages,
+                start_time=as_int(
+                    attack_section.get("start_time_s", "0"), "start_time_s",
+                    source, attack_section.lineno,
+                ),
+            )
+        except attacker_mod.AttackError as exc:
+            raise ConfigError(str(exc), source, attack_section.lineno) from None
 
     # profile targets must resolve against the grid or a ved load/pv channel
     if profiles is not None:
@@ -407,8 +407,7 @@ def load_scenario(path) -> Scenario:
             )
 
     return Scenario(
-        name=name, horizon_s=horizon_s, step_s=step_s, seed=seed,
-        grid_file=grid_file, topology_file=topology_file, profiles_file=profiles_file,
+        name=name, horizon_s=horizon_s, step_s=step_s, topology_file=topology_file,
         mtu=mtu_config, rtus=rtus, veds=veds, ems_configs=ems_configs,
         attack_plan=attack_plan, outdir=outdir,
         grid_model=grid_model, profiles=profiles,
@@ -555,18 +554,14 @@ def _sha256(path: str) -> str:
 def run_scenario(
     scenario: Scenario,
     outdir: str | None = None,
-    seed: int | None = None,
     until: int | None = None,
 ) -> RunOutputs:
     outdir = outdir or scenario.outdir
-    seed = scenario.seed if seed is None else seed
     horizon = until or scenario.horizon_s
     os.makedirs(outdir, exist_ok=True)
 
-    grid_model = scenario.grid_model or load_grid(scenario.grid_file)
+    grid_model = scenario.grid_model
     profiles = scenario.profiles
-    if profiles is None and scenario.profiles_file:
-        profiles = load_profiles(scenario.profiles_file)
     network = netsim.load_topology(scenario.topology_file)
 
     monitored = sorted(
@@ -748,7 +743,7 @@ def run_scenario(
         ems_rows,
     )
 
-    report_lines = [f"scenario: {scenario.name}", f"seed: {seed}"]
+    report_lines = [f"scenario: {scenario.name}"]
     if fault is not None:
         report_lines.append(f"fault: {fault}")
     elif report is not None:

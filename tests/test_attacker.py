@@ -10,7 +10,6 @@ from gridcosim.attacker import (
     PlanOrderError,
     RceStage,
     ScanStage,
-    run_plan,
 )
 from gridcosim.devices import DataPoint, DataPointMap, Rtu, RtuConfig
 from gridcosim.pcap import SYN
@@ -55,9 +54,20 @@ FULL_PLAN = AttackPlan(
 )
 
 
+def run_to_end(agent: Attacker) -> list:
+    """Step the attacker, one stage per step, until its plan is done."""
+    while not agent.done:
+        agent.step(agent.plan.start_time, {})
+    return agent.trace
+
+
+def run_plan(network, plan: AttackPlan) -> list:
+    return run_to_end(Attacker(network, plan))
+
+
 @pytest.fixture
 def network():
-    net = netsim.build_topology(FIELD_NET)
+    net = netsim.parse_topology(FIELD_NET)
     config = RtuConfig(
         name="r1", host="rtu1", common_address=1,
         datapoints=DataPointMap(entries=[
@@ -90,7 +100,7 @@ class TestStages:
         assert [e.stage for e in trace] == ["S1", "S2", "S3", "S4"]
         assert all(e.success for e in trace)
         rtu = network._test_rtu
-        assert rtu.override_active(101) and rtu.override_active(102)
+        assert 101 in rtu.overrides and 102 in rtu.overrides
 
     def test_scan_fills_knowledge(self, network):
         agent = Attacker(network, FULL_PLAN)
@@ -196,7 +206,7 @@ class TestStages:
             stages=(ScanStage("10.0.2.0/24"), RceStage("http"), PeStage("sudoers")),
         )
         agent = Attacker(network, plan)
-        trace = agent.run_all(0)
+        trace = run_to_end(agent)
         assert all(e.success for e in trace)
         assert any("sudo -l" in line for line in agent.transcript)
         assert any("maint.sh" in line for line in agent.transcript)
@@ -211,7 +221,7 @@ class TestStages:
             (ScanStage("10.0.2.0/24"), PeStage("suid")),
         ]
         for stages in gapped:
-            net = netsim.build_topology(FIELD_NET)
+            net = netsim.parse_topology(FIELD_NET)
             RtuConfig_ = RtuConfig(
                 name="r1", host="rtu1", common_address=1,
                 datapoints=DataPointMap(entries=[DataPoint(101, "monitor", "trafo", "t1", "p_from_kw")]),

@@ -16,7 +16,6 @@ from gridcosim.devices import (
     decode_register,
     encode_register,
     to_f32,
-    ved_access,
 )
 
 PAIR = """
@@ -49,7 +48,7 @@ def make_map():
 
 @pytest.fixture
 def rig():
-    network = netsim.build_topology(PAIR)
+    network = netsim.parse_topology(PAIR)
     config = RtuConfig(
         name="r1", host="field1", common_address=1,
         datapoints=make_map(), report_period=60,
@@ -93,7 +92,7 @@ class TestReporting:
         rtu.step(0, MEAS)
         assert [(r.ioa, r.value) for r in mtu.archive] == [(101, 27.5), (102, 10.0)]
         assert rtu.truth_rows[0][3] == 55.0
-        assert rtu.override_active(101) and not rtu.override_active(201)
+        assert 101 in rtu.overrides and 201 not in rtu.overrides
 
     def test_buffered_reports_flush_in_order_on_start(self, rig):
         network, rtu, mtu = rig
@@ -145,6 +144,25 @@ class TestPollAndCommand:
         for t in (120, 180, 240):
             mtu.step(t, {})
         assert (240, "timeout", "r1") in mtu.events
+
+    def test_non_network_error_in_poll_is_a_fault(self, rig, monkeypatch):
+        from gridcosim.kernel import Kernel, SimulatorDescriptor, SimulatorFault
+
+        network, rtu, _ = rig
+        mtu = Mtu(network, "mtu", step_size=60, poll_period=60)
+        mtu.attach_rtu("r1", "10.0.2.11")
+        mtu.start(0)
+
+        def broken_reply(_request):
+            raise RuntimeError("interrogation bug")
+
+        monkeypatch.setattr(rtu, "_interrogation_reply", broken_reply)
+        kernel = Kernel()
+        kernel.register_simulator(SimulatorDescriptor(id="mtu", step_size=60), mtu.step)
+        with pytest.raises(SimulatorFault) as err:
+            kernel.run(120)
+        assert err.value.sim_id == "mtu" and err.value.step_time == 60
+        assert isinstance(err.value.cause, RuntimeError)
 
     def test_setpoint_command_actuates_next_step(self, rig):
         network, rtu, mtu = rig
@@ -218,7 +236,7 @@ class TestSwitchIslanding:
             trafos=[], loads=[Load("ld", "g2", 100.0, 30.0)], sgens=[], base_mva=1.0,
         )
         validate(model)
-        network = netsim.build_topology(PAIR)
+        network = netsim.parse_topology(PAIR)
         config = RtuConfig(
             name="r1", host="field1", common_address=1,
             datapoints=DataPointMap(entries=[
@@ -285,21 +303,21 @@ class TestVedRegisters:
     def test_soc_scaling(self):
         ved = VedRegisterMap()
         ved.update_state(pv_kw=0.0, battery_kw=0.0, soc_percent=50.0, load_kw=0.0)
-        assert ved_access(ved, "read", 2) == 5000
+        assert ved.read(2) == 5000
 
     def test_write_to_ro_register_rejected(self):
         ved = VedRegisterMap()
         with pytest.raises(IllegalWrite):
-            ved_access(ved, "write", 0, 100)
+            ved.write(0, 100)
 
     def test_illegal_address(self):
         ved = VedRegisterMap()
         with pytest.raises(IllegalAddress):
-            ved_access(ved, "read", 77)
+            ved.read(77)
 
     def test_negative_setpoint_roundtrip(self):
         ved = VedRegisterMap()
-        ved_access(ved, "write", 10, encode_register(-2.0))
+        ved.write(10, encode_register(-2.0))
         assert ved.take_setpoint() == -2.0
         assert ved.take_setpoint() is None  # consumed
 

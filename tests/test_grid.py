@@ -4,11 +4,8 @@ import pytest
 from gridcosim.configfile import ConfigError
 from gridcosim.grid import (
     ProfileSet,
-    UnknownTarget,
     ValidationError,
-    apply_profiles,
     bus_injections,
-    check_targets,
     element_values_at,
     load_grid,
     load_profiles,
@@ -60,7 +57,7 @@ class TestModel:
         model = parse_grid(TWO_BUS)
         assert len(model.buses) == 2 and len(model.lines) == 1
         assert model.slack_bus.id == "a"
-        assert model.radial
+        assert model.branch_count == len(model.buses) - 1
 
     def test_zero_impedance_rejected(self):
         bad = TWO_BUS.replace("r_ohm=40.0 x_ohm=80.0", "r_ohm=0 x_ohm=0")
@@ -95,7 +92,7 @@ class TestModel:
         model = load_grid(feeder7_path)
         assert len(model.buses) == 7
         assert len(model.lines) == 6
-        assert model.radial
+        assert model.branch_count == len(model.buses) - 1
 
 
 class TestPowerFlow:
@@ -130,7 +127,7 @@ class TestPowerFlow:
 
     def test_conservation_identity(self, feeder7_path):
         model = load_grid(feeder7_path)
-        injections = apply_profiles(model, None, 0)
+        injections = bus_injections(model, element_values_at(model, None, 0))
         solution = run_power_flow(model, injections)
         assert solution.converged
         total_inj = sum(p for p, _q in solution.injections_kw.values())
@@ -224,23 +221,17 @@ class TestProfiles:
         profiles = parse_profiles([(600, "ld", "p_kw", 5.0)])
         assert profiles.get("ld", "p_kw").value_at(0) == 5.0
 
-    def test_unknown_target_rejected(self):
-        model = parse_grid(TWO_BUS)
-        profiles = parse_profiles([(0, "nosuch", "p_kw", 1.0)])
-        with pytest.raises(UnknownTarget):
-            check_targets(profiles, model)
-
     def test_apply_profiles_injections(self):
         model = parse_grid(TWO_BUS)
         profiles = parse_profiles([(0, "ld", "p_kw", 5.0), (3600, "ld", "p_kw", 8.0)])
-        injections = apply_profiles(model, profiles, 1800)
+        injections = bus_injections(model, element_values_at(model, profiles, 1800))
         assert injections["b"] == (-5.0, -50.0)
-        injections = apply_profiles(model, profiles, 3600)
+        injections = bus_injections(model, element_values_at(model, profiles, 3600))
         assert injections["b"] == (-8.0, -50.0)
 
     def test_untouched_elements_keep_file_values(self):
         model = parse_grid(TWO_BUS)
-        injections = apply_profiles(model, ProfileSet({}), 0)
+        injections = bus_injections(model, element_values_at(model, ProfileSet({}), 0))
         assert injections["b"] == (-100.0, -50.0)
 
     def test_load_profiles_csv(self, feeder7_profiles_path):

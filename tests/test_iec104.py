@@ -16,7 +16,6 @@ from gridcosim.iec104 import (
     encode,
     i_frame,
     s_frame,
-    session_step,
     u_frame,
 )
 
@@ -155,7 +154,7 @@ def test_roundtrip_property(apdu):
 class TestSession:
     def test_controlled_confirms_startdt(self):
         state = ConnectionState(role="controlled")
-        state, out = session_step(state, ("received", u_frame(iec104.U_STARTDT_ACT)))
+        out = state.received(u_frame(iec104.U_STARTDT_ACT))
         assert out == [u_frame(iec104.U_STARTDT_CON)]
         assert state.started
 
@@ -167,11 +166,6 @@ class TestSession:
     def test_testfr_act_answered(self):
         state = ConnectionState(role="controlled", started=True)
         assert state.received(u_frame(iec104.U_TESTFR_ACT)) == [u_frame(iec104.U_TESTFR_CON)]
-
-    def test_test_timer_event_emits_testfr_act(self):
-        state = ConnectionState(role="controlling", started=True)
-        state, out = session_step(state, ("test-timer",))
-        assert out == [u_frame(iec104.U_TESTFR_ACT)]
 
     def test_controlling_emits_startdt_before_first_i_frame(self):
         state = ConnectionState(role="controlling")

@@ -16,6 +16,14 @@ def null_sim(t, inputs):
     return {}
 
 
+def recorder(steps, sid):
+    """A step function that appends (t, sid) to `steps` on every call."""
+    def step(t, _inputs):
+        steps.append((t, sid))
+        return {}
+    return step
+
+
 def make(step=60, sid="sim", provides=(), consumes=(), defaults=()):
     return SimulatorDescriptor(
         id=sid, step_size=step, provides=tuple(provides), consumes=tuple(consumes),
@@ -75,25 +83,27 @@ class TestScheduling:
 
     def test_chain_topological_order(self):
         kernel = Kernel()
+        steps = []
         for sid in ("c", "b", "a"):  # registered backwards on purpose
             kernel.register_simulator(
                 make(sid=sid, provides=[("e", "v")], consumes=[("e", "v")],
                      defaults=[(("e", "v"), 0)]),
-                null_sim,
+                recorder(steps, sid),
             )
         kernel.connect(("a", "e", "v"), ("b", "e", "v"))
         kernel.connect(("b", "e", "v"), ("c", "e", "v"))
-        report = kernel.run(120)
-        per_step = [sid for (_t, sid) in report.step_trace]
+        kernel.run(120)
+        per_step = [sid for (_t, sid) in steps]
         assert per_step == ["a", "b", "c", "a", "b", "c"]
 
     def test_diamond_ties_broken_by_registration(self):
         kernel = Kernel()
+        steps = []
         for sid in ("a", "b", "c", "d"):
             kernel.register_simulator(
                 make(sid=sid, provides=[("e", "v")], consumes=[("e", "v")],
                      defaults=[(("e", "v"), 0)]),
-                null_sim,
+                recorder(steps, sid),
             )
         kernel.connect(("a", "e", "v"), ("b", "e", "v"))
         # c gets its input from a as well, via a second attribute name
@@ -101,8 +111,8 @@ class TestScheduling:
             kernel.connect(("a", "e", "v"), ("b", "e", "v"))  # dst already wired
         kernel.connect(("a", "e", "v"), ("c", "e", "v"))
         kernel.connect(("b", "e", "v"), ("d", "e", "v"))
-        report = kernel.run(60)
-        assert [sid for (_t, sid) in report.step_trace] == ["a", "b", "c", "d"]
+        kernel.run(60)
+        assert [sid for (_t, sid) in steps] == ["a", "b", "c", "d"]
 
     def test_simulator_fault_aborts(self):
         kernel = Kernel()
@@ -175,11 +185,12 @@ class TestLinks:
 
     def test_monotone_step_times(self):
         kernel = Kernel()
-        kernel.register_simulator(make(sid="a", step=30), null_sim)
-        kernel.register_simulator(make(sid="b", step=45), null_sim)
-        report = kernel.run(450)
+        steps = []
+        kernel.register_simulator(make(sid="a", step=30), recorder(steps, "a"))
+        kernel.register_simulator(make(sid="b", step=45), recorder(steps, "b"))
+        kernel.run(450)
         per_sim = {}
-        for t, sid in report.step_trace:
+        for t, sid in steps:
             per_sim.setdefault(sid, []).append(t)
         for times in per_sim.values():
             assert all(b > a for a, b in zip(times, times[1:]))

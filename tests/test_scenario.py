@@ -40,6 +40,14 @@ class TestLoad:
         with pytest.raises(DanglingReference):
             load_scenario(scenario_file)
 
+    def test_unknown_profile_target_rejected(self, attack_demo_path, tmp_path):
+        bundle = tmp_path / "broken3"
+        shutil.copytree(os.path.dirname(attack_demo_path), bundle)
+        with open(bundle / "profiles.csv", "a") as fh:
+            fh.write("0,nosuch,p_kw,1.0\n")
+        with pytest.raises(DanglingReference):
+            load_scenario(bundle / "scenario.txt")
+
     def test_flex_demo_loads(self, flex_demo_path):
         scenario = load_scenario(flex_demo_path)
         assert scenario.attack_plan is None
