@@ -21,7 +21,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-_VALIDATION_ERRORS = (ConfigError, ValidationError, ProfileError, ScenarioError, OSError)
+_VALIDATION_ERRORS = (
+    ConfigError, ValidationError, ProfileError, ScenarioError, NetError, OSError,
+)
 
 
 def _cmd_run(args) -> int:

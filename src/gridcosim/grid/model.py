@@ -120,9 +120,20 @@ class GridModel:
     meshed: bool = False
 
     bus_index: dict[str, int] = field(init=False, repr=False)
+    _elements: dict[str, dict[str, object]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.bus_index = {bus.id: i for i, bus in enumerate(self.buses)}
+        self._elements = {
+            kind: {elem.id: elem for elem in pool}
+            for kind, pool in (
+                ("bus", self.buses),
+                ("line", self.lines),
+                ("trafo", self.trafos),
+                ("load", self.loads),
+                ("sgen", self.sgens),
+            )
+        }
 
     @property
     def slack_bus(self) -> Bus:
@@ -136,19 +147,8 @@ class GridModel:
         return self.buses[self.bus_index[bus_id]]
 
     def element(self, kind: str, elem_id: str):
-        pools = {
-            "bus": self.buses,
-            "line": self.lines,
-            "trafo": self.trafos,
-            "load": self.loads,
-            "sgen": self.sgens,
-        }
-        if kind not in pools:
-            return None
-        for elem in pools[kind]:
-            if elem.id == elem_id:
-                return elem
-        return None
+        """The element of `kind` with id `elem_id`, or None."""
+        return self._elements.get(kind, {}).get(elem_id)
 
     def with_line_status(self, statuses: dict[str, bool]) -> "GridModel":
         """Copy of the model with the given lines switched in or out."""
@@ -282,7 +282,9 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
                     id=row.id,
                     nominal_kv=_row_float(row, "nominal_kv", source),
                     type=bus_type,
-                    vm_setpoint_pu=float(row.get("vm_pu", "1.0")),
+                    vm_setpoint_pu=as_float(
+                        row.get("vm_pu", "1.0"), f"{row.id}.vm_pu", source, row.lineno
+                    ),
                 )
             )
     for section in sections_of(sections, "line"):

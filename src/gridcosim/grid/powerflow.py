@@ -107,6 +107,27 @@ def _branch_admittances(model: GridModel, energized: set[str]):
     return branches
 
 
+def _jacobian(ybus, vm, v, i_bus, out) -> None:
+    """Fill `out` with the Newton Jacobian [dP/dθ dP/d|V|; dQ/dθ dQ/d|V|]
+    over the PQ buses (every bus but the slack at index 0), at voltages
+    `v` = `vm`·e^(jθ) with bus currents `i_bus` = Y·V.
+
+    Complex-matrix derivatives of S = diag(V)·conj(Y·V), from R. D.
+    Zimmerman, MATPOWER Technical Note 2 (2010):
+      dS/dθ   = j·diag(V)·conj(diag(I) − Y·diag(V))
+      dS/d|V| = diag(V)·conj(Y·diag(V/|V|)) + conj(diag(I))·diag(V/|V|)
+    """
+    npq = len(v) - 1
+    y_pq, v_pq, i_pq = ybus[1:, 1:], v[1:], i_bus[1:]
+    v_dir = v_pq / vm[1:]
+    ds_dva = 1j * v_pq[:, None] * np.conj(np.diag(i_pq) - y_pq * v_pq)
+    ds_dvm = v_pq[:, None] * np.conj(y_pq * v_dir) + np.diag(np.conj(i_pq) * v_dir)
+    out[:npq, :npq] = ds_dva.real
+    out[:npq, npq:] = ds_dvm.real
+    out[npq:, :npq] = ds_dva.imag
+    out[npq:, npq:] = ds_dvm.imag
+
+
 def run_power_flow(
     model: GridModel,
     injections: Mapping[str, tuple[float, float]] | None = None,
@@ -143,69 +164,39 @@ def run_power_flow(
         ybus[j, i] -= y / tap
 
     base_kw = model.base_mva * 1000.0
-    p_spec = np.zeros(n)
-    q_spec = np.zeros(n)
+    npq = n - 1
+    spec = np.zeros(2 * npq)  # [P; Q] specified at the PQ buses, per unit
     for bus_id, (p_kw, q_kvar) in injections.items():
         if bus_id in index and bus_id != slack_id:
-            p_spec[index[bus_id]] = p_kw / base_kw
-            q_spec[index[bus_id]] = q_kvar / base_kw
+            k = index[bus_id] - 1
+            spec[k] = p_kw / base_kw
+            spec[npq + k] = q_kvar / base_kw
 
     vm = np.ones(n)
     vm[0] = model.slack_bus.vm_setpoint_pu
     va = np.zeros(n)
-    g, b = ybus.real, ybus.imag
-
-    def calc_pq():
-        v = vm * np.exp(1j * va)
-        s = v * np.conj(ybus @ v)
-        return s.real, s.imag
+    jac = np.empty((2 * npq, 2 * npq))
 
     converged = False
     iterations = 0
     max_mismatch = math.inf
-    pq = list(range(1, n))
     for iteration in range(1, MAX_ITERATIONS + 1):
         iterations = iteration
-        p_calc, q_calc = calc_pq()
-        dp = p_spec[pq] - p_calc[pq]
-        dq = q_spec[pq] - q_calc[pq]
-        max_mismatch = max(
-            (np.max(np.abs(dp)) if len(dp) else 0.0),
-            (np.max(np.abs(dq)) if len(dq) else 0.0),
-        )
+        v = vm * np.exp(1j * va)
+        i_bus = ybus @ v
+        s = v * np.conj(i_bus)
+        mismatch = spec - np.concatenate([s.real[1:], s.imag[1:]])
+        max_mismatch = float(np.max(np.abs(mismatch))) if npq else 0.0
         if max_mismatch < TOLERANCE_PU:
             converged = True
             break
-        if n == 1:
-            converged = True
-            break
-        # Jacobian blocks over PQ buses: [dP/dθ dP/dV; dQ/dθ dQ/dV]
-        npq = n - 1
-        h = np.zeros((npq, npq))
-        nmat = np.zeros((npq, npq))
-        m = np.zeros((npq, npq))
-        lmat = np.zeros((npq, npq))
-        for a, i in enumerate(pq):
-            for c, j in enumerate(pq):
-                if i == j:
-                    h[a, c] = -q_calc[i] - b[i, i] * vm[i] ** 2
-                    nmat[a, c] = p_calc[i] / vm[i] + g[i, i] * vm[i]
-                    m[a, c] = p_calc[i] - g[i, i] * vm[i] ** 2
-                    lmat[a, c] = q_calc[i] / vm[i] - b[i, i] * vm[i]
-                else:
-                    dth = va[i] - va[j]
-                    gij, bij = g[i, j], b[i, j]
-                    h[a, c] = vm[i] * vm[j] * (gij * math.sin(dth) - bij * math.cos(dth))
-                    nmat[a, c] = vm[i] * (gij * math.cos(dth) + bij * math.sin(dth))
-                    m[a, c] = -vm[i] * vm[j] * (gij * math.cos(dth) + bij * math.sin(dth))
-                    lmat[a, c] = vm[i] * (gij * math.sin(dth) - bij * math.cos(dth))
-        jac = np.block([[h, nmat], [m, lmat]])
+        _jacobian(ybus, vm, v, i_bus, jac)
         try:
-            dx = np.linalg.solve(jac, np.concatenate([dp, dq]))
+            dx = np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError:
             break
-        va[pq] += dx[:npq]
-        vm[pq] += dx[npq:]
+        va[1:] += dx[:npq]
+        vm[1:] += dx[npq:]
 
     v = vm * np.exp(1j * va)
     vm_pu = {bus_id: 0.0 for bus_id in islanded}

@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .configfile import ConfigError, as_float, parse_config, sections_of
+from .configfile import ConfigError, as_float, as_int, parse_config, sections_of
 from .pcap import ACK, FIN, PSH, RST, SYN, PacketRecord, write_pcap
 
 SERVICE_KINDS = ("ssh", "telnet", "http", "snmp", "iec104")
@@ -290,7 +290,11 @@ class Network:
         for ip, cidr in host.interfaces:
             if ip in self.ip_table:
                 raise DuplicateIp(f"ip {ip} assigned twice")
-            if ipaddress.ip_address(ip) not in ipaddress.ip_network(cidr):
+            try:
+                inside = ipaddress.ip_address(ip) in ipaddress.ip_network(cidr)
+            except ValueError as exc:
+                raise NetError(f"{host.name}: {exc}") from None
+            if not inside:
                 raise NetError(f"{host.name}: ip {ip} not inside subnet {cidr}")
             self.ip_table[ip] = host.name
         self.hosts[host.name] = host
@@ -674,7 +678,7 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
                         source, section.lineno,
                     )
                 kind = tokens[0]
-                port = int(tokens[1])
+                port = as_int(tokens[1], f"{kind} service port", source, section.lineno)
                 opts = dict(tok.split("=", 1) for tok in tokens[2:] if "=" in tok)
                 service = Service(
                     port=port, kind=kind,
@@ -742,7 +746,7 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
             port = None
             for tok in tokens[2:]:
                 if tok.startswith("port="):
-                    port = int(tok.split("=", 1)[1])
+                    port = as_int(tok.split("=", 1)[1], "port", source, section.lineno)
             network.firewall_rules.append(
                 FirewallRule(action=key, src_cidr=tokens[0], dst_cidr=tokens[1], port=port)
             )

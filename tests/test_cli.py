@@ -102,3 +102,65 @@ def test_pcap_dump_corrupt_apdu_exits_1(tmp_path, capsys):
     path = _capture(tmp_path / "apdu.pcap", [STARTDT_ACT, b"\x68\x02\x00\x00"])
     assert cli.main(["pcap-dump", str(path)]) == 1
     assert "length octet 2" in capsys.readouterr().err
+
+
+# (demo, bundle file, text to replace, replacement, line the error must name)
+MALFORMED_INPUT = {
+    "bus_vm_pu_not_a_number": (
+        "attack_demo", "grid.txt", "mv0  nominal_kv=20.0  type=slack",
+        "mv0  nominal_kv=20.0  type=slack  vm_pu=abc", "mv0  nominal_kv=20.0  type=slack  vm_pu=abc"),
+    "service_port_not_an_integer": (
+        "attack_demo", "topology.txt", "service = telnet 23", "service = telnet abc",
+        "[host rtu1]"),
+    "firewall_port_not_an_integer": (
+        "attack_demo", "topology.txt", "[switch sw_ctrl]",
+        "[firewall]\nallow = 10.0.1.0/24 10.0.2.0/24 port=x\n[switch sw_ctrl]", "[firewall]"),
+}
+
+
+def _edit_bundle(tmp_path, demo, filename, old, new):
+    bundle = tmp_path / demo
+    shutil.copytree(os.path.join(SCENARIOS_DIR, demo), bundle)
+    path = bundle / filename
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return bundle / "scenario.txt", path
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUT))
+def test_validate_rejects_malformed_grid_or_topology_with_file_and_line(case, tmp_path, capsys):
+    demo, filename, old, new, anchor = MALFORMED_INPUT[case]
+    scenario_file, path = _edit_bundle(tmp_path, demo, filename, old, new)
+    lineno = path.read_text().splitlines().index(anchor) + 1
+
+    assert cli.main(["validate", str(scenario_file)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:{lineno}: " in err
+    assert "Traceback" not in err
+
+
+# (text to replace in attack_demo's topology.txt, replacement, message fragment)
+INVALID_NETWORK = {
+    "interface_outside_subnet": (
+        "interface = 10.0.2.12 10.0.2.0/24", "interface = 10.0.3.12 10.0.2.0/24",
+        "not inside subnet"),
+    "duplicate_ip": (
+        "interface = 10.0.2.12 10.0.2.0/24", "interface = 10.0.2.11 10.0.2.0/24",
+        "assigned twice"),
+    "interface_ip_malformed": (
+        "interface = 10.0.2.12 10.0.2.0/24", "interface = 10.0.2.x 10.0.2.0/24",
+        "does not appear to be"),
+    "host_without_path": ("lk6  a=kali b=sw_field latency_ms=1", "", "without a network path"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_NETWORK))
+def test_validate_rejects_invalid_network(case, tmp_path, capsys):
+    old, new, message = INVALID_NETWORK[case]
+    scenario_file, _ = _edit_bundle(tmp_path, "attack_demo", "topology.txt", old, new)
+
+    assert cli.main(["validate", str(scenario_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and message in err
+    assert "Traceback" not in err

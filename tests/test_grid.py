@@ -15,7 +15,7 @@ from gridcosim.grid import (
     run_power_flow,
 )
 from gridcosim.grid.model import Bus, GridModel, Line, Trafo, validate
-from gridcosim.grid.powerflow import UnconvergedSolution, UnknownElement
+from gridcosim.grid.powerflow import UnconvergedSolution, UnknownElement, _jacobian
 
 TWO_BUS = """
 [grid]
@@ -207,6 +207,123 @@ class TestPowerFlow:
         flow = solution.branch_flows[("trafo", "t1")]
         s_flow_kva = (flow.p_from_kw**2 + flow.q_from_kvar**2) ** 0.5
         assert flow.loading_percent == pytest.approx(100.0 * s_flow_kva / 630.0, rel=1e-9)
+
+
+# A 20 kV ring feeding a 0.4 kV street through an off-nominal-tap transformer.
+MESHED_TAP = """
+[grid]
+base_mva = 1.0
+meshed = true
+[bus]
+h0  nominal_kv=20.0 type=slack vm_pu=1.02
+h1  nominal_kv=20.0 type=pq
+h2  nominal_kv=20.0 type=pq
+h3  nominal_kv=20.0 type=pq
+l1  nominal_kv=0.4 type=pq
+l2  nominal_kv=0.4 type=pq
+[line]
+r01  from=h0 to=h1 r_ohm=0.60 x_ohm=0.90 max_i_ka=0.4
+r12  from=h1 to=h2 r_ohm=0.80 x_ohm=1.10 max_i_ka=0.4
+r23  from=h2 to=h3 r_ohm=0.50 x_ohm=0.70 max_i_ka=0.4
+r30  from=h3 to=h0 r_ohm=0.90 x_ohm=1.20 max_i_ka=0.4
+s12  from=l1 to=l2 r_ohm=0.04 x_ohm=0.03 max_i_ka=0.27
+[trafo]
+t1  hv_bus=h2 lv_bus=l1 s_rated_kva=630 vk_percent=6.0 vkr_percent=1.2 tap_position=-2
+[load]
+d1  bus=h1 p_kw=900 q_kvar=300
+d3  bus=h3 p_kw=600 q_kvar=250
+d5  bus=l2 p_kw=250 q_kvar=80
+[sgen]
+pv4  bus=l1 p_kw=40 q_kvar=0
+"""
+
+
+def reference_ybus(model: GridModel):
+    """Bus order (slack first, then model order) and per-unit admittance
+    matrix, built from the element data independently of the solver."""
+    order = [model.slack_bus.id] + [b.id for b in model.buses if b.type != "slack"]
+    index = {bus_id: i for i, bus_id in enumerate(order)}
+    ybus = np.zeros((len(order), len(order)), dtype=complex)
+
+    def add(from_bus, to_bus, y, tap):
+        f, t = index[from_bus], index[to_bus]
+        ybus[f, f] += y / tap**2
+        ybus[t, t] += y
+        ybus[f, t] -= y / tap
+        ybus[t, f] -= y / tap
+
+    for line in model.lines:
+        z_base = model.bus(line.from_bus).nominal_kv ** 2 / model.base_mva
+        add(line.from_bus, line.to_bus, z_base / complex(line.r_ohm, line.x_ohm), 1.0)
+    for trafo in model.trafos:
+        xk = (trafo.vk_percent**2 - trafo.vkr_percent**2) ** 0.5
+        z = complex(trafo.vkr_percent, xk) / 100.0 * model.base_mva * 1000.0 / trafo.s_rated_kva
+        add(trafo.hv_bus, trafo.lv_bus, 1.0 / z, trafo.tap_ratio)
+    return order, ybus
+
+
+def binary_tree_feeder(n_buses: int, seed: int) -> str:
+    """20 kV feeder: bus b<i> hangs off b<(i-1)//2>, one load per PQ bus."""
+    rng = np.random.default_rng(seed)
+    out = ["[grid]", "base_mva = 1.0", "[bus]", "b0  nominal_kv=20.0 type=slack"]
+    out += [f"b{i}  nominal_kv=20.0 type=pq" for i in range(1, n_buses)]
+    out.append("[line]")
+    for i in range(1, n_buses):
+        r, x = rng.uniform(0.1, 0.4), rng.uniform(0.08, 0.3)
+        out.append(f"l{i}  from=b{(i - 1) // 2} to=b{i} r_ohm={r:.4f} x_ohm={x:.4f} max_i_ka=0.4")
+    out.append("[load]")
+    for i in range(1, n_buses):
+        p = rng.uniform(20.0, 60.0)
+        out.append(f"d{i}  bus=b{i} p_kw={p:.3f} q_kvar={0.3 * p:.3f}")
+    return "\n".join(out) + "\n"
+
+
+class TestNewtonJacobian:
+    def test_jacobian_matches_central_differences(self):
+        model = parse_grid(MESHED_TAP)
+        injections = bus_injections(model, element_values_at(model, None, 0))
+        solution = run_power_flow(model, injections)
+        assert solution.converged
+        order, ybus = reference_ybus(model)
+        vm = np.array([solution.vm_pu[b] for b in order])
+        va = np.array([solution.va_rad[b] for b in order])
+        assert np.ptp(vm) > 0.01 and np.ptp(va) > 0.01  # a non-flat state
+        npq = len(order) - 1
+
+        def pq_injections(x):
+            m, a = vm.copy(), va.copy()
+            a[1:], m[1:] = x[:npq], x[npq:]
+            v = m * np.exp(1j * a)
+            s = v * np.conj(ybus @ v)
+            return np.concatenate([s.real[1:], s.imag[1:]])
+
+        # The reference matrix is the solver's: the solved state meets the
+        # specified injections through it.
+        base_kw = model.base_mva * 1000.0
+        spec = np.array([injections[b][k] / base_kw for k in (0, 1) for b in order[1:]])
+        x0 = np.concatenate([va[1:], vm[1:]])
+        np.testing.assert_allclose(pq_injections(x0), spec, rtol=0, atol=1e-8)
+
+        h = 1e-6
+        numeric = np.column_stack([
+            (pq_injections(x0 + h * e) - pq_injections(x0 - h * e)) / (2 * h)
+            for e in np.eye(2 * npq)
+        ])
+        v = vm * np.exp(1j * va)
+        jac = np.empty((2 * npq, 2 * npq))
+        _jacobian(ybus, vm, v, ybus @ v, jac)
+        np.testing.assert_allclose(jac, numeric, rtol=1e-6)
+
+    def test_large_radial_feeder_conserves_power(self):
+        model = parse_grid(binary_tree_feeder(127, seed=7))
+        values = element_values_at(model, None, 0)
+        solution = run_power_flow(model, bus_injections(model, values))
+        assert solution.converged
+        assert len(solution.vm_pu) == 127 and not solution.islanded_buses
+        loads_kw = sum(p for (kind, _id), (p, _q) in values.items() if kind == "load")
+        assert solution.losses_kw > 0.0
+        residual_kw = solution.slack_p_kw - (loads_kw + solution.losses_kw)
+        assert abs(residual_kw) < 1e-6 * model.base_mva * 1000  # 1e-6 pu
 
 
 class TestProfiles:
