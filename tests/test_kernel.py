@@ -5,6 +5,7 @@ from gridcosim.kernel import (
     DuplicateId,
     InvalidStepSize,
     Kernel,
+    KernelError,
     SimulatorDescriptor,
     SimulatorFault,
     UnknownEndpoint,
@@ -176,6 +177,48 @@ class TestLinks:
         assert b_inputs == [0, 60, 120]
         # a sees b's value of the previous step; declared default at t=0
         assert a_inputs == [-1, 0, 60]
+
+    def test_faster_consumer_reads_latest_value_then_default(self):
+        # p steps every 60 s, c every 20 s over a time-shifted link: c reads
+        # the default until p's first value arrives, then p's latest value
+        kernel = Kernel()
+        seen = []
+        kernel.register_simulator(
+            make(sid="p", step=60, provides=[("e", "v")]), lambda t, _i: {("e", "v"): t}
+        )
+        kernel.register_simulator(
+            make(sid="c", step=20, consumes=[("e", "v")]),
+            lambda t, inputs: seen.append((t, inputs[("e", "v")])) or {},
+        )
+        kernel.connect(("p", "e", "v"), ("c", "e", "v"), time_shifted=True, default=-1)
+        kernel.run(180)
+        assert seen == [
+            (0, -1), (20, 0), (40, 0), (60, 0),
+            (80, 60), (100, 60), (120, 60), (140, 120), (160, 120),
+        ]
+
+    def test_wired_input_never_emitted_reads_default(self):
+        kernel = Kernel()
+        seen = []
+        kernel.register_simulator(make(sid="p", provides=[("e", "v")]), null_sim)
+        kernel.register_simulator(
+            make(sid="c", consumes=[("e", "v")]),
+            lambda t, inputs: seen.append(inputs[("e", "v")]) or {},
+        )
+        kernel.connect(("p", "e", "v"), ("c", "e", "v"), default=7)
+        kernel.run(180)
+        assert seen == [7, 7, 7]
+
+    def test_second_link_into_one_input_rejected(self):
+        kernel = Kernel()
+        for sid in ("a", "b", "c"):
+            kernel.register_simulator(
+                make(sid=sid, provides=[("e", "v")], consumes=[("e", "v")]), null_sim
+            )
+        kernel.connect(("a", "e", "v"), ("c", "e", "v"))
+        for src, shifted in ((("a", "e", "v"), False), (("b", "e", "v"), True)):
+            with pytest.raises(KernelError, match="already wired"):
+                kernel.connect(src, ("c", "e", "v"), time_shifted=shifted)
 
     def test_unwired_input_rejected(self):
         kernel = Kernel()
