@@ -5,14 +5,21 @@ shared integer-second clock. Within a timestep they run in topological order
 of the unshifted data links, ties broken by registration order. Data moves
 across links between steps: an unshifted link delivers the producer value of
 the same timestep, a time-shifted link the value of the producer's previous
-step (its declared default at t=0).
+step.
+
+An input's default is declared once, in the consumer's
+`SimulatorDescriptor.input_defaults`. It is read while the input is unwired,
+and while it is wired but its producer has not yet provided a value (at t=0
+over a time-shifted link, or when the producer never emits the attribute).
+A wired input without a declared default reads None; an unwired one is an
+error.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 Attr = tuple[str, str]            # (entity, attribute)
 Endpoint = tuple[str, str, str]   # (simulator, entity, attribute)
@@ -62,15 +69,6 @@ class SimulatorDescriptor:
     input_defaults: tuple[tuple[Attr, Any], ...] = ()
 
 
-@dataclass(frozen=True)
-class DataLink:
-    link_id: int
-    src: Endpoint
-    dst: Endpoint
-    time_shifted: bool = False
-    default: Any = None
-
-
 @dataclass
 class RunReport:
     until: int
@@ -85,169 +83,136 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+class _Registered(NamedTuple):
+    desc: SimulatorDescriptor
+    step_fn: StepFn
+    provides: frozenset[Attr]
+    consumes: frozenset[Attr]
+
+
 class Kernel:
     def __init__(self):
-        self._descriptors: dict[str, SimulatorDescriptor] = {}
-        self._step_fns: dict[str, StepFn] = {}
-        self._order: list[str] = []          # registration order
-        self._links: list[DataLink] = []
+        self._sims: dict[str, _Registered] = {}                 # registration order
+        self._inputs: dict[Endpoint, tuple[Endpoint, bool]] = {}  # dst -> (src, time_shifted)
+        self._upstream: dict[str, set[str]] = {}                # consumer -> unshifted producers
         self._running = False
-        self.now = 0
 
     def register_simulator(self, desc: SimulatorDescriptor, step_fn: StepFn) -> str:
         if self._running:
             raise KernelError("cannot register while a run is in progress")
-        if desc.id in self._descriptors:
+        if desc.id in self._sims:
             raise DuplicateId(f"simulator id '{desc.id}' already registered")
         if desc.step_size < 1:
             raise InvalidStepSize(f"step_size must be >= 1, got {desc.step_size}")
-        self._descriptors[desc.id] = desc
-        self._step_fns[desc.id] = step_fn
-        self._order.append(desc.id)
+        self._sims[desc.id] = _Registered(
+            desc, step_fn, frozenset(desc.provides), frozenset(desc.consumes)
+        )
+        self._upstream[desc.id] = set()
         return desc.id
 
     def _check_endpoint(self, endpoint: Endpoint, direction: str) -> None:
         sim_id, entity, attr = endpoint
-        desc = self._descriptors.get(sim_id)
-        if desc is None:
+        sim = self._sims.get(sim_id)
+        if sim is None:
             raise UnknownEndpoint(f"unknown simulator '{sim_id}'")
-        attrs = desc.provides if direction == "provides" else desc.consumes
+        attrs = sim.provides if direction == "provides" else sim.consumes
         if (entity, attr) not in attrs:
             raise UnknownEndpoint(
                 f"simulator '{sim_id}' does not declare {direction} ({entity}, {attr})"
             )
 
-    def _unshifted_reaches(self, start: str, goal: str) -> bool:
+    def _upstream_reaches(self, start: str, goal: str) -> bool:
         stack, seen = [start], set()
         while stack:
             node = stack.pop()
             if node == goal:
                 return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(
-                link.dst[0]
-                for link in self._links
-                if not link.time_shifted and link.src[0] == node
-            )
+            if node not in seen:
+                seen.add(node)
+                stack.extend(self._upstream[node])
         return False
 
-    def connect(
-        self,
-        src: Endpoint,
-        dst: Endpoint,
-        *,
-        time_shifted: bool = False,
-        default: Any = None,
-    ) -> int:
+    def connect(self, src: Endpoint, dst: Endpoint, *, time_shifted: bool = False) -> None:
         self._check_endpoint(src, "provides")
         self._check_endpoint(dst, "consumes")
         if src[0] == dst[0]:
             raise KernelError("link endpoints must belong to different simulators")
-        for link in self._links:
-            if link.dst == dst:
-                raise KernelError(f"input {dst} is already wired")
-        if not time_shifted and self._unshifted_reaches(dst[0], src[0]):
-            raise CycleWithoutTimeShift(
-                f"link {src[0]}->{dst[0]} closes a cycle with no time-shifted edge"
-            )
-        link = DataLink(
-            link_id=len(self._links),
-            src=src,
-            dst=dst,
-            time_shifted=time_shifted,
-            default=default,
-        )
-        self._links.append(link)
-        return link.link_id
+        if dst in self._inputs:
+            raise KernelError(f"input {dst} is already wired")
+        if not time_shifted:
+            if self._upstream_reaches(src[0], dst[0]):
+                raise CycleWithoutTimeShift(
+                    f"link {src[0]}->{dst[0]} closes a cycle with no time-shifted edge"
+                )
+            self._upstream[dst[0]].add(src[0])
+        self._inputs[dst] = (src, time_shifted)
 
     def _topological_order(self) -> list[str]:
-        index = {sim_id: i for i, sim_id in enumerate(self._order)}
-        deps: dict[str, set[str]] = {sim_id: set() for sim_id in self._order}
-        for link in self._links:
-            if not link.time_shifted:
-                deps[link.dst[0]].add(link.src[0])
+        """Repeatedly take the earliest-registered simulator whose unshifted
+        producers have all been taken; connect() keeps the graph acyclic."""
         ordered: list[str] = []
-        remaining = set(self._order)
-        while remaining:
-            ready = sorted(
-                (sim for sim in remaining if not deps[sim] & remaining),
-                key=index.__getitem__,
-            )
-            if not ready:  # connect() rejects unshifted cycles
-                raise CycleWithoutTimeShift("unshifted link graph is cyclic")
-            ordered.append(ready[0])
-            remaining.remove(ready[0])
+        while len(ordered) < len(self._sims):
+            ordered.append(next(
+                sim_id for sim_id in self._sims
+                if sim_id not in ordered and self._upstream[sim_id].issubset(ordered)
+            ))
         return ordered
 
-    def _validate_inputs(self) -> dict[str, dict[Attr, list[DataLink]]]:
-        inbound: dict[str, dict[Attr, list[DataLink]]] = {
-            sim_id: {} for sim_id in self._order
-        }
-        for link in self._links:
-            sim_id, entity, attr = link.dst
-            inbound[sim_id].setdefault((entity, attr), []).append(link)
-        for sim_id, desc in self._descriptors.items():
-            defaults = dict(desc.input_defaults)
-            for consumed in desc.consumes:
-                if consumed not in inbound[sim_id] and consumed not in defaults:
-                    raise UnwiredInput(
-                        f"input ({consumed[0]}, {consumed[1]}) of '{sim_id}' has no link or default"
-                    )
-        return inbound
+    def _input_plan(self, sim_id: str) -> list[tuple[Attr, Endpoint | None, bool, Any]]:
+        """(attr, source endpoint, time_shifted, default) per consumed attr;
+        an unwired input has no source and must declare a default."""
+        desc = self._sims[sim_id].desc
+        defaults = dict(desc.input_defaults)
+        plan = []
+        for attr in desc.consumes:
+            src, shifted = self._inputs.get((sim_id, *attr), (None, False))
+            if src is None and attr not in defaults:
+                raise UnwiredInput(
+                    f"input ({attr[0]}, {attr[1]}) of '{sim_id}' has no link or default"
+                )
+            plan.append((attr, src, shifted, defaults.get(attr)))
+        return plan
 
     def run(self, until: int) -> RunReport:
-        if not self._descriptors:
+        if not self._sims:
             raise KernelError("no simulators registered")
         if until <= 0:
             raise KernelError("until must be > 0")
-        inbound = self._validate_inputs()
-        topo = self._topological_order()
+        schedule = [
+            (sim_id, self._sims[sim_id], self._input_plan(sim_id))
+            for sim_id in self._topological_order()
+        ]
+        step_sizes = [sim.desc.step_size for sim in self._sims.values()]
         values: dict[Endpoint, Any] = {}
-        step_counts = {sim_id: 0 for sim_id in self._order}
+        step_counts = dict.fromkeys(self._sims, 0)
         started = time.perf_counter()
         self._running = True
         try:
             t = 0
             while t < until:
-                self.now = t
                 snapshot = dict(values)  # values produced strictly before t
-                for sim_id in topo:
-                    desc = self._descriptors[sim_id]
-                    if t % desc.step_size:
+                for sim_id, sim, plan in schedule:
+                    if t % sim.desc.step_size:
                         continue
-                    defaults = dict(desc.input_defaults)
-                    inputs: dict[Attr, Any] = {}
-                    for consumed in desc.consumes:
-                        links = inbound[sim_id].get(consumed)
-                        if not links:
-                            inputs[consumed] = defaults[consumed]
-                            continue
-                        link = links[0]
-                        if link.time_shifted:
-                            inputs[consumed] = snapshot.get(link.src, link.default)
-                        else:
-                            inputs[consumed] = values.get(link.src, link.default)
+                    # an unwired input's source is None, which no value is keyed by
+                    inputs = {
+                        attr: (snapshot if shifted else values).get(src, default)
+                        for attr, src, shifted, default in plan
+                    }
                     try:
-                        outputs = self._step_fns[sim_id](t, inputs) or {}
+                        outputs = sim.step_fn(t, inputs) or {}
                     except KernelError:
                         raise
                     except Exception as exc:
                         raise SimulatorFault(sim_id, t, exc) from exc
-                    provided = set(desc.provides)
                     for attr, value in outputs.items():
-                        if attr not in provided:
+                        if attr not in sim.provides:
                             raise SimulatorFault(
                                 sim_id, t, KeyError(f"undeclared output {attr}")
                             )
-                        values[(sim_id, attr[0], attr[1])] = value
+                        values[(sim_id, *attr)] = value
                     step_counts[sim_id] += 1
-                next_times = [
-                    (t // d.step_size + 1) * d.step_size
-                    for d in self._descriptors.values()
-                ]
-                t = min(next_times)
+                t = min((t // size + 1) * size for size in step_sizes)
         finally:
             self._running = False
         return RunReport(

@@ -169,8 +169,8 @@ class Link:
 @dataclass
 class FirewallRule:
     action: str     # allow | deny
-    src_cidr: str
-    dst_cidr: str
+    src_net: ipaddress.IPv4Network | ipaddress.IPv6Network
+    dst_net: ipaddress.IPv4Network | ipaddress.IPv6Network
     port: int | None = None
 
 
@@ -318,15 +318,9 @@ class Network:
         if not self.hosts:
             raise NetError("topology has no hosts")
         first = next(iter(self.hosts))
-        seen = set()
-        stack = [first]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(peer for peer, link in self._adjacency[node] if link.up)
-        unreachable = [name for name in self.hosts if name not in seen]
+        unreachable = [
+            name for name in self.hosts if self.path_latency_us(first, name) is None
+        ]
         if unreachable:
             raise DisconnectedHost(f"hosts without a network path: {sorted(unreachable)}")
 
@@ -359,7 +353,7 @@ class Network:
         for rule in self.firewall_rules:
             if rule.port is not None and rule.port != port:
                 continue
-            if src in ipaddress.ip_network(rule.src_cidr) and dst in ipaddress.ip_network(rule.dst_cidr):
+            if src in rule.src_net and dst in rule.dst_net:
                 return rule.action == "allow"
         return True
 
@@ -747,8 +741,12 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
             for tok in tokens[2:]:
                 if tok.startswith("port="):
                     port = as_int(tok.split("=", 1)[1], "port", source, section.lineno)
+            try:
+                src_net, dst_net = (ipaddress.ip_network(cidr) for cidr in tokens[:2])
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}", source, section.lineno) from None
             network.firewall_rules.append(
-                FirewallRule(action=key, src_cidr=tokens[0], dst_cidr=tokens[1], port=port)
+                FirewallRule(action=key, src_net=src_net, dst_net=dst_net, port=port)
             )
     network.validate()
     return network

@@ -261,6 +261,7 @@ def load_scenario(path) -> Scenario:
             raise DanglingReference(mtu_config.host, "MTU host not in topology")
 
     rtus: list[devices.RtuConfig] = []
+    controllers: dict[tuple[str, str], str] = {}  # actuated (entity, field) -> rtu
     for section in sections_of(sections, "rtu"):
         if not section.name:
             raise ConfigError("rtu section needs a name", source, section.lineno)
@@ -303,6 +304,15 @@ def load_scenario(path) -> Scenario:
                     f"{dp.element_kind}:{dp.element_id}",
                     f"rtu '{config.name}' IOA {dp.ioa} targets a missing grid element",
                 )
+        for dp in datapoints.control:
+            target = (dp.entity, dp.fieldname)
+            if target in controllers:
+                raise ConfigError(
+                    f"rtu '{config.name}' IOA {dp.ioa}: {dp.entity}:{dp.fieldname} "
+                    f"is already controlled by rtu '{controllers[target]}'",
+                    source, section.lineno,
+                )
+            controllers[target] = config.name
         rtus.append(config)
     if len({r.name for r in rtus}) != len(rtus):
         raise ConfigError("duplicate rtu name", source, 1)
@@ -607,7 +617,6 @@ def run_scenario(
             step_size=scenario.step_s,
             provides=tuple((f"{k}:{e}", f) for k, e, f in monitored),
             consumes=tuple(grid_consumes),
-            input_defaults=tuple((attr, None) for attr in grid_consumes),
         ),
         grid_sim.step,
     )

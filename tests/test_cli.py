@@ -35,6 +35,10 @@ MALFORMED = {
         "[attack]"),
     "unknown_manipulation_kind": (
         "attack_demo", "manipulate scale factor=0.5", "manipulate bogus", "[attack]"),
+    "field_controlled_by_two_rtus": (
+        "attack_demo", "103 monitor bus:lv1:v_pu scale=1.0 unit=pu",
+        "103 monitor bus:lv1:v_pu scale=1.0 unit=pu\ndatapoint = 301 control sgen:pv1:p_kw",
+        "[rtu rtu2]"),
     "dso_without_export": (
         "flex_demo", "dso = import=5 export=5", "dso = import=5", "[ems home1]"),
     "negative_capacity": (
@@ -115,6 +119,9 @@ MALFORMED_INPUT = {
     "firewall_port_not_an_integer": (
         "attack_demo", "topology.txt", "[switch sw_ctrl]",
         "[firewall]\nallow = 10.0.1.0/24 10.0.2.0/24 port=x\n[switch sw_ctrl]", "[firewall]"),
+    "firewall_cidr_malformed": (
+        "attack_demo", "topology.txt", "[switch sw_ctrl]",
+        "[firewall]\nallow = 10.0.1.0/24 garbage\n[switch sw_ctrl]", "[firewall]"),
 }
 
 

@@ -165,13 +165,15 @@ class TestLinks:
             return {("e", "v"): inputs[("e", "froma")]}
 
         kernel.register_simulator(
-            make(sid="a", provides=[("e", "v")], consumes=[("e", "fromb")]), sim_a
+            make(sid="a", provides=[("e", "v")], consumes=[("e", "fromb")],
+                 defaults=[(("e", "fromb"), -1)]),
+            sim_a,
         )
         kernel.register_simulator(
             make(sid="b", provides=[("e", "v")], consumes=[("e", "froma")]), sim_b
         )
         kernel.connect(("a", "e", "v"), ("b", "e", "froma"))
-        kernel.connect(("b", "e", "v"), ("a", "e", "fromb"), time_shifted=True, default=-1)
+        kernel.connect(("b", "e", "v"), ("a", "e", "fromb"), time_shifted=True)
         kernel.run(180)
         # b sees a's value of the same step
         assert b_inputs == [0, 60, 120]
@@ -187,10 +189,10 @@ class TestLinks:
             make(sid="p", step=60, provides=[("e", "v")]), lambda t, _i: {("e", "v"): t}
         )
         kernel.register_simulator(
-            make(sid="c", step=20, consumes=[("e", "v")]),
+            make(sid="c", step=20, consumes=[("e", "v")], defaults=[(("e", "v"), -1)]),
             lambda t, inputs: seen.append((t, inputs[("e", "v")])) or {},
         )
-        kernel.connect(("p", "e", "v"), ("c", "e", "v"), time_shifted=True, default=-1)
+        kernel.connect(("p", "e", "v"), ("c", "e", "v"), time_shifted=True)
         kernel.run(180)
         assert seen == [
             (0, -1), (20, 0), (40, 0), (60, 0),
@@ -202,10 +204,10 @@ class TestLinks:
         seen = []
         kernel.register_simulator(make(sid="p", provides=[("e", "v")]), null_sim)
         kernel.register_simulator(
-            make(sid="c", consumes=[("e", "v")]),
+            make(sid="c", consumes=[("e", "v")], defaults=[(("e", "v"), 7)]),
             lambda t, inputs: seen.append(inputs[("e", "v")]) or {},
         )
-        kernel.connect(("p", "e", "v"), ("c", "e", "v"), default=7)
+        kernel.connect(("p", "e", "v"), ("c", "e", "v"))
         kernel.run(180)
         assert seen == [7, 7, 7]
 
