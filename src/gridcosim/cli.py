@@ -11,19 +11,16 @@ import sys
 from . import iec104
 from .configfile import ConfigError
 from .grid.model import ValidationError
-from .grid.profiles import ProfileError
 from .kernel import KernelError
 from .netsim import NetError
 from .pcap import PcapError, flags_text, read_pcap
-from .scenario import ScenarioError, load_scenario, run_scenario
+from .scenario import load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-_VALIDATION_ERRORS = (
-    ConfigError, ValidationError, ProfileError, ScenarioError, NetError, OSError,
-)
+_VALIDATION_ERRORS = (ConfigError, ValidationError, NetError, OSError)
 
 
 def _cmd_run(args) -> int:

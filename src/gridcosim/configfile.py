@@ -6,73 +6,172 @@ Grammar, line by line:
   key = value       -- key/value entry ('=' must stand alone as the 2nd token)
   ident k=v k=v ... -- element row: an id followed by attribute tokens
   # comment / blank -- ignored (inline '#' comments are stripped)
+
+Option grammar: a row's attributes, and the options that follow an entry's
+leading values (`Entry.split`), are `k=v` tokens with a non-empty key and
+value, each key at most once; any other token is an error.
+
+Every section, entry and row knows its file and line, and every error about
+it is a `ConfigError` that names them: a bad or repeated value names its own
+line; a missing required key, or a rule about the whole section, names the
+section header. A single-valued key (`get`, `require`, `entry`) given twice
+is an error at its second line; `get_all` reads a repeatable key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+_TRUE = ("true", "yes", "on", "1", "closed")
+_FALSE = ("false", "no", "off", "0", "open")
+_EXPECTED = {float: "a number", int: "an integer", bool: "a boolean"}
+_REQUIRED = object()  # default of the typed reads: the key must be present
+
 
 class ConfigError(Exception):
-    """Raised on malformed config text; carries the offending line number."""
+    """Malformed input; carries the file and, unless the whole file is at
+    fault, the offending line number."""
 
-    def __init__(self, message: str, source: str = "<config>", lineno: int = 0):
-        super().__init__(f"{source}:{lineno}: {message}")
+    def __init__(self, message: str, source: str = "<config>", lineno: int | None = None):
+        where = source if lineno is None else f"{source}:{lineno}"
+        super().__init__(f"{where}: {message}")
         self.source = source
         self.lineno = lineno
 
 
-@dataclass
-class Row:
-    """One element row: its id plus attribute tokens."""
+# slots: a large RTU file makes one Entry and one Row per datapoint line
+@dataclass(slots=True)
+class Located:
+    """Something read from a config file."""
+
+    source: str
+    lineno: int
+
+    def error(self, message: str) -> ConfigError:
+        return ConfigError(message, self.source, self.lineno)
+
+    def convert(self, value: str, what: str, kind: type) -> float | int | bool:
+        """`value` as a float, int or bool, or a ConfigError at this line."""
+        if kind is bool:
+            if value.lower() in _TRUE:
+                return True
+            if value.lower() in _FALSE:
+                return False
+        else:
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        raise self.error(f"{what}: expected {_EXPECTED[kind]}, got '{value}'")
+
+
+class _Lookup:
+    """String and typed reads by key; `_find` gives a value and its line."""
+
+    __slots__ = ()
+
+    def _find(self, key: str, required: bool) -> tuple[str, Located] | None:
+        raise NotImplementedError
+
+    def get(self, key: str, default: str | None = None) -> str | None:
+        found = self._find(key, False)
+        return default if found is None else found[0]
+
+    def require(self, key: str) -> str:
+        return self._find(key, True)[0]
+
+    def _typed(self, key: str, default, kind: type):
+        found = self._find(key, default is _REQUIRED)
+        return default if found is None else found[1].convert(found[0], key, kind)
+
+    def get_float(self, key: str, default=_REQUIRED) -> float:
+        """The value as a float; without a `default` the key is required."""
+        return self._typed(key, default, float)
+
+    def get_int(self, key: str, default=_REQUIRED) -> int:
+        return self._typed(key, default, int)
+
+    def get_bool(self, key: str, default=_REQUIRED) -> bool:
+        return self._typed(key, default, bool)
+
+
+@dataclass(slots=True)
+class Row(Located, _Lookup):
+    """One element row (its id plus attribute tokens), or an entry's options."""
 
     id: str
     attrs: dict[str, str]
-    lineno: int
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.attrs.get(key, default)
-
-    def require(self, key: str, source: str = "<config>") -> str:
-        if key not in self.attrs:
-            raise ConfigError(f"row '{self.id}' is missing '{key}'", source, self.lineno)
-        return self.attrs[key]
+    def _find(self, key, required):
+        if key in self.attrs:
+            return self.attrs[key], self
+        if required:
+            raise self.error(f"'{self.id}' is missing '{key}'")
+        return None
 
 
-@dataclass
-class Section:
+def _parse_row(ident: str, tokens: list[str], source: str, lineno: int) -> Row:
+    attrs: dict[str, str] = {}
+    for tok in tokens:
+        if "=" not in tok:
+            raise ConfigError(f"expected key=value token, got '{tok}'", source, lineno)
+        k, _, v = tok.partition("=")
+        if not k or not v:
+            raise ConfigError(f"malformed key=value token '{tok}'", source, lineno)
+        if k in attrs:
+            raise ConfigError(f"duplicate attribute '{k}'", source, lineno)
+        attrs[k] = v
+    return Row(source, lineno, ident, attrs)
+
+
+@dataclass(slots=True)
+class Entry(Located):
+    """One `key = value` line."""
+
+    key: str
+    value: str
+
+    def split(self, count: int = 0, usage: str = "") -> tuple[list[str], Row]:
+        """The first `count` tokens of the value, and the options after them;
+        fewer than `count` tokens is an error that shows `usage`."""
+        tokens = self.value.split()
+        if len(tokens) < count:
+            raise self.error(usage)
+        return tokens[:count], _parse_row(self.key, tokens[count:], self.source, self.lineno)
+
+
+@dataclass(slots=True)
+class Section(Located, _Lookup):
     kind: str
     name: str | None
-    lineno: int
     rows: list[Row] = field(default_factory=list)
-    pairs: list[tuple[str, str]] = field(default_factory=list)
+    entries: list[Entry] = field(default_factory=list)
 
-    def get(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.pairs:
-            if k == key:
-                return v
-        return default
+    def entry(self, key: str, required: bool = False) -> Entry | None:
+        """The one entry for `key`; None (or, if required, an error at the
+        header) when there is none, and an error at the second if repeated."""
+        found = self.get_all(key)
+        if len(found) > 1:
+            raise found[1].error(f"'{key}' may be given only once")
+        if found:
+            return found[0]
+        if required:
+            raise self.error(f"section [{self.kind}] is missing '{key}'")
+        return None
 
-    def get_all(self, key: str) -> list[str]:
-        return [v for k, v in self.pairs if k == key]
+    def get_all(self, key: str) -> list[Entry]:
+        return [e for e in self.entries if e.key == key]
 
-    def require(self, key: str, source: str = "<config>") -> str:
-        value = self.get(key)
-        if value is None:
-            raise ConfigError(f"section [{self.kind}] is missing '{key}'", source, self.lineno)
-        return value
-
-
-def _strip_comment(line: str) -> str:
-    pos = line.find("#")
-    return line if pos < 0 else line[:pos]
+    def _find(self, key, required):
+        entry = self.entry(key, required)
+        return None if entry is None else (entry.value, entry)
 
 
 def parse_config(text: str, source: str = "<config>") -> list[Section]:
     sections: list[Section] = []
     current: Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         if line.startswith("["):
@@ -81,26 +180,17 @@ def parse_config(text: str, source: str = "<config>") -> list[Section]:
             head = line[1:-1].split()
             if not head or len(head) > 2:
                 raise ConfigError("section header must be [kind] or [kind name]", source, lineno)
-            current = Section(kind=head[0], name=head[1] if len(head) == 2 else None, lineno=lineno)
+            current = Section(source=source, lineno=lineno, kind=head[0],
+                              name=head[1] if len(head) == 2 else None)
             sections.append(current)
             continue
         if current is None:
             raise ConfigError("entry before any section header", source, lineno)
         tokens = line.split()
         if len(tokens) >= 2 and tokens[1] == "=":
-            current.pairs.append((tokens[0], " ".join(tokens[2:])))
-            continue
-        attrs: dict[str, str] = {}
-        for tok in tokens[1:]:
-            if "=" not in tok:
-                raise ConfigError(f"expected key=value token, got '{tok}'", source, lineno)
-            k, _, v = tok.partition("=")
-            if not k or not v:
-                raise ConfigError(f"malformed key=value token '{tok}'", source, lineno)
-            if k in attrs:
-                raise ConfigError(f"duplicate attribute '{k}'", source, lineno)
-            attrs[k] = v
-        current.rows.append(Row(id=tokens[0], attrs=attrs, lineno=lineno))
+            current.entries.append(Entry(source, lineno, tokens[0], " ".join(tokens[2:])))
+        else:
+            current.rows.append(_parse_row(tokens[0], tokens[1:], source, lineno))
     return sections
 
 
@@ -108,31 +198,8 @@ def sections_of(sections: list[Section], kind: str) -> list[Section]:
     return [s for s in sections if s.kind == kind]
 
 
-def single_section(sections: list[Section], kind: str, source: str = "<config>") -> Section | None:
+def single_section(sections: list[Section], kind: str) -> Section | None:
     found = sections_of(sections, kind)
     if len(found) > 1:
-        raise ConfigError(f"section [{kind}] may appear only once", source, found[1].lineno)
+        raise found[1].error(f"section [{kind}] may appear only once")
     return found[0] if found else None
-
-
-def as_float(value: str, what: str, source: str = "<config>", lineno: int = 0) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{what}: expected a number, got '{value}'", source, lineno) from None
-
-
-def as_int(value: str, what: str, source: str = "<config>", lineno: int = 0) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{what}: expected an integer, got '{value}'", source, lineno) from None
-
-
-def as_bool(value: str, what: str, source: str = "<config>", lineno: int = 0) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "on", "1", "closed"):
-        return True
-    if lowered in ("false", "no", "off", "0", "open"):
-        return False
-    raise ConfigError(f"{what}: expected a boolean, got '{value}'", source, lineno)

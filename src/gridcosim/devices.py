@@ -80,19 +80,24 @@ class DataPointMap:
     entries: list[DataPoint]
 
     def __post_init__(self):
-        ioas = [dp.ioa for dp in self.entries]
-        if len(ioas) != len(set(ioas)):
-            raise DeviceError("IOA assigned twice within one RTU")
-        for dp in self.entries:
-            if dp.direction not in ("monitor", "control"):
-                raise DeviceError(f"IOA {dp.ioa}: bad direction '{dp.direction}'")
-            monitor = dp.direction == "monitor"
-            allowed = (MONITOR_FIELDS if monitor else CONTROL_FIELDS).get(dp.element_kind, ())
-            if dp.fieldname not in allowed:
-                raise DeviceError(
-                    f"IOA {dp.ioa}: '{dp.entity}:{dp.fieldname}' is not "
-                    f"{'readable' if monitor else 'actuatable'}"
-                )
+        points, self.entries, self._by_ioa = self.entries, [], {}
+        for dp in points:
+            self.add(dp)
+
+    def add(self, dp: DataPoint) -> None:
+        if dp.ioa in self._by_ioa:
+            raise DeviceError(f"IOA {dp.ioa} assigned twice within one RTU")
+        if dp.direction not in ("monitor", "control"):
+            raise DeviceError(f"IOA {dp.ioa}: bad direction '{dp.direction}'")
+        monitor = dp.direction == "monitor"
+        allowed = (MONITOR_FIELDS if monitor else CONTROL_FIELDS).get(dp.element_kind, ())
+        if dp.fieldname not in allowed:
+            raise DeviceError(
+                f"IOA {dp.ioa}: '{dp.entity}:{dp.fieldname}' is not "
+                f"{'readable' if monitor else 'actuatable'}"
+            )
+        self._by_ioa[dp.ioa] = dp
+        self.entries.append(dp)
 
     @property
     def monitor(self) -> list[DataPoint]:
@@ -103,10 +108,7 @@ class DataPointMap:
         return [dp for dp in self.entries if dp.direction == "control"]
 
     def point(self, ioa: int) -> DataPoint | None:
-        for dp in self.entries:
-            if dp.ioa == ioa:
-                return dp
-        return None
+        return self._by_ioa.get(ioa)
 
 
 @dataclass
@@ -178,8 +180,9 @@ class Rtu:
         rule = self.overrides.get(ioa)
         return truth if rule is None else rule.apply(ioa, truth)
 
-    def report(self, t: int):
-        """Spontaneous transmission of every monitor point (buffered when down)."""
+    def _points(self, t: int, cot: int):
+        """Yield one M_ME_NC_1 ASDU per acquired monitor point, logging its
+        truth row and wire value as it goes."""
         for dp in self.config.datapoints.monitor:
             truth = self.current.get(dp.ioa)
             if truth is None:
@@ -187,12 +190,15 @@ class Rtu:
             wire = self.wire_value(dp.ioa)
             self.truth_rows.append((t, dp.entity, dp.fieldname, truth))
             self.last_sent[dp.ioa] = wire
-            asdu = iec104.Asdu(
-                type_id=iec104.M_ME_NC_1,
-                cot=iec104.COT_SPONTANEOUS,
+            yield iec104.Asdu(
+                type_id=iec104.M_ME_NC_1, cot=cot,
                 common_address=self.config.common_address,
                 objects=(iec104.InfoObject(ioa=dp.ioa, value=wire, quality=0),),
             )
+
+    def report(self, t: int):
+        """Spontaneous transmission of every monitor point (buffered when down)."""
+        for asdu in self._points(t, iec104.COT_SPONTANEOUS):
             if self.session.started and self._conn is not None:
                 self._transmit(self.session.send(asdu), at_s=t)
             else:
@@ -238,18 +244,7 @@ class Rtu:
             common_address=self.config.common_address, objects=request.objects,
         )
         self._transmit(self.session.send(confirm))
-        for dp in self.config.datapoints.monitor:
-            truth = self.current.get(dp.ioa)
-            if truth is None:
-                continue
-            wire = self.wire_value(dp.ioa)
-            self.truth_rows.append((t, dp.entity, dp.fieldname, truth))
-            self.last_sent[dp.ioa] = wire
-            asdu = iec104.Asdu(
-                type_id=iec104.M_ME_NC_1, cot=iec104.COT_INTERROGATED,
-                common_address=self.config.common_address,
-                objects=(iec104.InfoObject(ioa=dp.ioa, value=wire, quality=0),),
-            )
+        for asdu in self._points(t, iec104.COT_INTERROGATED):
             self._transmit(self.session.send(asdu))
         terminate = iec104.Asdu(
             type_id=iec104.C_IC_NA_1, cot=iec104.COT_ACTTERM,

@@ -22,7 +22,6 @@ from .powerflow import (
     run_power_flow,
 )
 from .profiles import (
-    ProfileError,
     ProfileSet,
     TimeSeriesProfile,
     bus_injections,
@@ -49,7 +48,6 @@ __all__ = [
     "UnknownElement",
     "measurements_at",
     "run_power_flow",
-    "ProfileError",
     "ProfileSet",
     "TimeSeriesProfile",
     "bus_injections",

@@ -27,16 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..configfile import (
-    ConfigError,
-    Row,
-    as_bool,
-    as_float,
-    as_int,
-    parse_config,
-    sections_of,
-    single_section,
-)
+from ..configfile import parse_config, sections_of, single_section
 
 TAP_STEP_PERCENT = 2.5  # voltage ratio change per transformer tap position
 
@@ -252,39 +243,24 @@ def connected_buses(model: GridModel, start: str, switching: bool = False) -> se
     return seen
 
 
-def _row_float(row: Row, key: str, source: str) -> float:
-    return as_float(row.require(key, source), f"{row.id}.{key}", source, row.lineno)
-
-
 def parse_grid(text: str, source: str = "<grid>") -> GridModel:
     sections = parse_config(text, source)
-    head = single_section(sections, "grid", source)
-    base_mva = 1.0
-    meshed = False
-    if head is not None:
-        raw = head.get("base_mva")
-        if raw is not None:
-            base_mva = as_float(raw, "base_mva", source, head.lineno)
-        raw = head.get("meshed")
-        if raw is not None:
-            meshed = as_bool(raw, "meshed", source, head.lineno)
+    head = single_section(sections, "grid")
+    base_mva = head.get_float("base_mva", 1.0) if head is not None else 1.0
+    meshed = head.get_bool("meshed", False) if head is not None else False
 
     buses, lines, trafos, loads, sgens = [], [], [], [], []
     for section in sections_of(sections, "bus"):
         for row in section.rows:
-            bus_type = row.require("type", source)
+            bus_type = row.require("type")
             if bus_type not in ("slack", "pq"):
-                raise ConfigError(
-                    f"bus '{row.id}': type must be slack or pq", source, row.lineno
-                )
+                raise row.error(f"bus '{row.id}': type must be slack or pq")
             buses.append(
                 Bus(
                     id=row.id,
-                    nominal_kv=_row_float(row, "nominal_kv", source),
+                    nominal_kv=row.get_float("nominal_kv"),
                     type=bus_type,
-                    vm_setpoint_pu=as_float(
-                        row.get("vm_pu", "1.0"), f"{row.id}.vm_pu", source, row.lineno
-                    ),
+                    vm_setpoint_pu=row.get_float("vm_pu", 1.0),
                 )
             )
     for section in sections_of(sections, "line"):
@@ -292,14 +268,12 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
             lines.append(
                 Line(
                     id=row.id,
-                    from_bus=row.require("from", source),
-                    to_bus=row.require("to", source),
-                    r_ohm=_row_float(row, "r_ohm", source),
-                    x_ohm=_row_float(row, "x_ohm", source),
-                    max_i_ka=_row_float(row, "max_i_ka", source),
-                    in_service=as_bool(
-                        row.get("status", "closed"), "status", source, row.lineno
-                    ),
+                    from_bus=row.require("from"),
+                    to_bus=row.require("to"),
+                    r_ohm=row.get_float("r_ohm"),
+                    x_ohm=row.get_float("x_ohm"),
+                    max_i_ka=row.get_float("max_i_ka"),
+                    in_service=row.get_bool("status", True),
                 )
             )
     for section in sections_of(sections, "trafo"):
@@ -307,14 +281,12 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
             trafos.append(
                 Trafo(
                     id=row.id,
-                    hv_bus=row.require("hv_bus", source),
-                    lv_bus=row.require("lv_bus", source),
-                    s_rated_kva=_row_float(row, "s_rated_kva", source),
-                    vk_percent=_row_float(row, "vk_percent", source),
-                    vkr_percent=_row_float(row, "vkr_percent", source),
-                    tap_position=as_int(
-                        row.get("tap_position", "0"), "tap_position", source, row.lineno
-                    ),
+                    hv_bus=row.require("hv_bus"),
+                    lv_bus=row.require("lv_bus"),
+                    s_rated_kva=row.get_float("s_rated_kva"),
+                    vk_percent=row.get_float("vk_percent"),
+                    vkr_percent=row.get_float("vkr_percent"),
+                    tap_position=row.get_int("tap_position", 0),
                 )
             )
     for kind, pool in (("load", loads), ("sgen", sgens)):
@@ -324,9 +296,9 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
                 pool.append(
                     cls(
                         id=row.id,
-                        bus=row.require("bus", source),
-                        p_kw=_row_float(row, "p_kw", source),
-                        q_kvar=_row_float(row, "q_kvar", source),
+                        bus=row.require("bus"),
+                        p_kw=row.get_float("p_kw"),
+                        q_kvar=row.get_float("q_kvar"),
                     )
                 )
     model = GridModel(

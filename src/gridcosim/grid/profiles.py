@@ -11,11 +11,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..configfile import ConfigError, Located
 from .model import GridModel, Load
 
-
-class ProfileError(Exception):
-    pass
+_HEADER = ["t_seconds", "element_id", "field", "value"]
 
 
 @dataclass
@@ -44,44 +43,33 @@ class ProfileSet:
         return {key: prof.value_at(t) for key, prof in self.profiles.items()}
 
 
-def parse_profiles(rows) -> ProfileSet:
-    """Build a ProfileSet from (t_seconds, element_id, field, value) rows."""
-    series: dict[tuple[str, str], list[tuple[int, float]]] = {}
-    for t_raw, element_id, fieldname, value_raw in rows:
-        series.setdefault((element_id, fieldname), []).append(
-            (int(t_raw), float(value_raw))
-        )
-    profiles = {}
-    for key, samples in series.items():
-        times = [t for t, _ in samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ProfileError(
-                f"profile {key[0]}.{key[1]}: sample times must strictly increase"
-            )
-        profiles[key] = TimeSeriesProfile(
-            element_id=key[0],
-            fieldname=key[1],
-            times=times,
-            values=[v for _, v in samples],
-        )
-    return ProfileSet(profiles)
+def parse_profiles(text: str, source: str = "<profiles>") -> ProfileSet:
+    """Build a ProfileSet from CSV text; errors name the CSV line."""
+    reader = csv.reader(text.splitlines())
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != _HEADER:
+        raise ConfigError(f"expected header {','.join(_HEADER)}", source, 1)
+    series: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
+    for row in reader:
+        where = Located(source, reader.line_num)
+        if len(row) != len(_HEADER):
+            raise where.error(f"expected {len(_HEADER)} fields {','.join(_HEADER)}")
+        t = where.convert(row[0], "t_seconds", int)
+        value = where.convert(row[3], "value", float)
+        times, values = series.setdefault((row[1], row[2]), ([], []))
+        if times and t <= times[-1]:
+            raise where.error(f"profile {row[1]}.{row[2]}: sample times must strictly increase")
+        times.append(t)
+        values.append(value)
+    return ProfileSet({
+        key: TimeSeriesProfile(element_id=key[0], fieldname=key[1], times=times, values=values)
+        for key, (times, values) in series.items()
+    })
 
 
 def load_profiles(path) -> ProfileSet:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [
-            "t_seconds",
-            "element_id",
-            "field",
-            "value",
-        ]:
-            raise ProfileError(f"{path}: expected header t_seconds,element_id,field,value")
-        try:
-            return parse_profiles(list(reader))
-        except ValueError as exc:
-            raise ProfileError(f"{path}: {exc}") from None
+        return parse_profiles(fh.read(), source=str(path))
 
 
 def element_values_at(

@@ -7,7 +7,9 @@ Services are behavioral stubs (banner or scripted request/response), and
 hosts carry a small privilege model (accounts, SUID binaries, sudoers
 scripts) with attachable vulnerabilities.
 
-Topology file schema:
+Topology file schema (see configfile for the line and `k=v` option grammar:
+options in [brackets] follow the leading values, any other token is an
+error; every host and firewall entry is repeatable):
 
   [host <name>]
   interface = <ip> <cidr>
@@ -19,7 +21,7 @@ Topology file schema:
   [switch <name>]
 
   [link]
-  <id>  a=<node> b=<node> latency_ms=<ms>
+  <id>  a=<node> b=<node> [latency_ms=<finite ms >= 0>]
 
   [firewall]
   deny = <src-cidr> <dst-cidr> [port=<port>]
@@ -29,11 +31,12 @@ Topology file schema:
 from __future__ import annotations
 
 import ipaddress
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .configfile import ConfigError, as_float, as_int, parse_config, sections_of
+from .configfile import parse_config, sections_of
 from .pcap import ACK, FIN, PSH, RST, SYN, PacketRecord, write_pcap
 
 SERVICE_KINDS = ("ssh", "telnet", "http", "snmp", "iec104")
@@ -657,96 +660,85 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
     sections = parse_config(text, source)
     for section in sections_of(sections, "host"):
         if not section.name:
-            raise ConfigError("host section needs a name", source, section.lineno)
+            raise section.error("host section needs a name")
         host = Host(name=section.name)
-        for key, value in section.pairs:
-            tokens = value.split()
-            if key == "interface":
+        for entry in section.entries:
+            if entry.key == "interface":
+                tokens = entry.value.split()
                 if len(tokens) != 2:
-                    raise ConfigError("interface = <ip> <cidr>", source, section.lineno)
+                    raise entry.error("interface = <ip> <cidr>")
                 host.interfaces.append((tokens[0], tokens[1]))
-            elif key == "service":
-                if len(tokens) < 2 or tokens[0] not in SERVICE_KINDS:
-                    raise ConfigError(
-                        f"service = <{'|'.join(SERVICE_KINDS)}> <port> ...",
-                        source, section.lineno,
-                    )
-                kind = tokens[0]
-                port = as_int(tokens[1], f"{kind} service port", source, section.lineno)
-                opts = dict(tok.split("=", 1) for tok in tokens[2:] if "=" in tok)
+            elif entry.key == "service":
+                (kind, port_raw), opts = entry.split(
+                    2, f"service = <{'|'.join(SERVICE_KINDS)}> <port> ..."
+                )
+                if kind not in SERVICE_KINDS:
+                    raise entry.error(f"unknown service kind '{kind}'")
+                port = entry.convert(port_raw, f"{kind} service port", int)
+                if any(s.port == port for s in host.services):
+                    raise entry.error(f"host '{host.name}' repeats service port {port}")
                 service = Service(
                     port=port, kind=kind,
                     banner=opts.get("banner", ""),
                     run_as=opts.get("run_as", DEFAULT_SERVICE_USERS.get(kind, "root")),
                 )
-                if "rce" in opts:
+                if rce := opts.get("rce"):
                     service.vulnerabilities.append(
-                        Vulnerability(id=opts["rce"], kind="rce_command_injection",
+                        Vulnerability(id=rce, kind="rce_command_injection",
                                       locus=str(port))
                     )
                 host.services.append(service)
-            elif key == "account":
+            elif entry.key == "account":
+                tokens = entry.value.split()
                 if len(tokens) != 2 or tokens[1] not in ("user", "admin"):
-                    raise ConfigError("account = <user> <user|admin>", source, section.lineno)
+                    raise entry.error("account = <user> <user|admin>")
                 host.accounts.append((tokens[0], tokens[1]))
-            elif key in ("suid", "sudoers"):
-                name = tokens[0]
-                opts = dict(tok.split("=", 1) for tok in tokens[1:] if "=" in tok)
-                if key == "suid":
+            elif entry.key in ("suid", "sudoers"):
+                (name,), opts = entry.split(1, f"{entry.key} = <name> [vuln=<id>]")
+                if entry.key == "suid":
                     host.suid_binaries.append(name)
                     vuln_kind = "pe_suid"
                 else:
                     host.sudoers_scripts.append(name)
                     vuln_kind = "pe_sudoers"
-                if "vuln" in opts:
+                if vuln := opts.get("vuln"):
                     host.host_vulnerabilities.append(
-                        Vulnerability(id=opts["vuln"], kind=vuln_kind,
+                        Vulnerability(id=vuln, kind=vuln_kind,
                                       locus=name, precondition="user")
                     )
             else:
-                raise ConfigError(f"unknown host entry '{key}'", source, section.lineno)
+                raise entry.error(f"unknown host entry '{entry.key}'")
         if not host.interfaces:
-            raise ConfigError(f"host '{host.name}' has no interface", source, section.lineno)
-        ports = [s.port for s in host.services]
-        if len(ports) != len(set(ports)):
-            raise ConfigError(f"host '{host.name}' repeats a service port", source, section.lineno)
+            raise section.error(f"host '{host.name}' has no interface")
         network.add_host(host)
     for section in sections_of(sections, "switch"):
         if not section.name:
-            raise ConfigError("switch section needs a name", source, section.lineno)
+            raise section.error("switch section needs a name")
         network.add_switch(section.name)
     for section in sections_of(sections, "link"):
         for row in section.rows:
-            latency_ms = as_float(
-                row.get("latency_ms", "0"), "latency_ms", source, row.lineno
-            )
-            if latency_ms < 0:
-                raise ConfigError("latency_ms must be >= 0", source, row.lineno)
-            network.add_link(
-                Link(
-                    id=row.id,
-                    a=row.require("a", source),
-                    b=row.require("b", source),
-                    latency_us=int(latency_ms * 1000),
-                )
-            )
-    for section in sections_of(sections, "firewall"):
-        for key, value in section.pairs:
-            if key not in ("allow", "deny"):
-                raise ConfigError("firewall entries are allow/deny", source, section.lineno)
-            tokens = value.split()
-            if len(tokens) < 2:
-                raise ConfigError(f"{key} = <src-cidr> <dst-cidr> [port=N]", source, section.lineno)
-            port = None
-            for tok in tokens[2:]:
-                if tok.startswith("port="):
-                    port = as_int(tok.split("=", 1)[1], "port", source, section.lineno)
+            latency_ms = row.get_float("latency_ms", 0.0)
+            if not math.isfinite(latency_ms) or latency_ms < 0:
+                raise row.error("latency_ms must be finite and >= 0")
             try:
-                src_net, dst_net = (ipaddress.ip_network(cidr) for cidr in tokens[:2])
+                network.add_link(
+                    Link(id=row.id, a=row.require("a"), b=row.require("b"),
+                         latency_us=int(latency_ms * 1000))
+                )
+            except NetError as exc:
+                raise row.error(str(exc)) from None
+    for section in sections_of(sections, "firewall"):
+        for entry in section.entries:
+            if entry.key not in ("allow", "deny"):
+                raise entry.error("firewall entries are allow/deny")
+            cidrs, opts = entry.split(2, f"{entry.key} = <src-cidr> <dst-cidr> [port=N]")
+            try:
+                src_net, dst_net = (ipaddress.ip_network(cidr) for cidr in cidrs)
             except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}", source, section.lineno) from None
+                raise entry.error(f"{entry.key}: {exc}") from None
             network.firewall_rules.append(
-                FirewallRule(action=key, src_net=src_net, dst_net=dst_net, port=port)
+                FirewallRule(action=entry.key, src_net=src_net, dst_net=dst_net,
+                             port=opts.get_int("port", None))
             )
     network.validate()
     return network

@@ -3,15 +3,18 @@ the emulated network, field devices, the attacker and EMS units into the
 kernel, and every run flushes a reproducible artifact set (PCAP, CSVs,
 transcript, report, manifest).
 
-Scenario file schema:
+Scenario file schema (see configfile for the line and `k=v` option grammar:
+options in [brackets] follow the leading values, any other token is an
+error, and a key that is not marked repeatable may be given once):
 
   [scenario]
-  name = <token>
-  horizon_s = <int>
+  name = <token>                  # optional
+  horizon_s = <int>               # a positive multiple of step_s
   step_s = <int>
   grid_file = <path>
   topology_file = <path>
   profiles_file = <path>          # optional
+  outdir = <path>                 # optional; default out
 
   [mtu]
   host = <topology host>
@@ -20,23 +23,24 @@ Scenario file schema:
   [rtu <name>]
   host = <topology host>
   common_address = <int>
-  report_period_s = <int>
+  report_period_s = <int>         # a positive multiple of step_s
   datapoint = <ioa> <monitor|control> <kind>:<element>:<field> [scale=<f>] [unit=<text>]
-                                  # fields per kind: devices.MONITOR_FIELDS / CONTROL_FIELDS
+                                  # repeatable; fields per kind: devices.MONITOR_FIELDS /
+                                  # CONTROL_FIELDS; an element field has one controller
 
   [ved <name>]
   host = <topology host>
   bus = <grid bus>
-  battery = capacity_kwh=<f> p_max_kw=<f> eta_charge=<f> eta_discharge=<f> soc_kwh=<f>
+  battery = capacity_kwh=<f> p_max_kw=<f> [eta_charge=<f>] [eta_discharge=<f>] [soc_kwh=<f>]
 
   [ems <ved-name>]
-  dso = import=<kW> export=<kW> [from=<s>] [to=<s>]
-  vpp = target=<kW> [from=<s>] [to=<s>]
+  dso = import=<kW> export=<kW> [from=<s>] [to=<s>]      # repeatable
+  vpp = target=<kW> [from=<s>] [to=<s>]                  # repeatable
 
   [attack]
   foothold = <topology host>
-  start_time_s = <int>
-  stage = scan <subnet>
+  start_time_s = <int>            # optional
+  stage = scan <subnet>            # repeatable, in this order
   stage = rce <selector>
   stage = pe <suid|sudoers>
   stage = manipulate <kind> [factor=<f>] [delta=<f>] [targets=all|<ioa,..>]
@@ -51,14 +55,7 @@ from dataclasses import dataclass, field
 
 from . import attacker as attacker_mod
 from . import devices, ems, netsim
-from .configfile import (
-    ConfigError,
-    as_float,
-    as_int,
-    parse_config,
-    sections_of,
-    single_section,
-)
+from .configfile import ConfigError, Entry, Section, parse_config, sections_of, single_section
 from .grid import (
     GridModel,
     ProfileSet,
@@ -91,15 +88,6 @@ HASHED_OUTPUTS = (
     ATTACK_TRANSCRIPT,
     EMS_DECISIONS_CSV,
 )
-
-class ScenarioError(Exception):
-    pass
-
-
-class DanglingReference(ScenarioError):
-    def __init__(self, name: str, detail: str):
-        super().__init__(f"dangling reference '{name}': {detail}")
-        self.name = name
 
 
 @dataclass
@@ -138,79 +126,77 @@ class Scenario:
     grid_model: GridModel = field(repr=False)
     profiles: ProfileSet | None = field(repr=False)
 
-    def without_attack(self) -> "Scenario":
-        copy = Scenario(**{**self.__dict__})
-        copy.attack_plan = None
-        return copy
+
+def _named_sections(sections: list[Section], kind: str) -> list[Section]:
+    """The `[kind <name>]` sections; each needs a name of its own."""
+    found = sections_of(sections, kind)
+    for i, section in enumerate(found):
+        if not section.name:
+            raise section.error(f"[{kind}] section needs a name")
+        if any(other.name == section.name for other in found[:i]):
+            raise section.error(f"second [{kind} {section.name}] section")
+    return found
 
 
-def _options(tokens) -> dict[str, str]:
-    return dict(tok.split("=", 1) for tok in tokens if "=" in tok)
+def _known(section: Section, key: str, names, where: str) -> Entry:
+    """The required entry `key`, whose value must be one of `names`."""
+    entry = section.entry(key, required=True)
+    if entry.value not in names:
+        raise entry.error(f"{key} '{entry.value}' is not in the {where}")
+    return entry
 
 
-def _parse_datapoint(value: str, source: str, lineno: int) -> devices.DataPoint:
-    tokens = value.split()
-    if len(tokens) < 3:
-        raise ConfigError(
-            "datapoint = <ioa> <monitor|control> <kind>:<element>:<field> ...",
-            source, lineno,
-        )
-    ref = tokens[2].split(":")
-    if len(ref) != 3:
-        raise ConfigError(f"bad element reference '{tokens[2]}'", source, lineno)
-    opts = _options(tokens[3:])
+def _parse_datapoint(entry: Entry) -> devices.DataPoint:
+    (ioa, direction, ref), opts = entry.split(
+        3, "datapoint = <ioa> <monitor|control> <kind>:<element>:<field> ..."
+    )
+    parts = ref.split(":")
+    if len(parts) != 3:
+        raise entry.error(f"bad element reference '{ref}'")
     return devices.DataPoint(
-        ioa=as_int(tokens[0], "ioa", source, lineno),
-        direction=tokens[1],
-        element_kind=ref[0],
-        element_id=ref[1],
-        fieldname=ref[2],
-        scale=as_float(opts.get("scale", "1.0"), "scale", source, lineno),
+        ioa=entry.convert(ioa, "ioa", int),
+        direction=direction,
+        element_kind=parts[0],
+        element_id=parts[1],
+        fieldname=parts[2],
+        scale=opts.get_float("scale", 1.0),
         unit=opts.get("unit", ""),
     )
 
 
-def _parse_stage(value: str, source: str, lineno: int):
-    tokens = value.split()
-    if not tokens:
-        raise ConfigError("empty attack stage", source, lineno)
-    kind = tokens[0]
-    if kind not in ("scan", "rce", "pe", "manipulate"):
-        raise ConfigError(f"unknown stage kind '{kind}'", source, lineno)
-    if len(tokens) < 2:
-        raise ConfigError(f"stage '{kind}' needs an argument", source, lineno)
+def _parse_stage(entry: Entry):
+    (kind, arg), opts = entry.split(2, "stage = <scan|rce|pe|manipulate> <argument> ...")
     if kind == "scan":
-        return attacker_mod.ScanStage(subnet=tokens[1])
+        return attacker_mod.ScanStage(subnet=arg)
     if kind == "rce":
-        return attacker_mod.RceStage(selector=tokens[1])
+        return attacker_mod.RceStage(selector=arg)
     if kind == "pe":
-        return attacker_mod.PeStage(method=tokens[1])
-    opts = _options(tokens[2:])
+        return attacker_mod.PeStage(method=arg)
+    if kind != "manipulate":
+        raise entry.error(f"unknown stage kind '{kind}'")
     targets_raw = opts.get("targets", "all")
     targets = (
         None
         if targets_raw == "all"
-        else tuple(as_int(part, "targets", source, lineno) for part in targets_raw.split(","))
+        else tuple(entry.convert(part, "targets", int) for part in targets_raw.split(","))
     )
-    strategy = attacker_mod.ManipulationStrategy(
-        kind=tokens[1],
-        factor=as_float(opts.get("factor", "1.0"), "factor", source, lineno),
-        delta=as_float(opts.get("delta", "0.0"), "delta", source, lineno),
-        target_ioas=targets,
-    )
+    try:
+        strategy = attacker_mod.ManipulationStrategy(
+            kind=arg,
+            factor=opts.get_float("factor", 1.0),
+            delta=opts.get_float("delta", 0.0),
+            target_ioas=targets,
+        )
+    except attacker_mod.AttackError as exc:
+        raise entry.error(str(exc)) from None
     return attacker_mod.ManipulateStage(strategy=strategy)
 
 
-def _parse_window(value: str, keys: tuple[str, ...], source: str, lineno: int):
-    """The values of the required `keys` as floats, and the from/to window."""
-    opts = _options(value.split())
-    missing = [key for key in keys if key not in opts]
-    if missing:
-        raise ConfigError(f"'{value}' is missing {missing[0]}=<kW>", source, lineno)
-    values = [as_float(opts[key], key, source, lineno) for key in keys]
-    start = as_int(opts.get("from", "0"), "from", source, lineno)
-    end = as_int(opts["to"], "to", source, lineno) if "to" in opts else None
-    return values, start, end
+def _parse_window(entry: Entry, keys: tuple[str, ...]) -> tuple:
+    """The required `keys` as floats, then the from/to window."""
+    _, opts = entry.split()
+    values = [opts.get_float(key) for key in keys]
+    return (*values, opts.get_int("from", 0), opts.get_int("to", None))
 
 
 def load_scenario(path) -> Scenario:
@@ -219,189 +205,138 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         sections = parse_config(fh.read(), source)
 
-    head = single_section(sections, "scenario", source)
+    head = single_section(sections, "scenario")
     if head is None:
-        raise ConfigError("missing [scenario] section", source, 1)
+        raise ConfigError("missing [scenario] section", source)
 
-    def resolve(name: str) -> str:
-        return os.path.join(base_dir, name)
+    def resolve(key: str, required: bool = True) -> str | None:
+        entry = head.entry(key, required)
+        if entry is None:
+            return None
+        file_path = os.path.join(base_dir, entry.value)
+        if not os.path.isfile(file_path):
+            raise entry.error(f"{key}: file not found: {file_path}")
+        return file_path
 
     name = head.get("name", "scenario")
-    horizon_s = as_int(head.require("horizon_s", source), "horizon_s", source, head.lineno)
-    step_s = as_int(head.require("step_s", source), "step_s", source, head.lineno)
-    grid_file = resolve(head.require("grid_file", source))
-    topology_file = resolve(head.require("topology_file", source))
-    profiles_raw = head.get("profiles_file")
-    profiles_file = resolve(profiles_raw) if profiles_raw else None
+    horizon_s = head.get_int("horizon_s")
+    step_s = head.get_int("step_s")
     outdir = head.get("outdir", "out")
     if horizon_s <= 0 or step_s <= 0 or horizon_s % step_s:
-        raise ConfigError("horizon_s must be a positive multiple of step_s", source, head.lineno)
+        raise head.error("horizon_s must be a positive multiple of step_s")
 
-    for file_path, what in ((grid_file, "grid_file"), (topology_file, "topology_file")):
-        if not os.path.exists(file_path):
-            raise DanglingReference(what, f"file not found: {file_path}")
-    if profiles_file and not os.path.exists(profiles_file):
-        raise DanglingReference("profiles_file", f"file not found: {profiles_file}")
-
-    grid_model = load_grid(grid_file)
+    grid_model = load_grid(resolve("grid_file"))
+    topology_file = resolve("topology_file")
     network = netsim.load_topology(topology_file)
+    profiles_file = resolve("profiles_file", required=False)
     profiles = load_profiles(profiles_file) if profiles_file else None
 
-    mtu_section = single_section(sections, "mtu", source)
+    mtu_section = single_section(sections, "mtu")
     mtu_config = None
     if mtu_section is not None:
         mtu_config = MtuConfig(
-            host=mtu_section.require("host", source),
-            poll_period=as_int(
-                mtu_section.get("poll_period_s", "0"), "poll_period_s",
-                source, mtu_section.lineno,
-            ),
+            host=_known(mtu_section, "host", network.hosts, "topology").value,
+            poll_period=mtu_section.get_int("poll_period_s", 0),
         )
-        if mtu_config.host not in network.hosts:
-            raise DanglingReference(mtu_config.host, "MTU host not in topology")
 
     rtus: list[devices.RtuConfig] = []
-    controllers: dict[tuple[str, str], str] = {}  # actuated (entity, field) -> rtu
-    for section in sections_of(sections, "rtu"):
-        if not section.name:
-            raise ConfigError("rtu section needs a name", source, section.lineno)
-        points = [
-            _parse_datapoint(value, source, section.lineno)
-            for value in section.get_all("datapoint")
-        ]
-        try:
-            datapoints = devices.DataPointMap(entries=points)
-        except devices.DeviceError as exc:
-            raise ConfigError(f"rtu '{section.name}': {exc}", source, section.lineno) from None
-        config = devices.RtuConfig(
-            name=section.name,
-            host=section.require("host", source),
-            common_address=as_int(
-                section.require("common_address", source), "common_address",
-                source, section.lineno,
-            ),
-            datapoints=datapoints,
-            report_period=as_int(
-                section.require("report_period_s", source), "report_period_s",
-                source, section.lineno,
-            ),
+    controllers: dict[tuple[str, str], tuple[str, int]] = {}  # (entity, field) -> rtu, line
+    for section in _named_sections(sections, "rtu"):
+        host = _known(section, "host", network.hosts, "topology")
+        if network.hosts[host.value].service_on(devices.IEC104_PORT) is None:
+            raise host.error(f"rtu '{section.name}' host lacks an iec104 service")
+        report_period = section.get_int("report_period_s")
+        if report_period <= 0 or report_period % step_s:
+            raise section.entry("report_period_s").error(
+                f"rtu '{section.name}': report_period_s must be a positive multiple of step_s"
+            )
+        datapoints = devices.DataPointMap(entries=[])
+        for entry in section.get_all("datapoint"):
+            dp = _parse_datapoint(entry)
+            try:
+                datapoints.add(dp)
+            except devices.DeviceError as exc:
+                raise entry.error(f"rtu '{section.name}': {exc}") from None
+            if grid_model.element(dp.element_kind, dp.element_id) is None:
+                raise entry.error(
+                    f"rtu '{section.name}' IOA {dp.ioa}: {dp.entity} is not in the grid"
+                )
+            if dp.direction == "control":
+                target = (dp.entity, dp.fieldname)
+                if target in controllers:
+                    rtu, lineno = controllers[target]
+                    raise entry.error(
+                        f"rtu '{section.name}' IOA {dp.ioa}: {dp.entity}:{dp.fieldname} "
+                        f"is already controlled by rtu '{rtu}' (line {lineno})"
+                    )
+                controllers[target] = (section.name, entry.lineno)
+        rtus.append(
+            devices.RtuConfig(
+                name=section.name,
+                host=host.value,
+                common_address=section.get_int("common_address"),
+                datapoints=datapoints,
+                report_period=report_period,
+            )
         )
-        if config.report_period % step_s:
-            raise ConfigError(
-                f"rtu '{config.name}': report_period_s must be a multiple of step_s",
-                source, section.lineno,
-            )
-        if config.host not in network.hosts:
-            raise DanglingReference(config.host, f"rtu '{config.name}' host not in topology")
-        if network.hosts[config.host].service_on(devices.IEC104_PORT) is None:
-            raise DanglingReference(
-                config.host, f"rtu '{config.name}' host lacks an iec104 service"
-            )
-        for dp in points:
-            element = grid_model.element(dp.element_kind, dp.element_id)
-            if element is None:
-                raise DanglingReference(
-                    f"{dp.element_kind}:{dp.element_id}",
-                    f"rtu '{config.name}' IOA {dp.ioa} targets a missing grid element",
-                )
-        for dp in datapoints.control:
-            target = (dp.entity, dp.fieldname)
-            if target in controllers:
-                raise ConfigError(
-                    f"rtu '{config.name}' IOA {dp.ioa}: {dp.entity}:{dp.fieldname} "
-                    f"is already controlled by rtu '{controllers[target]}'",
-                    source, section.lineno,
-                )
-            controllers[target] = config.name
-        rtus.append(config)
-    if len({r.name for r in rtus}) != len(rtus):
-        raise ConfigError("duplicate rtu name", source, 1)
 
     veds: list[VedConfig] = []
-    for section in sections_of(sections, "ved"):
-        if not section.name:
-            raise ConfigError("ved section needs a name", source, section.lineno)
+    for section in _named_sections(sections, "ved"):
         battery = None
-        battery_raw = section.get("battery")
-        if battery_raw:
-            opts = _options(battery_raw.split())
+        entry = section.entry("battery")
+        if entry is not None:
+            _, opts = entry.split()
             try:
                 battery = ems.Battery(
-                    capacity_kwh=float(opts["capacity_kwh"]),
-                    p_max_kw=float(opts["p_max_kw"]),
-                    eta_charge=float(opts.get("eta_charge", "1.0")),
-                    eta_discharge=float(opts.get("eta_discharge", "1.0")),
-                    soc_kwh=float(opts.get("soc_kwh", "0.0")),
+                    capacity_kwh=opts.get_float("capacity_kwh"),
+                    p_max_kw=opts.get_float("p_max_kw"),
+                    eta_charge=opts.get_float("eta_charge", 1.0),
+                    eta_discharge=opts.get_float("eta_discharge", 1.0),
+                    soc_kwh=opts.get_float("soc_kwh", 0.0),
                 )
-            except KeyError as exc:
-                raise ConfigError(f"battery entry missing {exc}", source, section.lineno) from None
-            except (ValueError, ems.EmsError) as exc:
-                raise ConfigError(f"ved '{section.name}' battery: {exc}",
-                                  source, section.lineno) from None
-        config = VedConfig(
-            name=section.name,
-            host=section.require("host", source),
-            bus=section.require("bus", source),
-            battery=battery,
+            except ems.EmsError as exc:
+                raise entry.error(f"ved '{section.name}' battery: {exc}") from None
+        veds.append(
+            VedConfig(
+                name=section.name,
+                host=_known(section, "host", network.hosts, "topology").value,
+                bus=_known(section, "bus", grid_model.bus_index, "grid").value,
+                battery=battery,
+            )
         )
-        if config.host not in network.hosts:
-            raise DanglingReference(config.host, f"ved '{config.name}' host not in topology")
-        if config.bus not in grid_model.bus_index:
-            raise DanglingReference(config.bus, f"ved '{config.name}' bus not in grid")
-        veds.append(config)
+    ved_names = {v.name for v in veds}
 
     ems_configs: dict[str, EmsConfig] = {}
-    for section in sections_of(sections, "ems"):
-        if not section.name:
-            raise ConfigError("ems section needs a ved name", source, section.lineno)
-        if section.name not in {v.name for v in veds}:
-            raise DanglingReference(section.name, "ems section for unknown ved")
-        dso_limits = []
-        for value in section.get_all("dso"):
-            (p_import, p_export), start, end = _parse_window(
-                value, ("import", "export"), source, section.lineno
-            )
-            dso_limits.append(
-                ems.DsoLimit(
-                    p_max_import_kw=p_import, p_max_export_kw=p_export,
-                    t_start=start, t_end=end,
-                )
-            )
-        vpp_schedules = []
-        for value in section.get_all("vpp"):
-            (target,), start, end = _parse_window(value, ("target",), source, section.lineno)
-            vpp_schedules.append(ems.VppSchedule(target_p_kw=target, t_start=start, t_end=end))
+    for section in _named_sections(sections, "ems"):
+        if section.name not in ved_names:
+            raise section.error(f"ems section for unknown ved '{section.name}'")
         ems_configs[section.name] = EmsConfig(
             ved=section.name,
-            dso_limits=tuple(dso_limits),
-            vpp_schedules=tuple(vpp_schedules),
+            dso_limits=tuple(
+                ems.DsoLimit(*_parse_window(entry, ("import", "export")))
+                for entry in section.get_all("dso")
+            ),
+            vpp_schedules=tuple(
+                ems.VppSchedule(*_parse_window(entry, ("target",)))
+                for entry in section.get_all("vpp")
+            ),
         )
 
-    attack_section = single_section(sections, "attack", source)
+    attack_section = single_section(sections, "attack")
     attack_plan = None
     if attack_section is not None:
-        foothold = attack_section.require("foothold", source)
-        if foothold not in network.hosts:
-            raise DanglingReference(foothold, "attack foothold not in topology")
+        foothold = _known(attack_section, "foothold", network.hosts, "topology").value
+        stages = tuple(_parse_stage(entry) for entry in attack_section.get_all("stage"))
+        start_time = attack_section.get_int("start_time_s", 0)
         try:
-            stages = tuple(
-                _parse_stage(value, source, attack_section.lineno)
-                for value in attack_section.get_all("stage")
-            )
             attack_plan = attacker_mod.AttackPlan(
-                foothold=foothold,
-                stages=stages,
-                start_time=as_int(
-                    attack_section.get("start_time_s", "0"), "start_time_s",
-                    source, attack_section.lineno,
-                ),
+                foothold=foothold, stages=stages, start_time=start_time
             )
         except attacker_mod.AttackError as exc:
-            raise ConfigError(str(exc), source, attack_section.lineno) from None
+            raise attack_section.error(str(exc)) from None
 
     # profile targets must resolve against the grid or a ved load/pv channel
     if profiles is not None:
-        ved_names = {v.name for v in veds}
         grid_targets = {
             (e.id, f)
             for e in grid_model.loads + grid_model.sgens
@@ -412,8 +347,8 @@ def load_scenario(path) -> Scenario:
                 continue
             if element_id in ved_names and fieldname in ("load_kw", "pv_kw"):
                 continue
-            raise DanglingReference(
-                f"{element_id}.{fieldname}", "profile target matches no grid element or ved"
+            raise head.entry("profiles_file").error(
+                f"profile target {element_id}.{fieldname} matches no grid element or ved"
             )
 
     return Scenario(
@@ -527,15 +462,7 @@ class EmsSimulator:
 @dataclass
 class RunOutputs:
     outdir: str
-    pcap_path: str
-    ground_truth_path: str
-    archive_path: str
-    commands_path: str
-    attack_trace_path: str
-    attack_transcript_path: str
-    ems_decisions_path: str
-    run_report_path: str
-    manifest_path: str
+    paths: dict[str, str]  # artifact file name -> path
     manifest: dict[str, str]
     report_text: str
     kpi_reports: dict[str, ems.KpiReport]
@@ -782,15 +709,7 @@ def run_scenario(
 
     return RunOutputs(
         outdir=outdir,
-        pcap_path=paths[PCAP_FILE],
-        ground_truth_path=paths[GROUND_TRUTH_CSV],
-        archive_path=paths[ARCHIVE_CSV],
-        commands_path=paths[COMMANDS_CSV],
-        attack_trace_path=paths[ATTACK_TRACE_CSV],
-        attack_transcript_path=paths[ATTACK_TRANSCRIPT],
-        ems_decisions_path=paths[EMS_DECISIONS_CSV],
-        run_report_path=paths[RUN_REPORT],
-        manifest_path=paths[MANIFEST],
+        paths=paths,
         manifest=manifest,
         report_text=report_text,
         kpi_reports=kpi_reports,

@@ -10,6 +10,7 @@ import csv
 import itertools
 import struct
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -371,7 +372,7 @@ def test_criterion_4_attack_replication(attack_run):
     started = time.perf_counter()
     scenario, out = attack_run
 
-    trace = rows_of(out.attack_trace_path)
+    trace = rows_of(out.paths["attack_trace.csv"])
     assert [r["stage"] for r in trace] == ["S1", "S2", "S3", "S4"]
     assert all(r["outcome"] == "success" for r in trace)
     s4_time = int(trace[-1]["t"])
@@ -379,12 +380,12 @@ def test_criterion_4_attack_replication(attack_run):
 
     truth = {
         (int(r["t"]), r["element"], r["field"]): float(r["value"])
-        for r in rows_of(out.ground_truth_path)
+        for r in rows_of(out.paths["ground_truth.csv"])
     }
     index = datapoint_index(scenario)
     attacked_rtu = "rtu1"
     checked_pre = checked_post = 0
-    for row in rows_of(out.archive_path):
+    for row in rows_of(out.paths["archive.csv"]):
         t, rtu, ioa = int(row["t"]), row["rtu"], int(row["ioa"])
         value = float(row["value"])
         entity, fieldname = index[(rtu, ioa)]
@@ -397,7 +398,7 @@ def test_criterion_4_attack_replication(attack_run):
             checked_post += 1
     assert checked_pre > 0 and checked_post > 0
 
-    packets, warnings = dissect_capture(out.pcap_path)
+    packets, warnings = dissect_capture(out.paths["capture.pcap"])
     assert not warnings
     kali_ip = "10.0.2.99"
     syn_probes = [
@@ -418,10 +419,10 @@ def test_criterion_4_attack_replication(attack_run):
 def test_criterion_5_ground_truth_immunity(attack_run, tmp_path):
     started = time.perf_counter()
     scenario, out = attack_run
-    clean = run_scenario(scenario.without_attack(), outdir=str(tmp_path / "clean"))
-    with open(out.ground_truth_path, "rb") as fh:
+    clean = run_scenario(replace(scenario, attack_plan=None), outdir=str(tmp_path / "clean"))
+    with open(out.paths["ground_truth.csv"], "rb") as fh:
         attacked_bytes = fh.read()
-    with open(clean.ground_truth_path, "rb") as fh:
+    with open(clean.paths["ground_truth.csv"], "rb") as fh:
         clean_bytes = fh.read()
     assert attacked_bytes == clean_bytes
     elapsed = time.perf_counter() - started
@@ -504,7 +505,7 @@ def test_criterion_7_ems_properties(flex_run):
 def test_criterion_8_pcap_external_validity(attack_run):
     started = time.perf_counter()
     _scenario, out = attack_run
-    packets, warnings = dissect_capture(out.pcap_path)
+    packets, warnings = dissect_capture(out.paths["capture.pcap"])
     assert warnings == []
     assert packets
 
@@ -536,7 +537,7 @@ def test_criterion_8_pcap_external_validity(attack_run):
                 for ioa, value in frame[6]:
                     wire_values[(ioa, value)] += 1
     archive_values = Counter(
-        (int(r["ioa"]), float(r["value"])) for r in rows_of(out.archive_path)
+        (int(r["ioa"]), float(r["value"])) for r in rows_of(out.paths["archive.csv"])
     )
     assert archive_values == wire_values
     elapsed = time.perf_counter() - started

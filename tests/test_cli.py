@@ -3,60 +3,90 @@
 import os
 import re
 import shutil
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcosim import cli
+from gridcosim.configfile import ConfigError
 from gridcosim.pcap import ACK, PSH, PacketRecord, write_pcap
+from gridcosim.scenario import load_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SCENARIOS_DIR = os.path.join(os.path.dirname(HERE), "scenarios")
 
-# (demo, text to replace, replacement, header of the section that holds it)
+# (demo, text to replace, replacement, text of the one line the error must name:
+# the edited entry, the later of two conflicting entries, or the section
+# header for a rule about the whole section)
 MALFORMED = {
     "status_not_readable": (
-        "attack_demo", "monitor trafo:tr1:p_from_kw", "monitor trafo:tr1:status", "[rtu rtu1]"),
+        "attack_demo", "monitor trafo:tr1:p_from_kw", "monitor trafo:tr1:status",
+        "trafo:tr1:status"),
     "field_not_readable_for_kind": (
-        "attack_demo", "monitor bus:lv1:v_pu", "monitor bus:lv1:i_ka", "[rtu rtu1]"),
+        "attack_demo", "monitor bus:lv1:v_pu", "monitor bus:lv1:i_ka", "bus:lv1:i_ka"),
     "bad_direction": (
         "attack_demo", "101 monitor trafo:tr1:p_from_kw", "101 read trafo:tr1:p_from_kw",
-        "[rtu rtu1]"),
+        "101 read"),
     "duplicate_ioa": (
         "attack_demo", "102 monitor trafo:tr1:q_from_kvar", "101 monitor trafo:tr1:q_from_kvar",
-        "[rtu rtu1]"),
+        "101 monitor trafo:tr1:q_from_kvar"),
     "scale_not_a_number": (
-        "attack_demo", "p_from_kw scale=1.0", "p_from_kw scale=abc", "[rtu rtu1]"),
+        "attack_demo", "p_from_kw scale=1.0", "p_from_kw scale=abc", "scale=abc"),
+    "datapoint_stray_token": (
+        "attack_demo", "q_from_kvar scale=1.0", "q_from_kvar 1.0", "q_from_kvar 1.0"),
+    "datapoint_repeated_option": (
+        "attack_demo", "v_pu scale=1.0 unit=pu\n\n[rtu rtu2]",
+        "v_pu scale=1.0 unit=pu scale=2.0\n\n[rtu rtu2]", "scale=2.0"),
+    "repeated_single_valued_key": (
+        "attack_demo", "step_s = 60", "step_s = 60\nstep_s = 30", "step_s = 30"),
     "targets_not_integers": (
-        "attack_demo", "targets=all", "targets=x", "[attack]"),
+        "attack_demo", "targets=all", "targets=x", "targets=x"),
     "scan_without_subnet": (
-        "attack_demo", "stage = scan 10.0.2.0/24", "stage = scan", "[attack]"),
+        "attack_demo", "stage = scan 10.0.2.0/24", "stage = scan", "stage = scan"),
     "stages_out_of_order": (
         "attack_demo", "stage = rce http\nstage = pe suid", "stage = pe suid\nstage = rce http",
         "[attack]"),
     "unknown_manipulation_kind": (
-        "attack_demo", "manipulate scale factor=0.5", "manipulate bogus", "[attack]"),
+        "attack_demo", "manipulate scale factor=0.5", "manipulate bogus", "manipulate bogus"),
     "field_controlled_by_two_rtus": (
         "attack_demo", "103 monitor bus:lv1:v_pu scale=1.0 unit=pu",
         "103 monitor bus:lv1:v_pu scale=1.0 unit=pu\ndatapoint = 301 control sgen:pv1:p_kw",
-        "[rtu rtu2]"),
+        "201 control sgen:pv1:p_kw"),
+    "report_period_zero": (
+        "flex_demo", "report_period_s = 900", "report_period_s = 0", "report_period_s = 0"),
+    "second_ems_section": (  # the extra space only makes the anchor line unique
+        "flex_demo", "dso = import=5 export=5", "dso = import=5 export=5\n[ems  home1]",
+        "[ems  home1]"),
     "dso_without_export": (
-        "flex_demo", "dso = import=5 export=5", "dso = import=5", "[ems home1]"),
+        "flex_demo", "dso = import=5 export=5", "dso = import=5", "dso = import=5"),
     "negative_capacity": (
-        "flex_demo", "capacity_kwh=10", "capacity_kwh=-1", "[ved home1]"),
+        "flex_demo", "capacity_kwh=10", "capacity_kwh=-1", "capacity_kwh=-1"),
 }
+
+
+def _edit_bundle(tmp_path, demo, filename, old, new):
+    bundle = tmp_path / demo
+    shutil.copytree(os.path.join(SCENARIOS_DIR, demo), bundle)
+    path = bundle / filename
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return bundle / "scenario.txt", path
+
+
+def _line_of(text, anchor):
+    lines = [i for i, line in enumerate(text.splitlines(), start=1) if anchor in line]
+    assert len(lines) == 1, anchor
+    return lines[0]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_validate_rejects_malformed_scenario_with_file_and_line(case, tmp_path, capsys):
-    demo, old, new, header = MALFORMED[case]
-    bundle = tmp_path / demo
-    shutil.copytree(os.path.join(SCENARIOS_DIR, demo), bundle)
-    scenario_file = bundle / "scenario.txt"
-    text = scenario_file.read_text()
-    assert text.count(old) == 1
-    text = text.replace(old, new)
-    scenario_file.write_text(text)
-    lineno = text.splitlines().index(header) + 1
+    demo, old, new, anchor = MALFORMED[case]
+    scenario_file, _ = _edit_bundle(tmp_path, demo, "scenario.txt", old, new)
+    lineno = _line_of(scenario_file.read_text(), anchor)
 
     assert cli.main(["validate", str(scenario_file)]) == 1
     err = capsys.readouterr().err
@@ -108,38 +138,50 @@ def test_pcap_dump_corrupt_apdu_exits_1(tmp_path, capsys):
     assert "length octet 2" in capsys.readouterr().err
 
 
-# (demo, bundle file, text to replace, replacement, line the error must name)
+# (demo, bundle file, text to replace, replacement, text of the line the error must name)
 MALFORMED_INPUT = {
     "bus_vm_pu_not_a_number": (
         "attack_demo", "grid.txt", "mv0  nominal_kv=20.0  type=slack",
-        "mv0  nominal_kv=20.0  type=slack  vm_pu=abc", "mv0  nominal_kv=20.0  type=slack  vm_pu=abc"),
+        "mv0  nominal_kv=20.0  type=slack  vm_pu=abc", "vm_pu=abc"),
     "service_port_not_an_integer": (
         "attack_demo", "topology.txt", "service = telnet 23", "service = telnet abc",
-        "[host rtu1]"),
+        "service = telnet abc"),
+    "service_stray_token": (
+        "attack_demo", "topology.txt", "service = http 80 rce", "service = http 80 x rce",
+        "service = http 80 x"),
+    "suid_without_value": (
+        "attack_demo", "topology.txt", "suid = backup-tool vuln=CVE-2099-0102", "suid =",
+        "suid ="),
+    "sudoers_without_value": (
+        "attack_demo", "topology.txt", "account = sam user", "account = sam user\nsudoers =",
+        "sudoers ="),
+    "link_latency_nan": (
+        "attack_demo", "topology.txt", "b=sw_field latency_ms=2", "b=sw_field latency_ms=nan",
+        "latency_ms=nan"),
+    "link_latency_inf": (
+        "attack_demo", "topology.txt", "b=sw_field latency_ms=2", "b=sw_field latency_ms=inf",
+        "latency_ms=inf"),
+    "link_to_unknown_node": (
+        "attack_demo", "topology.txt", "lk5  a=der1", "lk5  a=ghost", "lk5  a=ghost"),
     "firewall_port_not_an_integer": (
         "attack_demo", "topology.txt", "[switch sw_ctrl]",
-        "[firewall]\nallow = 10.0.1.0/24 10.0.2.0/24 port=x\n[switch sw_ctrl]", "[firewall]"),
+        "[firewall]\nallow = 10.0.1.0/24 10.0.2.0/24 port=x\n[switch sw_ctrl]", "port=x"),
     "firewall_cidr_malformed": (
         "attack_demo", "topology.txt", "[switch sw_ctrl]",
-        "[firewall]\nallow = 10.0.1.0/24 garbage\n[switch sw_ctrl]", "[firewall]"),
+        "[firewall]\nallow = 10.0.1.0/24 garbage\n[switch sw_ctrl]", "garbage"),
+    "profile_value_not_a_number": (
+        "attack_demo", "profiles.csv", "900,l2,p_kw,33.5", "900,l2,p_kw,abc", "abc"),
+    "profile_time_goes_backwards": (
+        "attack_demo", "profiles.csv", "1800,l2,p_kw,36.0", "600,l2,p_kw,36.0",
+        "600,l2,p_kw"),
 }
-
-
-def _edit_bundle(tmp_path, demo, filename, old, new):
-    bundle = tmp_path / demo
-    shutil.copytree(os.path.join(SCENARIOS_DIR, demo), bundle)
-    path = bundle / filename
-    text = path.read_text()
-    assert text.count(old) == 1
-    path.write_text(text.replace(old, new))
-    return bundle / "scenario.txt", path
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUT))
 def test_validate_rejects_malformed_grid_or_topology_with_file_and_line(case, tmp_path, capsys):
     demo, filename, old, new, anchor = MALFORMED_INPUT[case]
     scenario_file, path = _edit_bundle(tmp_path, demo, filename, old, new)
-    lineno = path.read_text().splitlines().index(anchor) + 1
+    lineno = _line_of(path.read_text(), anchor)
 
     assert cli.main(["validate", str(scenario_file)]) == 1
     err = capsys.readouterr().err
@@ -171,3 +213,71 @@ def test_validate_rejects_invalid_network(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invalid: ") and message in err
     assert "Traceback" not in err
+
+
+FUZZ_TARGETS = [
+    (demo, filename)
+    for demo in ("attack_demo", "flex_demo")
+    for filename in ("scenario.txt", "topology.txt", "grid.txt")
+]
+FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["=", "x=", "=y", "a=b", "k=v=w", "nan", "inf", "-1", "0", "[x]", "#"]),
+    st.text(alphabet=string.ascii_letters + string.digits + "=.:,-_/[]# ", max_size=10),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundles(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for demo in ("attack_demo", "flex_demo"):
+        shutil.copytree(os.path.join(SCENARIOS_DIR, demo), root / demo)
+    return root
+
+
+def _mutate(lines, data):
+    """Delete or duplicate one line, or drop or replace one of its tokens or
+    the value of one of its k=v tokens."""
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    mutation = data.draw(st.sampled_from(["delete", "duplicate", "drop", "replace", "value"]))
+    if mutation == "delete":
+        return lines[:i] + lines[i + 1:]
+    if mutation == "duplicate":
+        return lines[:i + 1] + lines[i:]
+    tokens = lines[i].split()
+    if not tokens:
+        return lines
+    j = data.draw(st.integers(0, len(tokens) - 1), label="token")
+    if mutation == "drop":
+        del tokens[j]
+    elif mutation == "value" and "=" in tokens[j]:
+        key = tokens[j].partition("=")[0]
+        tokens[j] = key + "=" + data.draw(FUZZ_TOKENS, label="value")
+    else:
+        tokens[j] = data.draw(FUZZ_TOKENS, label="replacement")
+    return lines[:i] + [" ".join(tokens)] + lines[i + 1:]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_bundle_exits_0_or_1_and_names_the_faulty_line(fuzz_bundles, data):
+    """A one-line mutation of a shipped bundle never makes `validate` raise.
+    A ConfigError names the mutated file, or the scenario entry that refers
+    into it (a deleted host makes that entry dangle), and a line of that file."""
+    demo, filename = data.draw(st.sampled_from(FUZZ_TARGETS), label="file")
+    scenario_file = fuzz_bundles / demo / "scenario.txt"
+    path = fuzz_bundles / demo / filename
+    original = path.read_text()
+    path.write_text("\n".join(_mutate(original.splitlines(), data)) + "\n")
+    try:
+        assert cli.main(["validate", str(scenario_file)]) in (0, 1)
+        try:
+            load_scenario(scenario_file)
+        except ConfigError as exc:
+            assert exc.source in (str(path), str(scenario_file)), exc
+            if exc.lineno is not None:
+                with open(exc.source, encoding="utf-8") as fh:
+                    assert 1 <= exc.lineno <= len(fh.read().splitlines()), exc
+        except cli._VALIDATION_ERRORS:
+            pass
+    finally:
+        path.write_text(original)

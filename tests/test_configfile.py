@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from gridcosim.configfile import ConfigError, parse_config, sections_of, single_section
@@ -27,7 +29,7 @@ def test_parse_sections_rows_and_pairs():
     assert bus.rows[0].attrs == {"nominal_kv": "20.0", "type": "slack"}
     rtu = sections_of(sections, "rtu")[0]
     assert rtu.name == "one"
-    assert rtu.get_all("datapoint") == [
+    assert [entry.value for entry in rtu.get_all("datapoint")] == [
         "101 monitor bus:b0:v_pu",
         "102 monitor bus:b1:v_pu",
     ]
@@ -51,3 +53,36 @@ def test_error_carries_line_number():
         assert "x.txt" in str(exc)
     else:
         pytest.fail("expected ConfigError")
+
+
+ENTRIES = """[rtu one]
+host = a
+period = 60
+datapoint = 101 monitor bus:b0:v_pu scale=1.0
+period = 30
+"""
+
+
+@pytest.mark.parametrize("read, lineno, message", [
+    (lambda s: s.get("period"), 5, "'period' may be given only once"),
+    (lambda s: s.get_int("host"), 2, "host: expected an integer, got 'a'"),
+    (lambda s: s.require("missing"), 1, "section [rtu] is missing 'missing'"),
+    (lambda s: s.get_all("datapoint")[0].split(5, "usage"), 4, "usage"),
+    (lambda s: s.get_all("datapoint")[0].split(2)[1], 4, "expected key=value token"),
+    (lambda s: s.get_all("datapoint")[0].split(3)[1].get_float("unit"), 4, "missing 'unit'"),
+], ids=["repeated_key", "bad_int", "missing_key", "too_few_values", "stray_token",
+        "missing_option"])
+def test_entry_errors_name_their_own_line(read, lineno, message):
+    section = sections_of(parse_config(ENTRIES, source="s.txt"), "rtu")[0]
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
+        read(section)
+    assert info.value.lineno == lineno
+    assert str(info.value).startswith(f"s.txt:{lineno}: ")
+
+
+@pytest.mark.parametrize("options", ["x", "=1", "x=", "x=1 x=2"])
+def test_option_parser_is_strict(options):
+    section = parse_config(f"[s]\nkey = lead {options}\n")[0]
+    with pytest.raises(ConfigError) as info:
+        section.get_all("key")[0].split(1)
+    assert info.value.lineno == 2

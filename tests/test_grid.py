@@ -326,21 +326,24 @@ class TestNewtonJacobian:
         assert abs(residual_kw) < 1e-6 * model.base_mva * 1000  # 1e-6 pu
 
 
+STEP_PROFILE = "t_seconds,element_id,field,value\n0,ld,p_kw,5.0\n3600,ld,p_kw,8.0\n"
+
+
 class TestProfiles:
     def test_step_hold(self):
-        profiles = parse_profiles([(0, "ld", "p_kw", 5.0), (3600, "ld", "p_kw", 8.0)])
+        profiles = parse_profiles(STEP_PROFILE)
         profile = profiles.get("ld", "p_kw")
         assert profile.value_at(1800) == 5.0
         assert profile.value_at(3600) == 8.0
         assert profile.value_at(7200) == 8.0
 
     def test_first_sample_hold_before_t0(self):
-        profiles = parse_profiles([(600, "ld", "p_kw", 5.0)])
+        profiles = parse_profiles("t_seconds,element_id,field,value\n600,ld,p_kw,5.0\n")
         assert profiles.get("ld", "p_kw").value_at(0) == 5.0
 
     def test_apply_profiles_injections(self):
         model = parse_grid(TWO_BUS)
-        profiles = parse_profiles([(0, "ld", "p_kw", 5.0), (3600, "ld", "p_kw", 8.0)])
+        profiles = parse_profiles(STEP_PROFILE)
         injections = bus_injections(model, element_values_at(model, profiles, 1800))
         assert injections["b"] == (-5.0, -50.0)
         injections = bus_injections(model, element_values_at(model, profiles, 3600))

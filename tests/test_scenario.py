@@ -1,11 +1,13 @@
 import csv
 import os
 import shutil
+from dataclasses import replace
 
 import pytest
 
 from gridcosim import cli
-from gridcosim.scenario import DanglingReference, load_scenario, run_scenario
+from gridcosim.configfile import ConfigError
+from gridcosim.scenario import HASHED_OUTPUTS, load_scenario, run_scenario
 
 
 def read_csv(path):
@@ -28,8 +30,9 @@ class TestLoad:
         scenario_file = bundle / "scenario.txt"
         text = scenario_file.read_text().replace("trafo:tr1:p_from_kw", "trafo:nope:p_from_kw")
         scenario_file.write_text(text)
-        with pytest.raises(DanglingReference):
+        with pytest.raises(ConfigError, match="trafo:nope is not in the grid") as info:
             load_scenario(scenario_file)
+        assert info.value.lineno == 19
 
     def test_missing_host_is_dangling_reference(self, attack_demo_path, tmp_path):
         bundle = tmp_path / "broken2"
@@ -37,16 +40,18 @@ class TestLoad:
         scenario_file = bundle / "scenario.txt"
         text = scenario_file.read_text().replace("foothold = kali", "foothold = ghost")
         scenario_file.write_text(text)
-        with pytest.raises(DanglingReference):
+        with pytest.raises(ConfigError, match="foothold 'ghost' is not in the topology") as info:
             load_scenario(scenario_file)
+        assert info.value.lineno == 33
 
     def test_unknown_profile_target_rejected(self, attack_demo_path, tmp_path):
         bundle = tmp_path / "broken3"
         shutil.copytree(os.path.dirname(attack_demo_path), bundle)
         with open(bundle / "profiles.csv", "a") as fh:
             fh.write("0,nosuch,p_kw,1.0\n")
-        with pytest.raises(DanglingReference):
+        with pytest.raises(ConfigError, match="nosuch.p_kw matches no grid element") as info:
             load_scenario(bundle / "scenario.txt")
+        assert info.value.lineno == 9
 
     def test_flex_demo_loads(self, flex_demo_path):
         scenario = load_scenario(flex_demo_path)
@@ -61,11 +66,8 @@ class TestRun:
 
         scenario = load_scenario(attack_demo_path)
         out = run_scenario(scenario, outdir=str(tmp_path / "out"))
-        for path in (
-            out.pcap_path, out.ground_truth_path, out.archive_path,
-            out.commands_path, out.attack_trace_path, out.attack_transcript_path,
-            out.ems_decisions_path, out.run_report_path, out.manifest_path,
-        ):
+        assert sorted(out.paths) == sorted([*HASHED_OUTPUTS, "run_report.txt", "manifest.txt"])
+        for path in out.paths.values():
             assert os.path.exists(path)
         for name, digest in out.manifest.items():
             with open(os.path.join(out.outdir, name), "rb") as fh:
@@ -74,26 +76,26 @@ class TestRun:
     def test_until_overrides_horizon(self, attack_demo_path, tmp_path):
         scenario = load_scenario(attack_demo_path)
         out = run_scenario(scenario, outdir=str(tmp_path / "out"), until=300)
-        truth = read_csv(out.ground_truth_path)
+        truth = read_csv(out.paths["ground_truth.csv"])
         assert max(int(r["t"]) for r in truth) == 240
 
     def test_no_attack_archive_equals_truth(self, attack_demo_path, tmp_path):
-        scenario = load_scenario(attack_demo_path).without_attack()
+        scenario = replace(load_scenario(attack_demo_path), attack_plan=None)
         out = run_scenario(scenario, outdir=str(tmp_path / "clean"))
         truth = {
             (r["t"], r["element"], r["field"]): r["value"]
-            for r in read_csv(out.ground_truth_path)
+            for r in read_csv(out.paths["ground_truth.csv"])
         }
         iomap = {}
         for config in scenario.rtus:
             for dp in config.datapoints.monitor:
                 iomap[(config.name, str(dp.ioa))] = (dp.entity, dp.fieldname)
-        archive = read_csv(out.archive_path)
+        archive = read_csv(out.paths["archive.csv"])
         assert archive
         for row in archive:
             entity, fieldname = iomap[(row["rtu"], row["ioa"])]
             assert truth[(row["t"], entity, fieldname)] == row["value"]
-        trace = read_csv(out.attack_trace_path)
+        trace = read_csv(out.paths["attack_trace.csv"])
         assert trace == []
 
     def test_fdi_stealth_preserves_power_factor(self, attack_demo_path, tmp_path):
@@ -110,10 +112,10 @@ class TestRun:
 
         truth = {
             (int(r["t"]), r["element"], r["field"]): float(r["value"])
-            for r in read_csv(out.ground_truth_path)
+            for r in read_csv(out.paths["ground_truth.csv"])
         }
         archive = {}
-        for row in read_csv(out.archive_path):
+        for row in read_csv(out.paths["archive.csv"]):
             archive.setdefault((int(row["t"]), row["rtu"]), {})[int(row["ioa"])] = float(
                 row["value"]
             )
@@ -137,24 +139,24 @@ class TestRun:
         assert "kpi.home1.import_kwh" in out.report_text
         report = out.kpi_reports["home1"]
         assert report.run.import_kwh < report.baseline.import_kwh
-        records = read_pcap(out.pcap_path)
+        records = read_pcap(out.paths["capture.pcap"])
         iec_ports = {2404}
         for record in records:
             assert record.src_port in iec_ports or record.dst_port in iec_ports
-        decisions = read_csv(out.ems_decisions_path)
+        decisions = read_csv(out.paths["ems_decisions.csv"])
         assert len(decisions) == 96  # 24 h at 900 s
 
     def test_ved_exchange_visible_at_feeder_head(self, flex_demo_path, tmp_path):
         # the smart home's exchange is part of the physical feeder load
         scenario = load_scenario(flex_demo_path)
         out = run_scenario(scenario, outdir=str(tmp_path / "flex2"))
-        truth = read_csv(out.ground_truth_path)
+        truth = read_csv(out.paths["ground_truth.csv"])
         head_p = {
             int(r["t"]): float(r["value"])
             for r in truth
             if r["element"] == "bus:fb0" and r["field"] == "p_kw"
         }
-        decisions = {int(r["t"]): float(r["grid_kw"]) for r in read_csv(out.ems_decisions_path)}
+        decisions = {int(r["t"]): float(r["grid_kw"]) for r in read_csv(out.paths["ems_decisions.csv"])}
         # feeder head power moves with the household exchange (same sign drift)
         ts = sorted(set(head_p) & set(decisions))
         assert len(ts) == 96
