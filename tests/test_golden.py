@@ -1,7 +1,10 @@
-"""Golden manifests: the shipped demos must keep writing the same artifact bytes.
+"""Golden manifests: pinned scenarios must keep writing the same artifact bytes.
 
-Each `tests/data/golden/<demo>.sha256` lists the sha256 of every hashed
-artifact of that demo, in `sha256sum` format. A change that moves any byte
+Each `tests/data/golden/<name>.sha256` lists the sha256 of every hashed
+artifact of that scenario, in `sha256sum` format. The two shipped demos send
+few APDUs; `tests/data/scada_burst` pins the heavy IEC 104 path (report
+buffer overflow, STARTDT buffer flush, k/w windowing with S-frames, and a
+general interrogation). A change that moves any byte
 of a PCAP or CSV fails here; regenerate the file only together with a
 CHANGES.md line that explains the change.
 """
@@ -16,6 +19,11 @@ from gridcosim.scenario import HASHED_OUTPUTS, load_scenario, run_scenario
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "data", "golden")
 SCENARIOS_DIR = os.path.join(os.path.dirname(HERE), "scenarios")
+PINNED = {
+    "attack_demo": os.path.join(SCENARIOS_DIR, "attack_demo", "scenario.txt"),
+    "flex_demo": os.path.join(SCENARIOS_DIR, "flex_demo", "scenario.txt"),
+    "scada_burst": os.path.join(HERE, "data", "scada_burst", "scenario.txt"),
+}
 
 
 def _golden(name: str) -> dict[str, str]:
@@ -29,11 +37,11 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("name", ["attack_demo", "flex_demo"])
+@pytest.mark.parametrize("name", sorted(PINNED))
 def test_demo_artifacts_match_golden_manifest(tmp_path, name):
     golden = _golden(name)
     assert sorted(golden) == sorted(HASHED_OUTPUTS)
-    scenario = load_scenario(os.path.join(SCENARIOS_DIR, name, "scenario.txt"))
+    scenario = load_scenario(PINNED[name])
     outputs = run_scenario(scenario, outdir=str(tmp_path))
     actual = {artifact: _sha256(os.path.join(outputs.outdir, artifact))
               for artifact in HASHED_OUTPUTS}
