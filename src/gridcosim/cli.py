@@ -10,7 +10,6 @@ import sys
 
 from . import iec104
 from .configfile import ConfigError
-from .grid.model import ValidationError
 from .kernel import KernelError
 from .netsim import NetError
 from .pcap import PcapError, flags_text, read_pcap
@@ -20,7 +19,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-_VALIDATION_ERRORS = (ConfigError, ValidationError, NetError, OSError)
+_VALIDATION_ERRORS = (ConfigError, NetError, OSError)
 
 
 def _cmd_run(args) -> int:

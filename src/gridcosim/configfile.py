@@ -15,7 +15,10 @@ Every section, entry and row knows its file and line, and every error about
 it is a `ConfigError` that names them: a bad or repeated value names its own
 line; a missing required key, or a rule about the whole section, names the
 section header. A single-valued key (`get`, `require`, `entry`) given twice
-is an error at its second line; `get_all` reads a repeatable key.
+is an error at its second line; `get_all` reads a repeatable key. Readers
+declare what they know (`check_kinds`, `Section.only`, the `options` of
+`Entry.split`), so a section, key or option they do not know is an error at
+its line, never silently ignored.
 """
 
 from __future__ import annotations
@@ -110,7 +113,9 @@ class Row(Located, _Lookup):
         return None
 
 
-def _parse_row(ident: str, tokens: list[str], source: str, lineno: int) -> Row:
+def _parse_row(ident: str, tokens: list[str], source: str, lineno: int,
+               options=None) -> Row:
+    """The row `ident k=v ...`; with `options`, a key outside it is an error."""
     attrs: dict[str, str] = {}
     for tok in tokens:
         if "=" not in tok:
@@ -120,6 +125,8 @@ def _parse_row(ident: str, tokens: list[str], source: str, lineno: int) -> Row:
             raise ConfigError(f"malformed key=value token '{tok}'", source, lineno)
         if k in attrs:
             raise ConfigError(f"duplicate attribute '{k}'", source, lineno)
+        if options is not None and k not in options:
+            raise ConfigError(f"'{ident}': unknown option '{k}'", source, lineno)
         attrs[k] = v
     return Row(source, lineno, ident, attrs)
 
@@ -131,13 +138,16 @@ class Entry(Located):
     key: str
     value: str
 
-    def split(self, count: int = 0, usage: str = "") -> tuple[list[str], Row]:
+    def split(self, count: int = 0, usage: str = "",
+              options=None) -> tuple[list[str], Row]:
         """The first `count` tokens of the value, and the options after them;
-        fewer than `count` tokens is an error that shows `usage`."""
+        fewer than `count` tokens is an error that shows `usage`, and so is
+        an option whose key is not in `options` (when given)."""
         tokens = self.value.split()
         if len(tokens) < count:
             raise self.error(usage)
-        return tokens[:count], _parse_row(self.key, tokens[count:], self.source, self.lineno)
+        return tokens[:count], _parse_row(self.key, tokens[count:], self.source,
+                                          self.lineno, options)
 
 
 @dataclass(slots=True)
@@ -161,6 +171,24 @@ class Section(Located, _Lookup):
 
     def get_all(self, key: str) -> list[Entry]:
         return [e for e in self.entries if e.key == key]
+
+    def only(self, *keys: str, rows: frozenset[str] | None = None) -> None:
+        """Reject, at its line, an entry whose key is not in `keys`, and a
+        row: any row when `rows` is None, else one with an attribute outside
+        the set `rows`."""
+        for entry in self.entries:
+            if entry.key not in keys:
+                raise entry.error(f"unknown key '{entry.key}' in [{self.kind}]")
+        if rows is None:
+            if self.rows:
+                raise self.rows[0].error(
+                    f"expected 'key = value' in [{self.kind}], got '{self.rows[0].id}'"
+                )
+            return
+        for row in self.rows:
+            if not row.attrs.keys() <= rows:
+                key = next(k for k in row.attrs if k not in rows)
+                raise row.error(f"'{row.id}': unknown attribute '{key}'")
 
     def _find(self, key, required):
         entry = self.entry(key, required)
@@ -196,6 +224,13 @@ def parse_config(text: str, source: str = "<config>") -> list[Section]:
 
 def sections_of(sections: list[Section], kind: str) -> list[Section]:
     return [s for s in sections if s.kind == kind]
+
+
+def check_kinds(sections: list[Section], kinds) -> None:
+    """A section whose kind is not in `kinds` is an error at its header."""
+    for section in sections:
+        if section.kind not in kinds:
+            raise section.error(f"unknown section [{section.kind}]")
 
 
 def single_section(sections: list[Section], kind: str) -> Section | None:

@@ -1,7 +1,11 @@
 """Grid model for a radial MV/LV feeder: buses, lines, transformers, loads, DERs.
 
 Grid-file schema (see configfile for the line grammar): one section per
-element class, one row per element.
+element class, one row per element. A section or attribute not listed here
+is an error at its line, and so is a row that breaks a grid invariant
+(`validate`): a missing bus, a bad impedance, a second slack bus or a
+repeated id (at the second row). A rule about the whole grid (no slack bus,
+a loop without `meshed = true`) names the file.
 
   [grid]
   base_mva = 1.0
@@ -27,17 +31,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..configfile import parse_config, sections_of, single_section
+from ..configfile import ConfigError, check_kinds, parse_config, sections_of, single_section
 
 TAP_STEP_PERCENT = 2.5  # voltage ratio change per transformer tap position
 
 
-class ValidationError(Exception):
-    """Grid model violates a structural invariant; `kind` names which one."""
+class ValidationError(ConfigError):
+    """Grid model violates a structural invariant; `kind` names which one and
+    `element` the offending element (None for a rule about the whole grid).
+    `parse_grid` reports it at the element's row of the grid file."""
 
-    def __init__(self, kind: str, message: str):
-        super().__init__(f"{kind}: {message}")
+    def __init__(self, kind: str, message: str, element=None,
+                 source: str = "<grid>", lineno: int | None = None):
+        super().__init__(f"{kind}: {message}", source, lineno)
         self.kind = kind
+        self.detail = message
+        self.element = element
 
 
 NO_SLACK = "NoSlack"
@@ -158,62 +167,63 @@ class GridModel:
         )
 
 
-def _check_unique(ids, what: str):
+def _check_unique(elements, what: str):
     seen = set()
-    for elem_id in ids:
-        if elem_id in seen:
-            raise ValidationError(DUPLICATE_ID, f"duplicate {what} id '{elem_id}'")
-        seen.add(elem_id)
+    for elem in elements:
+        if elem.id in seen:
+            raise ValidationError(DUPLICATE_ID, f"duplicate {what} id '{elem.id}'", elem)
+        seen.add(elem.id)
 
 
 def validate(model: GridModel) -> None:
-    _check_unique((b.id for b in model.buses), "bus")
-    _check_unique(
-        (e.id for e in model.lines + model.trafos + model.loads + model.sgens),
-        "element",
-    )
+    _check_unique(model.buses, "bus")
+    _check_unique(model.lines + model.trafos + model.loads + model.sgens, "element")
     slacks = [b for b in model.buses if b.type == "slack"]
     if not slacks:
         raise ValidationError(NO_SLACK, "grid needs exactly one slack bus")
     if len(slacks) > 1:
-        raise ValidationError(MULTIPLE_SLACK, "grid needs exactly one slack bus")
+        raise ValidationError(MULTIPLE_SLACK, "grid needs exactly one slack bus", slacks[1])
     bus_ids = set(model.bus_index)
     for line in model.lines:
         if line.from_bus not in bus_ids or line.to_bus not in bus_ids:
-            raise ValidationError(UNKNOWN_BUS, f"line '{line.id}' references unknown bus")
+            raise ValidationError(UNKNOWN_BUS, f"line '{line.id}' references unknown bus", line)
         if line.r_ohm <= 0 and line.x_ohm <= 0:
             raise ValidationError(
-                NON_POSITIVE_IMPEDANCE, f"line '{line.id}' has no positive impedance"
+                NON_POSITIVE_IMPEDANCE, f"line '{line.id}' has no positive impedance", line
             )
         if line.r_ohm < 0 or line.x_ohm < 0:
             raise ValidationError(
-                NON_POSITIVE_IMPEDANCE, f"line '{line.id}' has a negative impedance term"
+                NON_POSITIVE_IMPEDANCE, f"line '{line.id}' has a negative impedance term", line
             )
         if model.bus(line.from_bus).nominal_kv != model.bus(line.to_bus).nominal_kv:
             raise ValidationError(
                 VOLTAGE_MISMATCH,
-                f"line '{line.id}' connects buses of different nominal voltage",
+                f"line '{line.id}' connects buses of different nominal voltage", line,
             )
     for trafo in model.trafos:
         if trafo.hv_bus not in bus_ids or trafo.lv_bus not in bus_ids:
-            raise ValidationError(UNKNOWN_BUS, f"trafo '{trafo.id}' references unknown bus")
+            raise ValidationError(
+                UNKNOWN_BUS, f"trafo '{trafo.id}' references unknown bus", trafo
+            )
         if trafo.vk_percent <= 0 or trafo.s_rated_kva <= 0:
             raise ValidationError(
-                NON_POSITIVE_IMPEDANCE, f"trafo '{trafo.id}' has non-positive vk or rating"
+                NON_POSITIVE_IMPEDANCE, f"trafo '{trafo.id}' has non-positive vk or rating",
+                trafo,
             )
         if trafo.vkr_percent < 0 or trafo.vkr_percent > trafo.vk_percent:
             raise ValidationError(
-                NON_POSITIVE_IMPEDANCE, f"trafo '{trafo.id}' needs 0 <= vkr <= vk"
+                NON_POSITIVE_IMPEDANCE, f"trafo '{trafo.id}' needs 0 <= vkr <= vk", trafo
             )
     for elem in model.loads + model.sgens:
         if elem.bus not in bus_ids:
-            raise ValidationError(UNKNOWN_BUS, f"'{elem.id}' references unknown bus")
+            raise ValidationError(UNKNOWN_BUS, f"'{elem.id}' references unknown bus", elem)
 
     # Connectivity over all branches, regardless of switching state.
     seen = connected_buses(model, model.buses[0].id)
     if len(seen) != len(model.buses):
         missing = sorted(bus_ids - seen)
-        raise ValidationError(DISCONNECTED, f"buses not connected to the grid: {missing}")
+        first = next(b for b in model.buses if b.id not in seen)
+        raise ValidationError(DISCONNECTED, f"buses not connected to the grid: {missing}", first)
     if not model.meshed and model.branch_count != len(model.buses) - 1:
         raise ValidationError(
             NOT_RADIAL,
@@ -243,8 +253,26 @@ def connected_buses(model: GridModel, start: str, switching: bool = False) -> se
     return seen
 
 
+# the attributes a row of each element section may carry
+ROW_ATTRS = {
+    "bus": frozenset(("nominal_kv", "type", "vm_pu")),
+    "line": frozenset(("from", "to", "r_ohm", "x_ohm", "max_i_ka", "status")),
+    "trafo": frozenset(
+        ("hv_bus", "lv_bus", "s_rated_kva", "vk_percent", "vkr_percent", "tap_position")
+    ),
+    "load": frozenset(("bus", "p_kw", "q_kvar")),
+    "sgen": frozenset(("bus", "p_kw", "q_kvar")),
+}
+
+
 def parse_grid(text: str, source: str = "<grid>") -> GridModel:
     sections = parse_config(text, source)
+    check_kinds(sections, ("grid", *ROW_ATTRS))
+    for section in sections:
+        if section.kind == "grid":
+            section.only("base_mva", "meshed")
+        else:
+            section.only(rows=ROW_ATTRS[section.kind])
     head = single_section(sections, "grid")
     base_mva = head.get_float("base_mva", 1.0) if head is not None else 1.0
     meshed = head.get_bool("meshed", False) if head is not None else False
@@ -310,8 +338,25 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
         base_mva=base_mva,
         meshed=meshed,
     )
-    validate(model)
+    try:
+        validate(model)
+    except ValidationError as exc:
+        raise ValidationError(exc.kind, exc.detail, exc.element, source,
+                              _lineno_of(sections, model, exc.element)) from None
     return model
+
+
+def _lineno_of(sections, model: GridModel, element) -> int | None:
+    """The line of the row `element` was read from: the i-th element of a
+    kind comes from the i-th row of that kind's sections."""
+    pools = (("bus", model.buses), ("line", model.lines), ("trafo", model.trafos),
+             ("load", model.loads), ("sgen", model.sgens))
+    for kind, pool in pools:
+        for i, elem in enumerate(pool):
+            if elem is element:
+                rows = [row for section in sections_of(sections, kind) for row in section.rows]
+                return rows[i].lineno
+    return None
 
 
 def load_grid(path) -> GridModel:

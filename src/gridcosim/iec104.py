@@ -120,7 +120,7 @@ class NeedMoreBytes(Iec104Error):
         self.needed = needed
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InfoObject:
     """One information object: address plus a type-dependent value/quality pair.
 
@@ -134,7 +134,9 @@ class InfoObject:
     quality: int = 0
 
 
-@dataclass(frozen=True)
+# slots, not frozen: every report segment builds an InfoObject, an Asdu and
+# an Apdu on each side, and a frozen dataclass pays object.__setattr__ per field
+@dataclass(slots=True)
 class Asdu:
     type_id: int
     cot: int
@@ -152,7 +154,7 @@ class Asdu:
 FrameKind = Literal["I", "S", "U"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Apdu:
     kind: FrameKind
     send_seq: int = 0
@@ -162,72 +164,61 @@ class Apdu:
 
 
 def i_frame(send_seq: int, recv_seq: int, asdu: Asdu) -> Apdu:
-    return Apdu(kind="I", send_seq=send_seq, recv_seq=recv_seq, asdu=asdu)
+    return Apdu("I", send_seq, recv_seq, 0, asdu)
 
 
 def s_frame(recv_seq: int) -> Apdu:
-    return Apdu(kind="S", recv_seq=recv_seq)
+    return Apdu("S", 0, recv_seq)
 
 
 def u_frame(function: int) -> Apdu:
     if function not in U_NAMES:
         raise Iec104Error(f"unknown U function 0x{function:02x}")
-    return Apdu(kind="U", u_function=function)
+    return Apdu("U", 0, 0, function)
 
 
-def _pack_ioa(ioa: int) -> bytes:
-    if not 0 <= ioa <= 0xFFFFFF:
-        raise Iec104Error(f"IOA {ioa} outside 3-octet range")
-    return struct.pack("<I", ioa)[:3]
+# start byte, length octet, control octets 1-2 and 3-4 (little-endian words)
+_APCI = struct.Struct("<BBHH")
+# type id, VSQ, cause, originator, common address
+_ASDU_HEADER = struct.Struct("<BBBBH")
+# objects: IOA as its low 16 bits and high octet, then the information element
+_FLOAT_OBJECT = struct.Struct("<HBfB")  # short float value, quality octet
+_OCTET_OBJECT = struct.Struct("<HBB")   # one octet (SPI+quality, SCO or QOI)
+_FLOAT_TYPES = (M_ME_NC_1, C_SE_NC_1)
 
 
 def _pack_object(type_id: int, obj: InfoObject) -> bytes:
-    head = _pack_ioa(obj.ioa)
+    ioa = obj.ioa
+    if not 0 <= ioa <= 0xFFFFFF:
+        raise Iec104Error(f"IOA {ioa} outside 3-octet range")
+    if type_id in _FLOAT_TYPES:
+        return _FLOAT_OBJECT.pack(ioa & 0xFFFF, ioa >> 16, float(obj.value), obj.quality & 0xFF)
     if type_id == M_SP_NA_1:
-        return head + bytes([(obj.quality & 0xF0) | (int(obj.value) & 0x01)])
-    if type_id == M_ME_NC_1:
-        return head + struct.pack("<f", float(obj.value)) + bytes([obj.quality & 0xFF])
-    if type_id == C_SC_NA_1:
-        return head + bytes([int(obj.value) & 0xFF])
-    if type_id == C_SE_NC_1:
-        return head + struct.pack("<f", float(obj.value)) + bytes([obj.quality & 0xFF])
-    if type_id == C_IC_NA_1:
-        return head + bytes([int(obj.value) & 0xFF])
-    raise UnknownTypeId(type_id)
-
-
-def _unpack_object(type_id: int, buf: bytes) -> InfoObject:
-    ioa = struct.unpack("<I", buf[:3] + b"\x00")[0]
-    body = buf[3:]
-    if type_id == M_SP_NA_1:
-        return InfoObject(ioa=ioa, value=body[0] & 0x01, quality=body[0] & 0xF0)
-    if type_id == M_ME_NC_1:
-        return InfoObject(ioa=ioa, value=struct.unpack("<f", body[:4])[0], quality=body[4])
-    if type_id == C_SC_NA_1:
-        return InfoObject(ioa=ioa, value=body[0])
-    if type_id == C_SE_NC_1:
-        return InfoObject(ioa=ioa, value=struct.unpack("<f", body[:4])[0], quality=body[4])
-    if type_id == C_IC_NA_1:
-        return InfoObject(ioa=ioa, value=body[0])
-    raise UnknownTypeId(type_id)
+        octet = (obj.quality & 0xF0) | (int(obj.value) & 0x01)
+    elif type_id in (C_SC_NA_1, C_IC_NA_1):
+        octet = int(obj.value) & 0xFF
+    else:
+        raise UnknownTypeId(type_id)
+    return _OCTET_OBJECT.pack(ioa & 0xFFFF, ioa >> 16, octet)
 
 
 def encode_asdu(asdu: Asdu) -> bytes:
-    header = struct.pack(
-        "<BBBBH",
-        asdu.type_id,
+    type_id = asdu.type_id
+    header = _ASDU_HEADER.pack(
+        type_id,
         len(asdu.objects) & 0x7F,  # VSQ: SQ=0, object count
         asdu.cot & 0xFF,
         asdu.originator & 0xFF,
         asdu.common_address & 0xFFFF,
     )
-    return header + b"".join(_pack_object(asdu.type_id, o) for o in asdu.objects)
+    return header + b"".join([_pack_object(type_id, o) for o in asdu.objects])
 
 
-def decode_asdu(buf: bytes) -> Asdu:
-    if len(buf) < 6:
+def decode_asdu(buf: bytes, start: int, end: int) -> Asdu:
+    """Decode the ASDU in `buf[start:end]`."""
+    if end - start < 6:
         raise TruncatedAsdu("ASDU header needs 6 octets")
-    type_id, vsq, cot, originator, common_address = struct.unpack("<BBBBH", buf[:6])
+    type_id, vsq, cot, originator, common_address = _ASDU_HEADER.unpack_from(buf, start)
     if type_id not in _ELEMENT_SIZE:
         raise UnknownTypeId(type_id)
     if vsq & 0x80:
@@ -236,22 +227,22 @@ def decode_asdu(buf: bytes) -> Asdu:
     if count < 1:
         raise TruncatedAsdu("VSQ object count must be >= 1")
     obj_size = 3 + _ELEMENT_SIZE[type_id]
-    body = buf[6:]
-    if len(body) != count * obj_size:
-        raise TruncatedAsdu(
-            f"expected {count * obj_size} object octets, got {len(body)}"
-        )
-    objects = tuple(
-        _unpack_object(type_id, body[i * obj_size : (i + 1) * obj_size])
-        for i in range(count)
-    )
-    return Asdu(
-        type_id=type_id,
-        cot=cot,
-        common_address=common_address,
-        objects=objects,
-        originator=originator,
-    )
+    body = end - start - 6
+    if body != count * obj_size:
+        raise TruncatedAsdu(f"expected {count * obj_size} object octets, got {body}")
+    offsets = range(start + 6, end, obj_size)
+    if type_id in _FLOAT_TYPES:
+        unpacked = (_FLOAT_OBJECT.unpack_from(buf, pos) for pos in offsets)
+        objects = tuple(InfoObject(lo | hi << 16, value, quality)
+                        for lo, hi, value, quality in unpacked)
+    else:
+        unpacked = (_OCTET_OBJECT.unpack_from(buf, pos) for pos in offsets)
+        if type_id == M_SP_NA_1:
+            objects = tuple(InfoObject(lo | hi << 16, octet & 0x01, octet & 0xF0)
+                            for lo, hi, octet in unpacked)
+        else:
+            objects = tuple(InfoObject(lo | hi << 16, octet) for lo, hi, octet in unpacked)
+    return Asdu(type_id, cot, common_address, objects, originator)
 
 
 def _check_seq(seq: int) -> int:
@@ -262,68 +253,67 @@ def _check_seq(seq: int) -> int:
 
 def encode(apdu: Apdu) -> bytes:
     """Encode one APDU: start byte, length octet, 4 control octets, ASDU."""
-    if apdu.kind == "I":
+    kind = apdu.kind
+    if kind == "I":
         if apdu.asdu is None:
             raise Iec104Error("I-frame needs an ASDU")
-        control = struct.pack(
-            "<HH", _check_seq(apdu.send_seq) << 1, _check_seq(apdu.recv_seq) << 1
-        )
-        body = control + encode_asdu(apdu.asdu)
-    elif apdu.kind == "S":
-        body = struct.pack("<HH", 0x0001, _check_seq(apdu.recv_seq) << 1)
-    elif apdu.kind == "U":
+        send_seq = _check_seq(apdu.send_seq) << 1
+        recv_seq = _check_seq(apdu.recv_seq) << 1
+        asdu = encode_asdu(apdu.asdu)
+        length = 4 + len(asdu)
+        if length > MAX_LENGTH:
+            raise Oversize(f"APDU length {length} exceeds {MAX_LENGTH}")
+        return _APCI.pack(START_BYTE, length, send_seq, recv_seq) + asdu
+    if kind == "S":
+        return _APCI.pack(START_BYTE, 4, 0x0001, _check_seq(apdu.recv_seq) << 1)
+    if kind == "U":
         if apdu.u_function not in U_NAMES:
             raise Iec104Error(f"unknown U function 0x{apdu.u_function:02x}")
-        body = bytes([apdu.u_function, 0, 0, 0])
-    else:
-        raise Iec104Error(f"unknown frame kind {apdu.kind!r}")
-    if len(body) > MAX_LENGTH:
-        raise Oversize(f"APDU length {len(body)} exceeds {MAX_LENGTH}")
-    return bytes([START_BYTE, len(body)]) + body
+        return bytes((START_BYTE, 4, apdu.u_function, 0, 0, 0))
+    raise Iec104Error(f"unknown frame kind {kind!r}")
 
 
-def decode(buf: bytes) -> tuple[Apdu, int]:
-    """Decode one APDU from the head of `buf`; returns (apdu, octets consumed).
+def decode(buf: bytes, offset: int = 0) -> tuple[Apdu, int]:
+    """Decode one APDU starting at `buf[offset]`; returns (apdu, octets consumed).
 
-    Raises NeedMoreBytes when `buf` holds only a prefix; nothing is consumed.
-    Never reads past the declared length.
+    Raises NeedMoreBytes when the rest of `buf` holds only a prefix; nothing
+    is consumed. Never reads past the declared length.
     """
-    if len(buf) < 2:
-        raise NeedMoreBytes(2 - len(buf))
-    if buf[0] != START_BYTE:
-        raise BadStartByte(f"expected 0x68, got 0x{buf[0]:02x}")
-    length = buf[1]
+    available = len(buf) - offset
+    if available < 2:
+        raise NeedMoreBytes(2 - available)
+    if buf[offset] != START_BYTE:
+        raise BadStartByte(f"expected 0x68, got 0x{buf[offset]:02x}")
+    length = buf[offset + 1]
     if not MIN_LENGTH <= length <= MAX_LENGTH:
         raise LengthOutOfRange(f"length octet {length} outside {MIN_LENGTH}..{MAX_LENGTH}")
     total = 2 + length
-    if len(buf) < total:
-        raise NeedMoreBytes(total - len(buf))
-    ctrl = buf[2:6]
-    payload = bytes(buf[6:total])
-    if ctrl[0] & 0x01 == 0:
-        send_seq = struct.unpack("<H", ctrl[0:2])[0] >> 1
-        recv_seq = struct.unpack("<H", ctrl[2:4])[0] >> 1
-        asdu = decode_asdu(payload)
-        return i_frame(send_seq, recv_seq, asdu), total
-    if ctrl[0] & 0x03 == 0x01:
-        if length != 4:
-            raise LengthOutOfRange("S-frame length must be 4")
-        recv_seq = struct.unpack("<H", ctrl[2:4])[0] >> 1
-        return s_frame(recv_seq), total
+    if available < total:
+        raise NeedMoreBytes(total - available)
+    _, _, control_1, control_2 = _APCI.unpack_from(buf, offset)
+    if control_1 & 0x01 == 0:
+        asdu = decode_asdu(buf, offset + 6, offset + total)
+        return Apdu("I", control_1 >> 1, control_2 >> 1, 0, asdu), total
     if length != 4:
-        raise LengthOutOfRange("U-frame length must be 4")
-    if ctrl[0] not in U_NAMES or ctrl[1] or ctrl[2] or ctrl[3]:
+        kind = "S" if control_1 & 0x03 == 0x01 else "U"
+        raise LengthOutOfRange(f"{kind}-frame length must be 4")
+    if control_1 & 0x03 == 0x01:
+        return s_frame(control_2 >> 1), total
+    function = control_1 & 0xFF
+    if function not in U_NAMES or control_1 >> 8 or control_2:
+        ctrl = bytes(buf[offset + 2 : offset + 6])
         raise ProtocolViolation(f"malformed U-frame control field {ctrl.hex()}")
-    return u_frame(ctrl[0]), total
+    return u_frame(function), total
 
 
 def decode_stream(buf: bytes) -> tuple[list[Apdu], int]:
     """Decode as many complete APDUs as the buffer holds; returns (apdus, consumed)."""
     apdus: list[Apdu] = []
     offset = 0
-    while offset < len(buf):
+    end = len(buf)
+    while offset < end:
         try:
-            apdu, used = decode(buf[offset:])
+            apdu, used = decode(buf, offset)
         except NeedMoreBytes:
             break
         apdus.append(apdu)

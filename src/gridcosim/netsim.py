@@ -9,7 +9,8 @@ scripts) with attachable vulnerabilities.
 
 Topology file schema (see configfile for the line and `k=v` option grammar:
 options in [brackets] follow the leading values, any other token is an
-error; every host and firewall entry is repeatable):
+error; every host and firewall entry is repeatable; a section, key or option
+not listed here is an error at its line):
 
   [host <name>]
   interface = <ip> <cidr>
@@ -36,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .configfile import parse_config, sections_of
+from .configfile import check_kinds, parse_config, sections_of
 from .pcap import ACK, FIN, PSH, RST, SYN, PacketRecord, write_pcap
 
 SERVICE_KINDS = ("ssh", "telnet", "http", "snmp", "iec104")
@@ -162,11 +163,20 @@ class Host:
 
 @dataclass
 class Link:
+    """A bidirectional link; setting `up` clears the route memo of the
+    network it belongs to."""
+
     id: str
     a: str
     b: str
     latency_us: int
     up: bool = True
+    _routes: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "up" and self.__dict__.get("_routes"):
+            self._routes.clear()
+        object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -276,6 +286,8 @@ class Network:
         self.packet_log: list[PacketRecord] = []
         self.ip_table: dict[str, str] = {}
         self._adjacency: dict[str, list[tuple[str, Link]]] = {}
+        # (src host, dst host) -> path latency or None, for the current link states
+        self._routes: dict[tuple[str, str], int | None] = {}
         self._handlers: dict[tuple[str, int], object] = {}
         self._client_handlers: dict[int, Callable] = {}
         self._sessions: dict[int, Session] = {}
@@ -314,6 +326,8 @@ class Network:
             if end not in self._adjacency:
                 raise NetError(f"link '{link.id}' references unknown node '{end}'")
         self.links.append(link)
+        link._routes = self._routes
+        self._routes.clear()
         self._adjacency[link.a].append((link.b, link))
         self._adjacency[link.b].append((link.a, link))
 
@@ -334,7 +348,16 @@ class Network:
         return self.hosts.get(name) if name else None
 
     def path_latency_us(self, src_host: str, dst_host: str) -> int | None:
-        """BFS hop-count route; returns summed link latency, None if unroutable."""
+        """BFS hop-count route; returns summed link latency, None if unroutable.
+
+        Results are memoised until a link is added or its `up` changes."""
+        routes = self._routes
+        key = (src_host, dst_host)
+        if key not in routes:
+            routes[key] = self._walk(src_host, dst_host)
+        return routes[key]
+
+    def _walk(self, src_host: str, dst_host: str) -> int | None:
         if src_host == dst_host:
             return 0
         best: dict[str, int] = {src_host: 0}
@@ -655,12 +678,19 @@ class HttpHandler:
         self._respond(conn, "200 OK", f"<html>{self.service.banner}</html>\n")
 
 
+TOPOLOGY_SECTIONS = ("host", "switch", "link", "firewall")
+HOST_KEYS = ("interface", "service", "account", "suid", "sudoers")
+LINK_ATTRS = frozenset(("a", "b", "latency_ms"))
+
+
 def parse_topology(text: str, source: str = "<topology>") -> Network:
     network = Network()
     sections = parse_config(text, source)
+    check_kinds(sections, TOPOLOGY_SECTIONS)
     for section in sections_of(sections, "host"):
         if not section.name:
             raise section.error("host section needs a name")
+        section.only(*HOST_KEYS)
         host = Host(name=section.name)
         for entry in section.entries:
             if entry.key == "interface":
@@ -670,7 +700,8 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
                 host.interfaces.append((tokens[0], tokens[1]))
             elif entry.key == "service":
                 (kind, port_raw), opts = entry.split(
-                    2, f"service = <{'|'.join(SERVICE_KINDS)}> <port> ..."
+                    2, f"service = <{'|'.join(SERVICE_KINDS)}> <port> ...",
+                    ("banner", "run_as", "rce"),
                 )
                 if kind not in SERVICE_KINDS:
                     raise entry.error(f"unknown service kind '{kind}'")
@@ -693,8 +724,10 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
                 if len(tokens) != 2 or tokens[1] not in ("user", "admin"):
                     raise entry.error("account = <user> <user|admin>")
                 host.accounts.append((tokens[0], tokens[1]))
-            elif entry.key in ("suid", "sudoers"):
-                (name,), opts = entry.split(1, f"{entry.key} = <name> [vuln=<id>]")
+            else:  # suid or sudoers
+                (name,), opts = entry.split(
+                    1, f"{entry.key} = <name> [vuln=<id>]", ("vuln",)
+                )
                 if entry.key == "suid":
                     host.suid_binaries.append(name)
                     vuln_kind = "pe_suid"
@@ -706,16 +739,16 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
                         Vulnerability(id=vuln, kind=vuln_kind,
                                       locus=name, precondition="user")
                     )
-            else:
-                raise entry.error(f"unknown host entry '{entry.key}'")
         if not host.interfaces:
             raise section.error(f"host '{host.name}' has no interface")
         network.add_host(host)
     for section in sections_of(sections, "switch"):
         if not section.name:
             raise section.error("switch section needs a name")
+        section.only()
         network.add_switch(section.name)
     for section in sections_of(sections, "link"):
+        section.only(rows=LINK_ATTRS)
         for row in section.rows:
             latency_ms = row.get_float("latency_ms", 0.0)
             if not math.isfinite(latency_ms) or latency_ms < 0:
@@ -728,10 +761,10 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
             except NetError as exc:
                 raise row.error(str(exc)) from None
     for section in sections_of(sections, "firewall"):
+        section.only("allow", "deny")
         for entry in section.entries:
-            if entry.key not in ("allow", "deny"):
-                raise entry.error("firewall entries are allow/deny")
-            cidrs, opts = entry.split(2, f"{entry.key} = <src-cidr> <dst-cidr> [port=N]")
+            cidrs, opts = entry.split(2, f"{entry.key} = <src-cidr> <dst-cidr> [port=N]",
+                                      ("port",))
             try:
                 src_net, dst_net = (ipaddress.ip_network(cidr) for cidr in cidrs)
             except ValueError as exc:

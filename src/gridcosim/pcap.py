@@ -3,10 +3,17 @@
 Frames are reconstructed as Ethernet II / IPv4 / TCP with correct length
 fields and checksums so the capture dissects cleanly in standard tools.
 Global header: magic 0xa1b2c3d4, version 2.4, linktype 1 (Ethernet).
+
+A run sends many segments over few flows, so the per-direction part of a
+frame is built once: `_flow` caches, per (source, destination) address pair,
+the Ethernet header (MACs derived from the addresses) and the 8 address
+bytes that the IPv4 header and the TCP pseudo-header share. The cache is a
+bounded `functools.lru_cache`; an evicted flow is simply built again.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -28,13 +35,24 @@ ACK = 0x10
 
 FLAG_NAMES = (("FIN", FIN), ("SYN", SYN), ("RST", RST), ("PSH", PSH), ("ACK", ACK))
 
+FLOW_CACHE_SIZE = 4096
+
+_GLOBAL_HEADER = struct.Struct("<IHHiIII")
+_RECORD_HEADER = struct.Struct("<IIII")
+# src port, dst port, seq, ack, data offset (5 words), flags, window, checksum, urgent
+_TCP_HEADER = struct.Struct(">HHIIBBHHH")
+# version/IHL, DSCP/ECN, total length, id, flags (DF), TTL, protocol, checksum,
+# source and destination addresses
+_IP_HEADER = struct.Struct(">BBHHHBBH8s")
+_PSEUDO_TAIL = struct.Struct(">BBH")  # zero, protocol, TCP length
+
 
 def flags_text(flags: int) -> str:
     names = [name for name, bit in FLAG_NAMES if flags & bit]
     return "|".join(names) if names else "none"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PacketRecord:
     """One captured segment; timestamps are microseconds since scenario start."""
 
@@ -60,71 +78,65 @@ def _ip_bytes(ip: str) -> bytes:
     return bytes(int(p) for p in parts)
 
 
-def _mac_for_ip(ip: str) -> bytes:
-    # Locally administered MAC derived from the IP: stable and collision-free.
-    return bytes([0x02, 0x00]) + _ip_bytes(ip)
+@functools.lru_cache(maxsize=FLOW_CACHE_SIZE)
+def _flow(src_ip: str, dst_ip: str) -> tuple[bytes, bytes]:
+    """Ethernet header and source+destination address bytes of one direction."""
+    src = _ip_bytes(src_ip)
+    dst = _ip_bytes(dst_ip)
+    # locally administered MACs derived from the IPs: stable and collision-free
+    eth = b"\x02\x00" + dst + b"\x02\x00" + src + ETHERTYPE_IPV4.to_bytes(2, "big")
+    return eth, src + dst
 
 
 def _checksum(data: bytes) -> int:
+    """Internet checksum (RFC 1071) of `data`, zero-padded to even length.
+
+    The ones'-complement sum of the big-endian 16-bit words is congruent to
+    the whole buffer read as one big-endian integer modulo 0xFFFF, because
+    2**16 = 1 (mod 0xFFFF); the folded sum is that residue, except that a
+    non-zero sum folds to 0xFFFF, never to 0.
+    """
     if len(data) % 2:
         data += b"\x00"
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
-    while total > 0xFFFF:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
+    folded = int.from_bytes(data, "big") % 0xFFFF
+    if not folded and any(data):
+        folded = 0xFFFF
+    return 0xFFFF - folded
 
 
 def build_frame(record: PacketRecord, ip_id: int) -> bytes:
     """Synthesize the Ethernet/IPv4/TCP frame for one record."""
-    tcp_header = struct.pack(
-        ">HHIIBBHHH",
+    eth, addrs = _flow(record.src_ip, record.dst_ip)
+    payload = record.payload
+    tcp_len = 20 + len(payload)
+    tcp_fields = (
         record.src_port,
         record.dst_port,
         record.seq & 0xFFFFFFFF,
         record.ack & 0xFFFFFFFF,
-        5 << 4,  # data offset: 5 words, no options
+        5 << 4,
         record.tcp_flags & 0x3F,
-        65535,   # window
-        0,       # checksum placeholder
-        0,       # urgent pointer
+        65535,
     )
-    src = _ip_bytes(record.src_ip)
-    dst = _ip_bytes(record.dst_ip)
-    tcp_len = len(tcp_header) + len(record.payload)
-    pseudo = src + dst + struct.pack(">BBH", 0, IP_PROTO_TCP, tcp_len)
-    tcp_csum = _checksum(pseudo + tcp_header + record.payload)
-    tcp_header = tcp_header[:16] + struct.pack(">H", tcp_csum) + tcp_header[18:]
-
-    total_len = 20 + tcp_len
-    ip_header = struct.pack(
-        ">BBHHHBBH4s4s",
-        (4 << 4) | 5,  # version 4, IHL 5
-        0,             # DSCP/ECN
-        total_len,
-        ip_id & 0xFFFF,
-        0x4000,        # flags: DF
-        IP_TTL,
-        IP_PROTO_TCP,
-        0,             # checksum placeholder
-        src,
-        dst,
+    tcp_csum = _checksum(
+        addrs + _PSEUDO_TAIL.pack(0, IP_PROTO_TCP, tcp_len)
+        + _TCP_HEADER.pack(*tcp_fields, 0, 0) + payload
     )
-    ip_csum = _checksum(ip_header)
-    ip_header = ip_header[:10] + struct.pack(">H", ip_csum) + ip_header[12:]
-
-    eth_header = _mac_for_ip(record.dst_ip) + _mac_for_ip(record.src_ip) + struct.pack(
-        ">H", ETHERTYPE_IPV4
-    )
-    return eth_header + ip_header + tcp_header + record.payload
+    ip_fields = ((4 << 4) | 5, 0, 20 + tcp_len, ip_id & 0xFFFF, 0x4000, IP_TTL, IP_PROTO_TCP)
+    ip_csum = _checksum(_IP_HEADER.pack(*ip_fields, 0, addrs))
+    return (eth + _IP_HEADER.pack(*ip_fields, ip_csum, addrs)
+            + _TCP_HEADER.pack(*tcp_fields, tcp_csum, 0) + payload)
 
 
 def write_pcap(path, records) -> int:
-    """Write records to `path` in classic pcap format; returns the record count."""
+    """Write records to `path` in classic pcap format; returns the record count.
+
+    Each record is built and written on its own, so memory does not grow
+    with the capture."""
     count = 0
     with open(path, "wb") as fh:
         fh.write(
-            struct.pack(
-                "<IHHiIII",
+            _GLOBAL_HEADER.pack(
                 PCAP_MAGIC,
                 PCAP_VERSION[0],
                 PCAP_VERSION[1],
@@ -136,21 +148,14 @@ def write_pcap(path, records) -> int:
         )
         last_t = -1
         for record in records:
-            if record.t_us < last_t:
+            t_us = record.t_us
+            if t_us < last_t:
                 raise PcapError("packet timestamps must be non-decreasing")
-            last_t = record.t_us
-            frame = build_frame(record, ip_id=count + 1)
-            fh.write(
-                struct.pack(
-                    "<IIII",
-                    record.t_us // 1_000_000,
-                    record.t_us % 1_000_000,
-                    len(frame),
-                    len(frame),
-                )
-            )
-            fh.write(frame)
+            last_t = t_us
             count += 1
+            frame = build_frame(record, ip_id=count)
+            size = len(frame)
+            fh.write(_RECORD_HEADER.pack(t_us // 1_000_000, t_us % 1_000_000, size, size) + frame)
     return count
 
 
@@ -160,7 +165,7 @@ def read_pcap(path) -> list[PacketRecord]:
         data = fh.read()
     if len(data) < 24:
         raise PcapError("file shorter than the pcap global header")
-    magic, vmaj, vmin, _tz, _sig, _snap, linktype = struct.unpack("<IHHiIII", data[:24])
+    magic, vmaj, vmin, _tz, _sig, _snap, linktype = _GLOBAL_HEADER.unpack_from(data)
     if magic != PCAP_MAGIC:
         raise PcapError(f"bad magic 0x{magic:08x}")
     if (vmaj, vmin) != PCAP_VERSION or linktype != LINKTYPE_ETHERNET:
@@ -170,9 +175,7 @@ def read_pcap(path) -> list[PacketRecord]:
     while offset < len(data):
         if offset + 16 > len(data):
             raise PcapError("truncated record header")
-        ts_sec, ts_usec, incl_len, orig_len = struct.unpack(
-            "<IIII", data[offset : offset + 16]
-        )
+        ts_sec, ts_usec, incl_len, orig_len = _RECORD_HEADER.unpack_from(data, offset)
         offset += 16
         if incl_len != orig_len or offset + incl_len > len(data):
             raise PcapError("truncated or sliced record")

@@ -5,7 +5,9 @@ transcript, report, manifest).
 
 Scenario file schema (see configfile for the line and `k=v` option grammar:
 options in [brackets] follow the leading values, any other token is an
-error, and a key that is not marked repeatable may be given once):
+error, and a key that is not marked repeatable may be given once; a
+section, key or option not listed here is an error at its line, and so is
+the removed `seed`):
 
   [scenario]
   name = <token>                  # optional
@@ -52,10 +54,19 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import attacker as attacker_mod
 from . import devices, ems, netsim
-from .configfile import ConfigError, Entry, Section, parse_config, sections_of, single_section
+from .configfile import (
+    ConfigError,
+    Entry,
+    Section,
+    check_kinds,
+    parse_config,
+    sections_of,
+    single_section,
+)
 from .grid import (
     GridModel,
     ProfileSet,
@@ -77,6 +88,22 @@ EMS_DECISIONS_CSV = "ems_decisions.csv"
 PCAP_FILE = "capture.pcap"
 RUN_REPORT = "run_report.txt"
 MANIFEST = "manifest.txt"
+
+# the keys each section kind may hold; any other section or key is an error
+SECTION_KEYS = {
+    "scenario": ("name", "horizon_s", "step_s", "grid_file", "topology_file",
+                 "profiles_file", "outdir"),
+    "mtu": ("host", "poll_period_s"),
+    "rtu": ("host", "common_address", "report_period_s", "datapoint"),
+    "ved": ("host", "bus", "battery"),
+    "ems": ("dso", "vpp"),
+    "attack": ("foothold", "start_time_s", "stage"),
+}
+DATAPOINT_OPTIONS = frozenset(("scale", "unit"))
+MANIPULATE_OPTIONS = frozenset(("factor", "delta", "targets"))
+BATTERY_OPTIONS = frozenset(
+    ("capacity_kwh", "p_max_kw", "eta_charge", "eta_discharge", "soc_kwh")
+)
 
 # run_report.txt carries wall-clock timing, so it is listed but never hashed
 HASHED_OUTPUTS = (
@@ -148,7 +175,8 @@ def _known(section: Section, key: str, names, where: str) -> Entry:
 
 def _parse_datapoint(entry: Entry) -> devices.DataPoint:
     (ioa, direction, ref), opts = entry.split(
-        3, "datapoint = <ioa> <monitor|control> <kind>:<element>:<field> ..."
+        3, "datapoint = <ioa> <monitor|control> <kind>:<element>:<field> ...",
+        DATAPOINT_OPTIONS,
     )
     parts = ref.split(":")
     if len(parts) != 3:
@@ -165,7 +193,11 @@ def _parse_datapoint(entry: Entry) -> devices.DataPoint:
 
 
 def _parse_stage(entry: Entry):
-    (kind, arg), opts = entry.split(2, "stage = <scan|rce|pe|manipulate> <argument> ...")
+    (kind, arg), opts = entry.split(
+        2, "stage = <scan|rce|pe|manipulate> <argument> ...", MANIPULATE_OPTIONS
+    )
+    if opts.attrs and kind != "manipulate":
+        raise entry.error(f"stage {kind} takes no options")
     if kind == "scan":
         return attacker_mod.ScanStage(subnet=arg)
     if kind == "rce":
@@ -194,7 +226,7 @@ def _parse_stage(entry: Entry):
 
 def _parse_window(entry: Entry, keys: tuple[str, ...]) -> tuple:
     """The required `keys` as floats, then the from/to window."""
-    _, opts = entry.split()
+    _, opts = entry.split(options={*keys, "from", "to"})
     values = [opts.get_float(key) for key in keys]
     return (*values, opts.get_int("from", 0), opts.get_int("to", None))
 
@@ -204,6 +236,12 @@ def load_scenario(path) -> Scenario:
     base_dir = os.path.dirname(os.path.abspath(source))
     with open(path, "r", encoding="utf-8") as fh:
         sections = parse_config(fh.read(), source)
+    check_kinds(sections, SECTION_KEYS)
+    for section in sections:
+        if section.kind == "scenario":
+            for entry in section.get_all("seed"):
+                raise entry.error("'seed' was removed: runs take no seed, delete this line")
+        section.only(*SECTION_KEYS[section.kind])
 
     head = single_section(sections, "scenario")
     if head is None:
@@ -285,7 +323,7 @@ def load_scenario(path) -> Scenario:
         battery = None
         entry = section.entry("battery")
         if entry is not None:
-            _, opts = entry.split()
+            _, opts = entry.split(options=BATTERY_OPTIONS)
             try:
                 battery = ems.Battery(
                     capacity_kwh=opts.get_float("capacity_kwh"),
@@ -468,17 +506,16 @@ class RunOutputs:
     kpi_reports: dict[str, ems.KpiReport]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """One line per row; a float cell is written as its repr (exact
+    round-trip), any other cell as its str."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(cell) for cell in row) + "\n")
+        fh.writelines(
+            ",".join([repr(cell) if isinstance(cell, float) else str(cell) for cell in row])
+            + "\n"
+            for row in rows
+        )
 
 
 def _sha256(path: str) -> str:
@@ -628,7 +665,7 @@ def run_scenario(
 
     truth_rows = sorted(
         (row for rtu in rtu_sims.values() for row in rtu.truth_rows),
-        key=lambda row: (row[0], row[1], row[2]),
+        key=itemgetter(0, 1, 2),
     )
     _write_csv(paths[GROUND_TRUTH_CSV], ["t", "element", "field", "value"], truth_rows)
 
@@ -672,7 +709,7 @@ def run_scenario(
                 dso_limits=sim.ems_config.dso_limits,
                 vpp_schedules=sim.ems_config.vpp_schedules,
             )
-    ems_rows.sort(key=lambda row: (row[0], row[1]))
+    ems_rows.sort(key=itemgetter(0, 1))
     _write_csv(
         paths[EMS_DECISIONS_CSV],
         ["t", "ved", "battery_kw", "grid_kw", "mode", "binding"],

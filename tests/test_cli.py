@@ -63,6 +63,21 @@ MALFORMED = {
         "flex_demo", "dso = import=5 export=5", "dso = import=5", "dso = import=5"),
     "negative_capacity": (
         "flex_demo", "capacity_kwh=10", "capacity_kwh=-1", "capacity_kwh=-1"),
+    "unknown_key": (
+        "attack_demo", "poll_period_s = 900", "poll_period = 900", "poll_period = 900"),
+    "removed_seed_key": (
+        "attack_demo", "step_s = 60", "step_s = 60\nseed = 7", "seed = 7"),
+    "unknown_section": ("attack_demo", "[attack]", "[attak]", "[attak]"),
+    "row_in_key_value_section": (
+        "attack_demo", "host = mtu", "host = mtu\npolling", "polling"),
+    "unknown_datapoint_option": (
+        "attack_demo", "p_from_kw scale=1.0", "p_from_kw scale=1.0 sacle=2", "sacle=2"),
+    "unknown_stage_option": (
+        "attack_demo", "stage = rce http", "stage = rce http port=80", "port=80"),
+    "unknown_battery_option": (
+        "flex_demo", "soc_kwh=2", "soc_kwh=2 soc=3", "soc=3"),
+    "unknown_dso_option": (
+        "flex_demo", "dso = import=5 export=5", "dso = import=5 export=5 form=0", "form=0"),
 }
 
 
@@ -92,6 +107,13 @@ def test_validate_rejects_malformed_scenario_with_file_and_line(case, tmp_path, 
     err = capsys.readouterr().err
     assert f"{scenario_file}:{lineno}: " in err
     assert "Traceback" not in err
+
+
+def test_removed_seed_key_says_so(tmp_path, capsys):
+    scenario_file, _ = _edit_bundle(tmp_path, "attack_demo", "scenario.txt",
+                                    "step_s = 60", "step_s = 60\nseed = 7")
+    assert cli.main(["validate", str(scenario_file)]) == 1
+    assert "'seed' was removed" in capsys.readouterr().err
 
 
 def _capture(path, payloads):
@@ -171,6 +193,28 @@ MALFORMED_INPUT = {
         "[firewall]\nallow = 10.0.1.0/24 garbage\n[switch sw_ctrl]", "garbage"),
     "profile_value_not_a_number": (
         "attack_demo", "profiles.csv", "900,l2,p_kw,33.5", "900,l2,p_kw,abc", "abc"),
+    "grid_unknown_bus": (
+        "attack_demo", "grid.txt", "lline3  from=lv3 to=lv4", "lline3  from=lv3 to=ghost",
+        "to=ghost"),
+    "grid_duplicate_id_names_second_row": (
+        "attack_demo", "grid.txt", "l3      bus=lv3", "l2      bus=lv3", "l2      bus=lv3"),
+    "grid_negative_impedance": (
+        "attack_demo", "grid.txt", "lline2  from=lv2 to=lv3 r_ohm=0.04",
+        "lline2  from=lv2 to=lv3 r_ohm=-0.04", "r_ohm=-0.04"),
+    "grid_second_slack": (
+        "attack_demo", "grid.txt", "mv1  nominal_kv=20.0  type=pq",
+        "mv1  nominal_kv=20.0  type=slack", "mv1  nominal_kv=20.0  type=slack"),
+    "grid_unknown_attribute": (
+        "attack_demo", "grid.txt", "mv0  nominal_kv=20.0  type=slack",
+        "mv0  nominal_kv=20.0  type=slack  vm=1.02", "vm=1.02"),
+    "link_unknown_attribute": (
+        "attack_demo", "topology.txt", "b=sw_field latency_ms=2", "b=sw_field latncy_ms=2",
+        "latncy_ms=2"),
+    "service_unknown_option": (
+        "attack_demo", "topology.txt", "service = telnet 23", "service = telnet 23 baner=x",
+        "baner=x"),
+    "topology_unknown_section": (
+        "attack_demo", "topology.txt", "[switch sw_ctrl]", "[swich sw_ctrl]", "[swich sw_ctrl]"),
     "profile_time_goes_backwards": (
         "attack_demo", "profiles.csv", "1800,l2,p_kw,36.0", "600,l2,p_kw,36.0",
         "600,l2,p_kw"),

@@ -99,6 +99,39 @@ class TestCodec:
             assert buffer == b""
 
 
+    @pytest.mark.parametrize("ioa", [0, 0xFFFFFF])
+    @pytest.mark.parametrize("type_id", [iec104.M_ME_NC_1, iec104.C_SE_NC_1])
+    def test_float_object_roundtrip_at_ioa_bounds(self, type_id, ioa):
+        asdu = Asdu(type_id=type_id, cot=iec104.COT_ACTIVATION, common_address=7,
+                    objects=(InfoObject(ioa=ioa, value=-1.5, quality=0x80),))
+        apdu = i_frame(3, 4, asdu)
+        raw = encode(apdu)
+        assert raw[12:15] == ioa.to_bytes(3, "little")
+        assert decode(raw) == (apdu, 20)
+
+    def test_ioa_beyond_three_octets_rejected(self):
+        with pytest.raises(iec104.Iec104Error, match="outside 3-octet range"):
+            encode(i_frame(0, 0, meas_asdu(ioa=0x1000000)))
+
+    def test_stream_cut_at_every_offset(self):
+        apdus = [
+            u_frame(iec104.U_STARTDT_CON),
+            *(i_frame(n, 0, meas_asdu(ioa=n, value=n / 4)) for n in range(3)),
+            s_frame(9),
+            i_frame(3, 1, Asdu(type_id=iec104.M_SP_NA_1, cot=iec104.COT_INTERROGATED,
+                               common_address=2,
+                               objects=(InfoObject(1, 1, 0x10), InfoObject(2, 0, 0)))),
+        ]
+        stream = b"".join(encode(a) for a in apdus)
+        buffer, decoded = b"", []
+        for i in range(len(stream)):
+            buffer += stream[i : i + 1]
+            got, used = decode_stream(buffer)
+            decoded.extend(got)
+            buffer = buffer[used:]
+        assert decoded == apdus and buffer == b""
+
+
 OBJECT_VALUES = {
     iec104.M_SP_NA_1: st.integers(0, 1),
     iec104.M_ME_NC_1: st.floats(width=32, allow_nan=False, allow_infinity=False),

@@ -142,6 +142,18 @@ class TestTransport:
         with pytest.raises(Unreachable):
             star.open_connection("h1", "10.0.0.2", 80, at_s=0)
 
+    def test_send_follows_link_state_both_ways(self, star):
+        conn = star.open_connection("h1", "10.0.0.3", 23, at_s=0)
+        conn.send(b"up")  # the route is now memoised
+        star.links[2].up = False  # h3 <-> sw
+        with pytest.raises(Unreachable):
+            conn.send(b"down")
+        assert star.path_latency_us("h1", "h3") is None
+        star.links[2].up = True
+        conn.send(b"up again")
+        assert star.packet_log[-1].payload == b"up again"
+        assert star.path_latency_us("h1", "h3") == 2000
+
 
 class TestScan:
     def test_scan_reports_open_ports_with_banners(self, star):

@@ -8,6 +8,7 @@ from gridcosim.pcap import (
     SYN,
     PacketRecord,
     PcapError,
+    _checksum,
     build_frame,
     read_pcap,
     write_pcap,
@@ -29,6 +30,16 @@ def ones_complement_sum(data: bytes) -> int:
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return total
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\x01", b"\x00\x00", b"\xff", b"\xff" * 2, b"\xff" * 3, b"\xff" * 64,
+    b"\xff" * 65, b"\x80\x00" * 40, bytes(range(256)), bytes(range(255)),
+    b"\xff\xfe" + b"\x00\x01",
+], ids=lambda data: f"{len(data)}B-{data[:2].hex()}")
+def test_checksum_matches_word_sum(data):
+    # all-0xFF data makes the word sum a multiple of 0xFFFF, forcing carries
+    assert _checksum(data) == ~ones_complement_sum(data) & 0xFFFF
 
 
 def test_empty_log_is_24_byte_file(tmp_path):
