@@ -263,11 +263,12 @@ ROW_ATTRS = {
     "load": frozenset(("bus", "p_kw", "q_kvar")),
     "sgen": frozenset(("bus", "p_kw", "q_kvar")),
 }
+GRID_SECTIONS = ("grid", *ROW_ATTRS)
 
 
 def parse_grid(text: str, source: str = "<grid>") -> GridModel:
     sections = parse_config(text, source)
-    check_kinds(sections, ("grid", *ROW_ATTRS))
+    check_kinds(sections, GRID_SECTIONS)
     for section in sections:
         if section.kind == "grid":
             section.only("base_mva", "meshed")

@@ -161,22 +161,27 @@ class Host:
         return self.interfaces[0][0]
 
 
-@dataclass
 class Link:
     """A bidirectional link; setting `up` clears the route memo of the
     network it belongs to."""
 
-    id: str
-    a: str
-    b: str
-    latency_us: int
-    up: bool = True
-    _routes: dict | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, id: str, a: str, b: str, latency_us: int):
+        self.id = id
+        self.a = a
+        self.b = b
+        self.latency_us = latency_us
+        self._up = True
+        self._routes: dict | None = None  # set by Network.add_link
 
-    def __setattr__(self, name, value):
-        if name == "up" and self.__dict__.get("_routes"):
+    @property
+    def up(self) -> bool:
+        return self._up
+
+    @up.setter
+    def up(self, value: bool) -> None:
+        self._up = value
+        if self._routes:
             self._routes.clear()
-        object.__setattr__(self, name, value)
 
 
 @dataclass
