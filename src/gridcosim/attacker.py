@@ -142,7 +142,7 @@ class Attacker:
             else:
                 action, target = "manipulate", stage.strategy.kind
                 self.stage_manipulate(stage.strategy, t)
-        except (netsim.NetError, AttackError) as exc:
+        except (netsim.NetError, devices.DeviceError, AttackError) as exc:
             reason = str(exc) if type(exc) is AttackError else type(exc).__name__
             self.trace.append(
                 TraceEvent(t=t, stage=name, action=action, target=target,
@@ -193,7 +193,7 @@ class Attacker:
         ).encode()
         conn = self.network.open_connection(self.plan.foothold, ip, port, at_s=t)
         response = bytearray()
-        self.network.on_client_data(conn, lambda _c, data: response.extend(data))
+        conn.on_data = response.extend
         conn.send(request, at_s=t)
         conn.close()
         text = bytes(response).decode(errors="replace")

@@ -48,7 +48,7 @@ class Located:
     """Something read from a config file."""
 
     source: str
-    lineno: int
+    lineno: int | None  # None: not read from a file line
 
     def error(self, message: str) -> ConfigError:
         return ConfigError(message, self.source, self.lineno)

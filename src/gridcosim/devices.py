@@ -1,4 +1,4 @@
-"""Virtual field devices: RTUs, the polling MTU, and VED register maps.
+"""Virtual field devices: RTUs and the polling MTU.
 
 An RTU maps grid measurements and actuators to IEC 104 data points and
 reports over the emulated network; values are digitized to float32 at
@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from . import iec104
+from .configfile import ConfigError, Entry, Row
 from .netsim import NetError, Network, TcpConnection
 
 REPORT_BUFFER_LIMIT = 100
@@ -41,6 +42,21 @@ CONTROL_FIELDS = {
 
 # manipulation kind -> the rule parameter it takes (freeze takes none)
 MANIPULATION_KINDS = {"scale": "factor", "offset": "delta", "freeze": None, "fdi_stealth": "factor"}
+# the options of a manipulation, in a scenario stage and in `rtu-override`
+MANIPULATE_OPTIONS = frozenset(("factor", "delta", "targets"))
+OVERRIDE_USAGE = "usage: install <kind> [factor=F] [delta=D] [targets=all|ioa,..]"
+
+
+def manipulation_options(opts: Row) -> tuple[float, float, tuple[int, ...] | None]:
+    """factor, delta and target IOAs (None = all monitor points) of a
+    manipulation's options; a malformed value is a ConfigError."""
+    targets = opts.get("targets", "all")
+    return (
+        opts.get_float("factor", 1.0),
+        opts.get_float("delta", 0.0),
+        None if targets == "all"
+        else tuple(opts.convert(part, "targets", int) for part in targets.split(",")),
+    )
 
 
 def to_f32(value: float) -> float:
@@ -211,7 +227,7 @@ class Rtu:
 
     def _transmit(self, apdus, at_s: int | None = None):
         for apdu in apdus:
-            self._conn.server_send(iec104.encode(apdu), at_s=at_s)
+            self._conn.send(iec104.encode(apdu), at_s=at_s, from_server=True)
 
     # -- network handler (MTU side opens the connection) --------------------
 
@@ -276,26 +292,27 @@ class Rtu:
     # -- attacker-facing override hook --------------------------------------
 
     def _override_hook(self, args: list[str], _session) -> str:
-        if not args or args[0] != "install":
-            raise DeviceError("usage: rtu-override install <kind> [factor=F] [delta=D] [targets=all|ioa,..]")
-        kind = args[1]
-        opts = dict(tok.split("=", 1) for tok in args[2:] if "=" in tok)
-        factor = float(opts.get("factor", "1.0"))
-        delta = float(opts.get("delta", "0.0"))
-        targets_raw = opts.get("targets", "all")
-        if targets_raw == "all":
+        command = Entry("rtu-override", None, "install", " ".join(args[1:]))
+        try:
+            if args[:1] != ["install"]:
+                raise command.error(OVERRIDE_USAGE)
+            (kind,), opts = command.split(1, OVERRIDE_USAGE, MANIPULATE_OPTIONS)
+            factor, delta, targets = manipulation_options(opts)
+        except ConfigError as exc:
+            raise DeviceError(str(exc)) from None
+        if targets is None:
             targets = [dp.ioa for dp in self.config.datapoints.monitor]
-        else:
-            targets = [int(part) for part in targets_raw.split(",")]
         self.install_override(kind, targets, factor=factor, delta=delta)
         return f"override {kind} installed on {len(targets)} points"
 
     def install_override(self, kind: str, target_ioas, factor: float = 1.0,
                          delta: float = 0.0):
+        """Install one rule on every target, or on none if any is unmapped."""
         rule = ManipulationRule(kind=kind, factor=factor, delta=delta)
         for ioa in target_ioas:
             if self.config.datapoints.point(ioa) is None:
                 raise UnknownIoa(f"IOA {ioa} not mapped on {self.config.name}")
+        for ioa in target_ioas:
             if kind == "freeze" and ioa in self.last_sent:
                 rule.frozen[ioa] = self.last_sent[ioa]
             self.overrides[ioa] = rule
@@ -333,6 +350,7 @@ class Mtu:
         self.events: list[tuple[int, str, str]] = []
         self._rtus: dict[str, dict] = {}   # name -> {ip, conn, session, rx, pending}
         self._last_confirm: dict[str, iec104.Asdu | None] = {}
+        self._started = False
 
     def attach_rtu(self, name: str, ip: str):
         self._rtus[name] = {
@@ -343,6 +361,7 @@ class Mtu:
 
     def start(self, t: int = 0):
         """Open all RTU connections and begin data transfer."""
+        self._started = True
         for name in self._rtus:
             self._connect(name, t)
 
@@ -355,7 +374,7 @@ class Mtu:
             return
         entry["conn"] = conn
         entry["session"].start_pending = True
-        self.network.on_client_data(conn, lambda c, data, _n=name: self._on_data(_n, data))
+        conn.on_data = lambda data, _n=name: self._on_data(_n, data)
         conn.send(iec104.encode(iec104.u_frame(iec104.U_STARTDT_ACT)), at_s=t)
 
     def _transmit(self, name: str, apdus, at_s: int | None = None):
@@ -390,6 +409,8 @@ class Mtu:
     # -- kernel simulator ----------------------------------------------------
 
     def step(self, t: int, _inputs: dict) -> dict:
+        if not self._started:
+            self.start(t)
         for name, entry in self._rtus.items():
             pending = entry["pending_poll"]
             if pending is not None and t >= pending:
@@ -454,76 +475,3 @@ class Mtu:
         if confirm is not None and confirm.cot == iec104.COT_UNKNOWN_IOA:
             raise NegativeConfirm(f"RTU {name} rejected IOA {ioa}")
         return confirmed
-
-
-# -- VED register map --------------------------------------------------------
-
-REGISTER_LAYOUT = (
-    (0, "pv_power_kw", "ro"),
-    (1, "battery_power_kw", "ro"),
-    (2, "battery_soc_percent", "ro"),
-    (3, "load_power_kw", "ro"),
-    (10, "setpoint_kw", "rw"),
-)
-
-REGISTER_SCALE = 100  # value = kw (or percent) x 100, two's complement 16-bit
-
-
-class IllegalAddress(DeviceError):
-    pass
-
-
-class IllegalWrite(DeviceError):
-    pass
-
-
-def encode_register(value: float) -> int:
-    scaled = int(round(value * REGISTER_SCALE))
-    if not -32768 <= scaled <= 32767:
-        raise DeviceError(f"register value {value} out of 16-bit range")
-    return scaled & 0xFFFF
-
-
-def decode_register(raw: int) -> float:
-    if raw >= 0x8000:
-        raw -= 0x10000
-    return raw / REGISTER_SCALE
-
-
-class VedRegisterMap:
-    """Holding-register view of one smart home's behind-the-meter assets."""
-
-    def __init__(self):
-        self._meaning = {addr: meaning for addr, meaning, _ in REGISTER_LAYOUT}
-        self._access = {addr: access for addr, _, access in REGISTER_LAYOUT}
-        self._values = {addr: 0 for addr, _, _ in REGISTER_LAYOUT}
-        self._setpoint_written = False
-
-    def read(self, addr: int) -> int:
-        if addr not in self._values:
-            raise IllegalAddress(f"no register at address {addr}")
-        return self._values[addr]
-
-    def write(self, addr: int, value: int) -> bool:
-        if addr not in self._values:
-            raise IllegalAddress(f"no register at address {addr}")
-        if self._access[addr] != "rw":
-            raise IllegalWrite(f"register {addr} ({self._meaning[addr]}) is read-only")
-        self._values[addr] = value & 0xFFFF
-        self._setpoint_written = True
-        return True
-
-    def update_state(self, pv_kw: float, battery_kw: float,
-                     soc_percent: float, load_kw: float):
-        self._values[0] = encode_register(pv_kw)
-        self._values[1] = encode_register(battery_kw)
-        self._values[2] = encode_register(soc_percent)
-        self._values[3] = encode_register(load_kw)
-
-    def take_setpoint(self) -> float | None:
-        """Pending battery set-point in kW, consumed once written."""
-        if not self._setpoint_written:
-            return None
-        self._setpoint_written = False
-        return decode_register(self._values[10])
-

@@ -2,9 +2,9 @@
 
 Per step, the battery set-point is chosen to (1) respect any hard DSO
 import/export limit, then (2) minimize the grid exchange for owner
-self-consumption, then (3) track an external target (VPP schedule or a
-register-written set-point) with whatever headroom remains inside (1) and
-the battery's power/energy limits.
+self-consumption, then (3) track an external target (VPP schedule or an
+external set-point) with whatever headroom remains inside (1) and the
+battery's power/energy limits.
 
 Sign conventions: battery set-point > 0 charges; grid exchange > 0 imports.
 Power balance at every decision: grid = load - pv + battery.

@@ -48,7 +48,6 @@ class Measurement:
     v_pu: float
     i_ka: float
     loading_percent: float
-    t: int | None = None
 
     def value(self, fieldname: str) -> float:
         mapping = {
@@ -267,7 +266,6 @@ def measurements_at(
     kind: str,
     elem_id: str,
     element_values: Mapping[tuple[str, str], tuple[float, float]] | None = None,
-    t: int | None = None,
 ) -> Measurement:
     """Engineering-unit measurement for one element of a converged solution."""
     if not solution.converged:
@@ -286,7 +284,6 @@ def measurements_at(
             v_pu=solution.vm_pu[elem_id],
             i_ka=0.0,
             loading_percent=0.0,
-            t=t,
         )
     if kind in ("line", "trafo"):
         flow = solution.branch_flows[(kind, elem_id)]
@@ -297,16 +294,13 @@ def measurements_at(
             v_pu=solution.vm_pu[from_bus],
             i_ka=flow.i_ka,
             loading_percent=flow.loading_percent,
-            t=t,
         )
     # load / sgen: element-level applied values, bus voltage
-    values = dict(element_values or {})
-    p, q = values.get((kind, elem_id), (element.p_kw, element.q_kvar))
+    p, q = (element_values or {}).get((kind, elem_id), (element.p_kw, element.q_kvar))
     return Measurement(
         p_kw=p,
         q_kvar=q,
         v_pu=solution.vm_pu[element.bus],
         i_ka=0.0,
         loading_percent=0.0,
-        t=t,
     )

@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .configfile import check_kinds, parse_config, sections_of
-from .pcap import ACK, FIN, PSH, RST, SYN, PacketRecord, write_pcap
+# run_scenario writes the capture through the name netsim.write_pcap
+from .pcap import ACK, FIN, PSH, RST, SYN, PacketRecord, write_pcap  # noqa: F401
 
 SERVICE_KINDS = ("ssh", "telnet", "http", "snmp", "iec104")
 
@@ -102,7 +103,6 @@ class Vulnerability:
     id: str
     kind: str                 # rce_command_injection | pe_suid | pe_sudoers
     locus: str                # service port (as text) or binary/script name
-    precondition: str = ""    # session privilege required to exploit ("" = none)
 
 
 @dataclass
@@ -211,7 +211,11 @@ class CommandResult:
 
 
 class TcpConnection:
-    """One emulated TCP connection; both ends may send on the byte stream."""
+    """One emulated TCP connection; both ends may send on the byte stream.
+
+    The server end receives through its service's handler, the client end
+    through `on_data(payload)`, which the client sets once `open_connection`
+    has returned (so it does not see what the server sends on connect)."""
 
     def __init__(self, network, client_host, client_ip, client_port,
                  server_host, server_ip, server_port, latency_us):
@@ -229,6 +233,7 @@ class TcpConnection:
         self.established = False
         self.closed = False
         self.handler = None
+        self.on_data: Callable[[bytes], None] | None = None
 
     def _record(self, from_client: bool, flags: int, payload: bytes, t_us: int):
         if from_client:
@@ -261,13 +266,10 @@ class TcpConnection:
         self._record(not from_server, PSH | ACK, payload, deliver_us)
         self.network._advance(deliver_us)
         if from_server:
-            self.network._dispatch_client_data(self, payload)
-        else:
-            if self.handler is not None:
-                self.handler.on_client_data(self, payload)
-
-    def server_send(self, payload: bytes, at_s: int | None = None):
-        self.send(payload, at_s=at_s, from_server=True)
+            if self.on_data is not None:
+                self.on_data(payload)
+        elif self.handler is not None:
+            self.handler.on_client_data(self, payload)
 
     def close(self, at_s: int | None = None):
         if self.closed:
@@ -294,7 +296,6 @@ class Network:
         # (src host, dst host) -> path latency or None, for the current link states
         self._routes: dict[tuple[str, str], int | None] = {}
         self._handlers: dict[tuple[str, int], object] = {}
-        self._client_handlers: dict[int, Callable] = {}
         self._sessions: dict[int, Session] = {}
         self._connections: list[TcpConnection] = []
         self._conn_count = 0
@@ -430,15 +431,6 @@ class Network:
             raise NetError(f"{host_name} has no service on port {port}")
         self._handlers[(host_name, port)] = handler
 
-    def on_client_data(self, conn: TcpConnection, callback: Callable):
-        """Register the client-side receive callback for a connection."""
-        self._client_handlers[id(conn)] = callback
-
-    def _dispatch_client_data(self, conn: TcpConnection, payload: bytes):
-        callback = self._client_handlers.get(id(conn))
-        if callback is not None:
-            callback(conn, payload)
-
     def _handler_for(self, host_name: str, port: int):
         handler = self._handlers.get((host_name, port))
         if handler is not None:
@@ -565,8 +557,6 @@ class Network:
         pool = host.suid_binaries if method == "suid" else host.sudoers_scripts
         for vuln in host.host_vulnerabilities:
             if vuln.kind == kind and vuln.locus in pool:
-                if vuln.precondition == "admin" and session.privilege != "admin":
-                    raise PermissionDenied(f"exploit '{vuln.id}' needs admin")
                 session.privilege = "admin"
                 session.user = "root"
                 return vuln
@@ -613,11 +603,6 @@ class Network:
                          require_admin: bool = True):
         self.hosts[host_name].command_hooks[name] = (hook, require_admin)
 
-    # -- export ------------------------------------------------------------
-
-    def export_pcap(self, path) -> int:
-        return write_pcap(path, self.packet_log)
-
 
 class BannerHandler:
     """Connect-time banner push for ssh/telnet/snmp-style services."""
@@ -626,7 +611,7 @@ class BannerHandler:
         self.service = service
 
     def on_connect(self, conn: TcpConnection):
-        conn.server_send((self.service.banner + "\r\n").encode())
+        conn.send((self.service.banner + "\r\n").encode(), from_server=True)
 
     def on_client_data(self, conn: TcpConnection, payload: bytes):
         pass
@@ -652,7 +637,7 @@ class HttpHandler:
             f"Content-Length: {len(body.encode())}\r\n"
             f"\r\n{body}"
         ).encode()
-        conn.server_send(payload)
+        conn.send(payload, from_server=True)
 
     def on_client_data(self, conn: TcpConnection, payload: bytes):
         self.buffer += payload
@@ -741,8 +726,7 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
                     vuln_kind = "pe_sudoers"
                 if vuln := opts.get("vuln"):
                     host.host_vulnerabilities.append(
-                        Vulnerability(id=vuln, kind=vuln_kind,
-                                      locus=name, precondition="user")
+                        Vulnerability(id=vuln, kind=vuln_kind, locus=name)
                     )
         if not host.interfaces:
             raise section.error(f"host '{host.name}' has no interface")

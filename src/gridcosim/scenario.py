@@ -100,7 +100,6 @@ SECTION_KEYS = {
     "attack": ("foothold", "start_time_s", "stage"),
 }
 DATAPOINT_OPTIONS = frozenset(("scale", "unit"))
-MANIPULATE_OPTIONS = frozenset(("factor", "delta", "targets"))
 BATTERY_OPTIONS = frozenset(
     ("capacity_kwh", "p_max_kw", "eta_charge", "eta_discharge", "soc_kwh")
 )
@@ -194,7 +193,7 @@ def _parse_datapoint(entry: Entry) -> devices.DataPoint:
 
 def _parse_stage(entry: Entry):
     (kind, arg), opts = entry.split(
-        2, "stage = <scan|rce|pe|manipulate> <argument> ...", MANIPULATE_OPTIONS
+        2, "stage = <scan|rce|pe|manipulate> <argument> ...", devices.MANIPULATE_OPTIONS
     )
     if opts.attrs and kind != "manipulate":
         raise entry.error(f"stage {kind} takes no options")
@@ -206,18 +205,10 @@ def _parse_stage(entry: Entry):
         return attacker_mod.PeStage(method=arg)
     if kind != "manipulate":
         raise entry.error(f"unknown stage kind '{kind}'")
-    targets_raw = opts.get("targets", "all")
-    targets = (
-        None
-        if targets_raw == "all"
-        else tuple(entry.convert(part, "targets", int) for part in targets_raw.split(","))
-    )
+    factor, delta, targets = devices.manipulation_options(opts)
     try:
         strategy = attacker_mod.ManipulationStrategy(
-            kind=arg,
-            factor=opts.get_float("factor", 1.0),
-            delta=opts.get_float("delta", 0.0),
-            target_ioas=targets,
+            kind=arg, factor=factor, delta=delta, target_ioas=targets
         )
     except attacker_mod.AttackError as exc:
         raise entry.error(str(exc)) from None
@@ -442,14 +433,14 @@ class GridSimulator:
         outputs = {}
         for kind, elem_id, fieldname in self.monitored:
             m = measurements_at(self.model, solution, kind, elem_id,
-                                element_values=element_values, t=t)
+                                element_values=element_values)
             outputs[(f"{kind}:{elem_id}", fieldname)] = m.value(fieldname)
         return outputs
 
 
 class EmsSimulator:
     """Kernel adapter for one VED: profile-driven load/pv, battery dispatch,
-    register map, and a parallel battery-disabled baseline trace."""
+    and a parallel battery-disabled baseline trace."""
 
     def __init__(self, config: VedConfig, ems_config: EmsConfig | None,
                  profiles: ProfileSet | None, step_s: int):
@@ -458,7 +449,6 @@ class EmsSimulator:
         self.profiles = profiles
         self.step_s = step_s
         self.battery = config.battery
-        self.registers = devices.VedRegisterMap()
         self.decisions: list[ems.EmsDecision] = []
         self.baseline: list[ems.EmsDecision] = []
 
@@ -471,12 +461,10 @@ class EmsSimulator:
     def step(self, t: int, _inputs: dict) -> dict:
         load_kw = self._profile_value("load_kw", t)
         pv_kw = self._profile_value("pv_kw", t)
-        setpoint = self.registers.take_setpoint()
         decision, self.battery = ems.ems_step(
             self.battery, t, self.step_s, load_kw, pv_kw,
             dso_limits=self.ems_config.dso_limits,
             vpp_schedules=self.ems_config.vpp_schedules,
-            external_setpoint_kw=setpoint,
         )
         baseline_decision, _ = ems.ems_step(
             None, t, self.step_s, load_kw, pv_kw,
@@ -485,15 +473,6 @@ class EmsSimulator:
         )
         self.decisions.append(decision)
         self.baseline.append(baseline_decision)
-        soc_percent = (
-            100.0 * self.battery.soc_kwh / self.battery.capacity_kwh
-            if self.battery is not None and self.battery.capacity_kwh > 0
-            else 0.0
-        )
-        self.registers.update_state(
-            pv_kw=pv_kw, battery_kw=decision.battery_setpoint_kw,
-            soc_percent=soc_percent, load_kw=load_kw,
-        )
         return {(f"ved:{self.config.name}", "grid_kw"): decision.grid_exchange_kw}
 
 
@@ -625,18 +604,9 @@ def run_scenario(
         )
         for config in scenario.rtus:
             mtu.attach_rtu(config.name, network.hosts[config.host].primary_ip())
-        started = False
-
-        def mtu_step(t: int, inputs: dict, _mtu=mtu) -> dict:
-            nonlocal started
-            if not started:
-                _mtu.start(t)
-                started = True
-            return _mtu.step(t, inputs)
-
         kernel.register_simulator(
             SimulatorDescriptor(id="mtu", step_size=scenario.step_s),
-            mtu_step,
+            mtu.step,
         )
 
     attack_agent = None
@@ -661,7 +631,7 @@ def run_scenario(
     paths[RUN_REPORT] = os.path.join(outdir, RUN_REPORT)
     paths[MANIFEST] = os.path.join(outdir, MANIFEST)
 
-    network.export_pcap(paths[PCAP_FILE])
+    netsim.write_pcap(paths[PCAP_FILE], network.packet_log)
 
     truth_rows = sorted(
         (row for rtu in rtu_sims.values() for row in rtu.truth_rows),

@@ -11,7 +11,14 @@ from gridcosim.attacker import (
     RceStage,
     ScanStage,
 )
-from gridcosim.devices import DataPoint, DataPointMap, Rtu, RtuConfig
+from gridcosim.devices import (
+    DataPoint,
+    DataPointMap,
+    DeviceError,
+    Rtu,
+    RtuConfig,
+    UnknownIoa,
+)
 from gridcosim.pcap import SYN
 
 FIELD_NET = """
@@ -199,7 +206,7 @@ class TestStages:
         host.sudoers_scripts.append("maint.sh")
         host.host_vulnerabilities.append(
             netsim.Vulnerability(id="CVE-2099-0103", kind="pe_sudoers",
-                                 locus="maint.sh", precondition="user")
+                                 locus="maint.sh")
         )
         plan = AttackPlan(
             foothold="kali",
@@ -232,3 +239,40 @@ class TestStages:
             failures = [e for e in trace if not e.success]
             assert len(failures) == 1
             assert trace[-1] == failures[0]  # plan aborts at the failure
+
+
+class TestRtuOverrideCommand:
+    """`rtu-override install` reads its options with the scenario's strict
+    parser: a malformed command names its bad token and installs nothing."""
+
+    @pytest.fixture
+    def root_shell(self, network):
+        session = network.open_session("rtu1", "CVE-2099-0101", "www-data")
+        network.escalate(session, "suid")
+        return network, session
+
+    def test_well_formed_command_installs(self, root_shell):
+        network, session = root_shell
+        result = network.exec_command(
+            session, "rtu-override install scale factor=0.5 targets=101")
+        assert result.stdout == "override scale installed on 1 points"
+        overrides = network._test_rtu.overrides
+        assert overrides[101].factor == 0.5 and 102 not in overrides
+
+    @pytest.mark.parametrize("args, bad", [
+        ("scale factr=0.5", "factr"),
+        ("scale factor=0.5 stray", "stray"),
+        ("", "usage"),
+        ("scale factor=abc", "abc"),
+    ], ids=["misspelled_option", "stray_token", "no_kind", "factor_not_a_number"])
+    def test_malformed_command_installs_nothing(self, root_shell, args, bad):
+        network, session = root_shell
+        with pytest.raises(DeviceError, match=bad):
+            network.exec_command(session, f"rtu-override install {args}")
+        assert not network._test_rtu.overrides
+
+    def test_unmapped_target_installs_nothing(self, root_shell):
+        network, session = root_shell
+        with pytest.raises(UnknownIoa, match="999"):
+            network.exec_command(session, "rtu-override install scale targets=101,999")
+        assert not network._test_rtu.overrides

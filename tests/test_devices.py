@@ -4,17 +4,12 @@ from gridcosim import devices, netsim
 from gridcosim.devices import (
     DataPoint,
     DataPointMap,
-    IllegalAddress,
-    IllegalWrite,
     ManipulationRule,
     Mtu,
     NegativeConfirm,
     Rtu,
     RtuConfig,
     UnknownIoa,
-    VedRegisterMap,
-    decode_register,
-    encode_register,
     to_f32,
 )
 
@@ -298,31 +293,3 @@ class TestSwitchIslanding:
         g2_voltages = [r.value for r in mtu.archive if r.ioa == 101]
         assert g2_voltages[-1] == 0.0 and g2_voltages[0] > 0.9
 
-
-class TestVedRegisters:
-    def test_soc_scaling(self):
-        ved = VedRegisterMap()
-        ved.update_state(pv_kw=0.0, battery_kw=0.0, soc_percent=50.0, load_kw=0.0)
-        assert ved.read(2) == 5000
-
-    def test_write_to_ro_register_rejected(self):
-        ved = VedRegisterMap()
-        with pytest.raises(IllegalWrite):
-            ved.write(0, 100)
-
-    def test_illegal_address(self):
-        ved = VedRegisterMap()
-        with pytest.raises(IllegalAddress):
-            ved.read(77)
-
-    def test_negative_setpoint_roundtrip(self):
-        ved = VedRegisterMap()
-        ved.write(10, encode_register(-2.0))
-        assert ved.take_setpoint() == -2.0
-        assert ved.take_setpoint() is None  # consumed
-
-    def test_encode_decode_register(self):
-        assert decode_register(encode_register(-2.0)) == -2.0
-        assert encode_register(50.0) == 5000
-        with pytest.raises(devices.DeviceError):
-            encode_register(400.0)  # 40000 > int16

@@ -247,7 +247,7 @@ class TestPcapExport:
         star.open_connection("h1", "10.0.0.2", 80, at_s=0)
         star.close_all(at_s=1)
         path = tmp_path / "cap.pcap"
-        count = star.export_pcap(path)
+        count = netsim.write_pcap(path, star.packet_log)
         from gridcosim.pcap import read_pcap
 
         back = read_pcap(path)

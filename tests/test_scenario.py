@@ -15,6 +15,32 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def edited_copy(scenario_path, bundle, filename, edit):
+    """Copy the scenario's bundle to `bundle`, passing the text of
+    `filename` through `edit`; returns the copy's scenario file."""
+    shutil.copytree(os.path.dirname(scenario_path), bundle)
+    path = bundle / filename
+    path.write_text(edit(path.read_text()))
+    return bundle / "scenario.txt"
+
+
+def assert_archive_equals_truth(scenario, outdir):
+    """Every archived value equals the ground truth of its point at its time."""
+    truth = {
+        (r["t"], r["element"], r["field"]): r["value"]
+        for r in read_csv(os.path.join(outdir, "ground_truth.csv"))
+    }
+    iomap = {}
+    for config in scenario.rtus:
+        for dp in config.datapoints.monitor:
+            iomap[(config.name, str(dp.ioa))] = (dp.entity, dp.fieldname)
+    archive = read_csv(os.path.join(outdir, "archive.csv"))
+    assert archive
+    for row in archive:
+        entity, fieldname = iomap[(row["rtu"], row["ioa"])]
+        assert truth[(row["t"], entity, fieldname)] == row["value"]
+
+
 class TestLoad:
     def test_attack_demo_loads(self, attack_demo_path):
         scenario = load_scenario(attack_demo_path)
@@ -82,21 +108,40 @@ class TestRun:
     def test_no_attack_archive_equals_truth(self, attack_demo_path, tmp_path):
         scenario = replace(load_scenario(attack_demo_path), attack_plan=None)
         out = run_scenario(scenario, outdir=str(tmp_path / "clean"))
-        truth = {
-            (r["t"], r["element"], r["field"]): r["value"]
-            for r in read_csv(out.paths["ground_truth.csv"])
-        }
-        iomap = {}
-        for config in scenario.rtus:
-            for dp in config.datapoints.monitor:
-                iomap[(config.name, str(dp.ioa))] = (dp.entity, dp.fieldname)
-        archive = read_csv(out.paths["archive.csv"])
-        assert archive
-        for row in archive:
-            entity, fieldname = iomap[(row["rtu"], row["ioa"])]
-            assert truth[(row["t"], entity, fieldname)] == row["value"]
+        assert_archive_equals_truth(scenario, out.outdir)
         trace = read_csv(out.paths["attack_trace.csv"])
         assert trace == []
+
+    def test_failed_override_fails_stage_s4_not_the_run(self, attack_demo_path, tmp_path):
+        scenario_file = edited_copy(
+            attack_demo_path, tmp_path / "bad_target", "scenario.txt",
+            lambda text: text.replace("targets=all", "targets=999"),
+        )
+        outdir = tmp_path / "bad_target_out"
+        assert cli.main(["run", str(scenario_file), "--out", str(outdir)]) == 0
+        trace = read_csv(outdir / "attack_trace.csv")
+        assert [(r["stage"], r["outcome"]) for r in trace[-1:]] == [("S4", "failure(UnknownIoa)")]
+        assert_archive_equals_truth(load_scenario(scenario_file), outdir)
+
+    def test_ved_power_beyond_16_bits_runs_to_horizon(self, flex_demo_path, tmp_path):
+        # pv_kw x80 peaks at 360 kW, beyond the +-327.67 kW of a 16-bit
+        # register in units of 10 W
+        def scale_pv(text):
+            head, *rows = text.splitlines()
+            for i, (t, ved, field, value) in enumerate(row.split(",") for row in rows):
+                if field == "pv_kw":
+                    rows[i] = f"{t},{ved},{field},{float(value) * 80}"
+            return "\n".join([head, *rows]) + "\n"
+
+        scenario_file = edited_copy(flex_demo_path, tmp_path / "big_pv", "profiles.csv", scale_pv)
+        scenario = load_scenario(scenario_file)
+        assert max(scenario.profiles.get("home1", "pv_kw").values) == 360.0
+        outdir = tmp_path / "big_pv_out"
+        assert cli.main(["run", str(scenario_file), "--out", str(outdir)]) == 0
+        for name in (*HASHED_OUTPUTS, "run_report.txt", "manifest.txt"):
+            assert (outdir / name).is_file(), name
+        decisions = read_csv(outdir / "ems_decisions.csv")
+        assert int(decisions[-1]["t"]) == scenario.horizon_s - scenario.step_s
 
     def test_fdi_stealth_preserves_power_factor(self, attack_demo_path, tmp_path):
         bundle = tmp_path / "stealth"
@@ -163,25 +208,6 @@ class TestRun:
         # at a time with pv surplus, household exports and head power dips
         noon = 43200
         assert decisions[noon] <= 0.0
-
-
-class TestEmsSimulator:
-    def test_register_setpoint_dispatched_next_step(self, flex_demo_path):
-        from gridcosim.devices import encode_register
-        from gridcosim.scenario import EmsSimulator
-
-        scenario = load_scenario(flex_demo_path)
-        sim = EmsSimulator(
-            scenario.veds[0], scenario.ems_configs.get("home1"),
-            None, scenario.step_s,
-        )
-        sim.step(0, {})
-        sim.registers.write(10, encode_register(-2.0))
-        sim.step(900, {})
-        assert sim.decisions[-1].battery_setpoint_kw == -2.0
-        assert sim.decisions[-1].active_mode == "external_setpoint"
-        # battery power register reflects the dispatch
-        assert sim.registers.read(1) == encode_register(-2.0)
 
 
 BROKEN_GRID = """
