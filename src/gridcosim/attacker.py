@@ -4,17 +4,15 @@ escalation, measurement manipulation.
 The attacker is deterministic and plan-driven; one stage executes per
 simulation step once the start time is reached, each gated on the previous
 stage's success. A failed stage aborts the rest of the plan. Privilege
-escalation is host-local: it shows up in the session transcript but never
-on the wire.
+escalation is host-local: it shows up in the attacker's transcript but
+never on the wire.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import devices, netsim
-
-HTTP_PORT = 80
 
 
 class AttackError(Exception):
@@ -55,7 +53,7 @@ class ManipulationStrategy:
         parts = ["rtu-override", "install", self.kind]
         param = devices.MANIPULATION_KINDS[self.kind]
         if param is not None:
-            parts.append(f"{param}={getattr(self, param):g}")
+            parts.append(f"{param}={getattr(self, param)!r}")
         if self.target_ioas is None:
             parts.append("targets=all")
         else:
@@ -99,20 +97,15 @@ class TraceEvent:
         return self.outcome == "success"
 
 
-@dataclass
-class AttackerState:
-    knowledge: dict[str, list[tuple[int, str, str]]] = field(default_factory=dict)
-    sessions: dict[str, netsim.Session] = field(default_factory=dict)
-    current_stage: int = 0
-
-
 class Attacker:
     """One kernel-registered simulator executing the plan against the network."""
 
     def __init__(self, network: netsim.Network, plan: AttackPlan):
         self.network = network
         self.plan = plan
-        self.state = AttackerState()
+        self.knowledge: dict[str, list[tuple[int, str, str]]] = {}  # scan report
+        self.session: netsim.Session | None = None
+        self.current_stage = 0
         self.trace: list[TraceEvent] = []
         self.transcript: list[str] = []
         self.done = len(plan.stages) == 0
@@ -122,7 +115,7 @@ class Attacker:
     def step(self, t: int, _inputs: dict) -> dict:
         if self.done or t < self.plan.start_time:
             return {}
-        self._execute(self.plan.stages[self.state.current_stage], t)
+        self._execute(self.plan.stages[self.current_stage], t)
         return {}
 
     # -- stage dispatch --------------------------------------------------------
@@ -154,8 +147,8 @@ class Attacker:
         self.trace.append(
             TraceEvent(t=t, stage=name, action=action, target=target, outcome="success")
         )
-        self.state.current_stage += 1
-        if self.state.current_stage >= len(self.plan.stages):
+        self.current_stage += 1
+        if self.current_stage >= len(self.plan.stages):
             self.done = True
 
     def _log(self, t: int, line: str):
@@ -164,17 +157,15 @@ class Attacker:
     # -- stages ----------------------------------------------------------------
 
     def stage_scan(self, subnet: str, t: int):
-        report = self.network.scan_subnet(self.plan.foothold, subnet, at_s=t)
-        self.state.knowledge.update(report)
+        self.knowledge = self.network.scan_subnet(self.plan.foothold, subnet, at_s=t)
         self._log(t, f"S1 scan {subnet}")
-        for ip in sorted(report, key=lambda s: tuple(int(p) for p in s.split("."))):
-            ports = " ".join(f"{port}/{kind}" for port, kind, _ in report[ip])
+        for ip, services in self.knowledge.items():
+            ports = " ".join(f"{port}/{kind}" for port, kind, _ in services)
             self._log(t, f"  {ip}: open [{ports}]" if ports else f"  {ip}: no open ports")
 
     def _select_target(self, selector: str) -> tuple[str, int] | None:
-        for ip in sorted(self.state.knowledge,
-                         key=lambda s: tuple(int(p) for p in s.split("."))):
-            for port, kind, _banner in self.state.knowledge[ip]:
+        for ip, services in self.knowledge.items():
+            for port, kind, _banner in services:
                 if selector == kind or selector == f"port:{port}":
                     return ip, port
                 # an address selector aims at the host's web interface
@@ -205,52 +196,45 @@ class Attacker:
         body = text.split("\r\n\r\n", 1)[1].strip() if "\r\n\r\n" in text else ""
         user = body.splitlines()[-1].strip() if body else "unknown"
         self._log(t, f"  {user}")
-        host = self.network.host_of_ip(ip)
-        vuln = None
-        service = host.service_on(port)
-        if service is not None:
-            vuln = service.rce_vulnerability()
-        if vuln is None:
-            raise AttackError("NotVulnerable")
-        session = self.network.open_session(host.name, vuln.id, user)
-        self.state.sessions[host.name] = session
+        try:
+            self.session = self.network.open_session(ip, port)
+        except netsim.NoVector:
+            raise AttackError("NotVulnerable") from None
         return f"{ip}:{port}"
 
     def _session(self) -> netsim.Session:
-        for _host, session in self.state.sessions.items():
-            if session.open:
-                return session
-        raise AttackError("NoSession")
+        if self.session is None:
+            raise AttackError("NoSession")
+        return self.session
 
     def stage_pe(self, method: str, t: int):
         session = self._session()
         if method not in ("suid", "sudoers"):
             raise AttackError(f"unknown pe method '{method}'")
         command = "find / -perm -4000" if method == "suid" else "sudo -l"
-        result = self.network.exec_command(session, command)
+        output = self.network.exec_command(session, command)
         self._log(t, f"S3 pe via {method}")
         self._log(t, f"  {session.user}@{session.host}$ {command}")
-        for line in result.stdout.splitlines():
+        for line in output.splitlines():
             self._log(t, f"  {line}")
         try:
             vuln = self.network.escalate(session, method)
         except netsim.NoVector:
             raise AttackError("NoVector") from None
         self._log(t, f"  exploiting {vuln.id} ({vuln.kind}) -> root shell")
-        check = self.network.exec_command(session, "whoami")
         self._log(t, f"  {session.user}@{session.host}$ whoami")
-        self._log(t, f"  {check.stdout}")
+        self._log(t, f"  {self.network.exec_command(session, 'whoami')}")
 
     def stage_manipulate(self, strategy: ManipulationStrategy, t: int):
         session = self._session()
         command = strategy.to_command()
         try:
-            result = self.network.exec_command(session, command)
+            output = self.network.exec_command(session, command)
         except netsim.PermissionDenied:
             raise AttackError("PermissionDenied") from None
         except netsim.UnknownCommand:
             raise AttackError("NotAnRtu") from None
         self._log(t, f"S4 manipulate ({strategy.kind})")
         self._log(t, f"  {session.user}@{session.host}$ {command}")
-        self._log(t, f"  {result.stdout}")
+        self._log(t, f"  {output}")
 

@@ -171,8 +171,7 @@ class Rtu:
         self._rx = b""
         self._pending_outputs: dict[tuple[str, str], float] = {}
         network.register_handler(config.host, IEC104_PORT, self)
-        network.register_command(config.host, "rtu-override", self._override_hook,
-                                 require_admin=True)
+        network.register_command(config.host, "rtu-override", self._override_hook)
 
     # -- kernel simulator --------------------------------------------------
 
@@ -218,12 +217,11 @@ class Rtu:
             if self.session.started and self._conn is not None:
                 self._transmit(self.session.send(asdu), at_s=t)
             else:
-                self.buffer.append((t, asdu))
+                self.buffer.append(asdu)
 
     def _flush_buffer(self):
         while self.buffer:
-            _t, asdu = self.buffer.popleft()
-            self._transmit(self.session.send(asdu))
+            self._transmit(self.session.send(self.buffer.popleft()))
 
     def _transmit(self, apdus, at_s: int | None = None):
         for apdu in apdus:
@@ -291,7 +289,7 @@ class Rtu:
 
     # -- attacker-facing override hook --------------------------------------
 
-    def _override_hook(self, args: list[str], _session) -> str:
+    def _override_hook(self, args: list[str]) -> str:
         command = Entry("rtu-override", None, "install", " ".join(args[1:]))
         try:
             if args[:1] != ["install"]:

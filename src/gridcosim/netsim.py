@@ -5,7 +5,10 @@ a reliable in-order byte stream with synthetic handshake/teardown records;
 every segment is appended to a packet log that exports as a classic PCAP.
 Services are behavioral stubs (banner or scripted request/response), and
 hosts carry a small privilege model (accounts, SUID binaries, sudoers
-scripts) with attachable vulnerabilities.
+scripts) with attachable vulnerabilities. A service with an RCE weakness
+opens a shell as its `run_as` user; the shell knows `whoami`,
+`find / -perm -4000`, `sudo -l` and the admin-only commands that devices
+register on their host.
 
 Topology file schema (see configfile for the line and `k=v` option grammar:
 options in [brackets] follow the leading values, any other token is an
@@ -82,10 +85,6 @@ class ConnectionRefused(NetError):
     pass
 
 
-class InvalidSession(NetError):
-    pass
-
-
 class UnknownCommand(NetError):
     pass
 
@@ -101,8 +100,8 @@ class NoVector(NetError):
 @dataclass(frozen=True)
 class Vulnerability:
     id: str
-    kind: str                 # rce_command_injection | pe_suid | pe_sudoers
-    locus: str                # service port (as text) or binary/script name
+    kind: str                 # pe_suid | pe_sudoers
+    locus: str                # binary/script name
 
 
 @dataclass
@@ -111,17 +110,11 @@ class Service:
     kind: str
     banner: str = ""
     run_as: str = "root"
-    vulnerabilities: list[Vulnerability] = field(default_factory=list)
+    rce: str = ""             # id of its command-injection weakness, "" for none
 
     def __post_init__(self):
         if not self.banner:
             self.banner = DEFAULT_BANNERS.get(self.kind, self.kind)
-
-    def rce_vulnerability(self) -> Vulnerability | None:
-        for vuln in self.vulnerabilities:
-            if vuln.kind == "rce_command_injection":
-                return vuln
-        return None
 
 
 @dataclass
@@ -133,7 +126,7 @@ class Host:
     suid_binaries: list[str] = field(default_factory=list)
     sudoers_scripts: list[str] = field(default_factory=list)
     host_vulnerabilities: list[Vulnerability] = field(default_factory=list)
-    command_hooks: dict[str, tuple[Callable, bool]] = field(default_factory=dict)
+    command_hooks: dict[str, Callable[[list[str]], str]] = field(default_factory=dict)
 
     def service_on(self, port: int) -> Service | None:
         for service in self.services:
@@ -146,16 +139,6 @@ class Host:
             if name == user:
                 return privilege
         return "user"
-
-    def uid_of(self, user: str) -> int:
-        if user == "root":
-            return 0
-        if user == "www-data":
-            return 33
-        for i, (name, _) in enumerate(self.accounts):
-            if name == user:
-                return 1000 + i
-        return 65534
 
     def primary_ip(self) -> str:
         return self.interfaces[0][0]
@@ -194,20 +177,9 @@ class FirewallRule:
 
 @dataclass
 class Session:
-    id: int
     host: str
     user: str
     privilege: str
-    via_vulnerability: str
-    transcript: list[str] = field(default_factory=list)
-    open: bool = True
-
-
-@dataclass
-class CommandResult:
-    stdout: str
-    exit_code: int
-    effective_user: str
 
 
 class TcpConnection:
@@ -230,7 +202,6 @@ class TcpConnection:
         index = network._next_conn_index()
         self.client_seq = ISN_BASE + 2 * index * ISN_STRIDE
         self.server_seq = ISN_BASE + (2 * index + 1) * ISN_STRIDE
-        self.established = False
         self.closed = False
         self.handler = None
         self.on_data: Callable[[bytes], None] | None = None
@@ -296,10 +267,8 @@ class Network:
         # (src host, dst host) -> path latency or None, for the current link states
         self._routes: dict[tuple[str, str], int | None] = {}
         self._handlers: dict[tuple[str, int], object] = {}
-        self._sessions: dict[int, Session] = {}
         self._connections: list[TcpConnection] = []
         self._conn_count = 0
-        self._session_count = 0
         self._ephemeral = EPHEMERAL_PORT_BASE
         self._now_us = 0
 
@@ -431,15 +400,12 @@ class Network:
             raise NetError(f"{host_name} has no service on port {port}")
         self._handlers[(host_name, port)] = handler
 
-    def _handler_for(self, host_name: str, port: int):
-        handler = self._handlers.get((host_name, port))
+    def _handler_for(self, host: Host, service: Service):
+        handler = self._handlers.get((host.name, service.port))
         if handler is not None:
             return handler
-        service = self.hosts[host_name].service_on(port)
-        if service is None:
-            return None
         if service.kind == "http":
-            return HttpHandler(self, self.hosts[host_name], service)
+            return HttpHandler(self, host, service)
         return BannerHandler(service)
 
     # -- transport ---------------------------------------------------------
@@ -463,17 +429,14 @@ class Network:
         conn._record(False, SYN | ACK, b"", t + 2 * latency)
         conn._record(True, ACK, b"", t + 3 * latency)
         self._advance(t + 3 * latency)
-        conn.established = True
-        conn.handler = self._handler_for(dst.name, dst_port)
+        conn.handler = self._handler_for(dst, service)
         self._connections.append(conn)
-        if conn.handler is not None and hasattr(conn.handler, "on_connect"):
-            conn.handler.on_connect(conn)
+        conn.handler.on_connect(conn)
         return conn
 
     def close_all(self, at_s: int | None = None):
         for conn in self._connections:
-            if conn.established and not conn.closed:
-                conn.close(at_s)
+            conn.close(at_s)
 
     # -- scanning ----------------------------------------------------------
 
@@ -527,31 +490,16 @@ class Network:
 
     # -- sessions and shell ------------------------------------------------
 
-    def open_session(self, host_name: str, via_vulnerability: str, user: str) -> Session:
-        """Open a command session; only possible through an attached RCE weakness."""
-        host = self.hosts[host_name]
-        vuln = None
-        for service in host.services:
-            for candidate in service.vulnerabilities:
-                if candidate.id == via_vulnerability and candidate.kind == "rce_command_injection":
-                    vuln = candidate
-        if vuln is None:
-            raise NoVector(f"{host_name} has no RCE vulnerability '{via_vulnerability}'")
-        session = Session(
-            id=self._session_count, host=host_name, user=user,
-            privilege=host.privilege_of(user), via_vulnerability=via_vulnerability,
-        )
-        self._session_count += 1
-        self._sessions[session.id] = session
-        return session
-
-    def _check_session(self, session: Session):
-        if session.id not in self._sessions or not session.open:
-            raise InvalidSession(f"session {session.id} is not open")
+    def open_session(self, ip: str, port: int) -> Session:
+        """Open a shell as the service's user through its RCE weakness."""
+        host = self.host_of_ip(ip)
+        service = host.service_on(port) if host is not None else None
+        if service is None or not service.rce:
+            raise NoVector(f"{ip}:{port} has no RCE weakness")
+        return Session(host.name, service.run_as, host.privilege_of(service.run_as))
 
     def escalate(self, session: Session, method: str) -> Vulnerability:
         """Privilege escalation through an attached pe_suid/pe_sudoers weakness."""
-        self._check_session(session)
         host = self.hosts[session.host]
         kind = "pe_suid" if method == "suid" else "pe_sudoers"
         pool = host.suid_binaries if method == "suid" else host.sudoers_scripts
@@ -562,46 +510,33 @@ class Network:
                 return vuln
         raise NoVector(f"{session.host} has no exploitable {kind} vector")
 
-    def exec_command(self, session: Session, cmdline: str) -> CommandResult:
-        """Evaluate the fixed shell vocabulary in a session; logs to its transcript."""
-        self._check_session(session)
+    def exec_command(self, session: Session, cmdline: str) -> str:
+        """Evaluate the fixed shell vocabulary in a session; returns its output."""
         host = self.hosts[session.host]
-        result = self._eval_command(host, session.user, session.privilege, cmdline, session)
-        session.transcript.append(f"{session.user}@{session.host}$ {cmdline}")
-        if result.stdout:
-            session.transcript.append(result.stdout)
-        return result
-
-    def _eval_command(self, host: Host, user: str, privilege: str,
-                      cmdline: str, session: Session | None = None) -> CommandResult:
         argv = cmdline.split()
         if not argv:
             raise UnknownCommand("empty command line")
         cmd = argv[0]
         if cmd == "whoami":
-            return CommandResult(user, 0, user)
-        if cmd == "id":
-            uid = host.uid_of(user)
-            return CommandResult(f"uid={uid}({user}) gid={uid}({user}) groups={uid}({user})", 0, user)
+            return session.user
         if cmd == "find" and argv[1:4] == ["/", "-perm", "-4000"]:
-            listing = "\n".join(f"/usr/local/bin/{name}" for name in host.suid_binaries)
-            return CommandResult(listing, 0, user)
+            return "\n".join(f"/usr/local/bin/{name}" for name in host.suid_binaries)
         if cmd == "sudo" and argv[1:] == ["-l"]:
             if not host.sudoers_scripts:
-                return CommandResult(f"Sorry, user {user} may not run sudo on {host.name}.", 1, user)
-            lines = [f"User {user} may run the following commands on {host.name}:"]
+                return f"Sorry, user {session.user} may not run sudo on {host.name}."
+            lines = [f"User {session.user} may run the following commands on {host.name}:"]
             lines += [f"    (root) NOPASSWD: /usr/local/sbin/{s}" for s in host.sudoers_scripts]
-            return CommandResult("\n".join(lines), 0, user)
-        if cmd in host.command_hooks:
-            hook, require_admin = host.command_hooks[cmd]
-            if require_admin and privilege != "admin":
-                raise PermissionDenied(f"'{cmd}' requires admin privilege")
-            return CommandResult(hook(argv[1:], session), 0, user)
-        raise UnknownCommand(f"command not recognized: {cmd}")
+            return "\n".join(lines)
+        hook = host.command_hooks.get(cmd)
+        if hook is None:
+            raise UnknownCommand(f"command not recognized: {cmd}")
+        if session.privilege != "admin":
+            raise PermissionDenied(f"'{cmd}' requires admin privilege")
+        return hook(argv[1:])
 
-    def register_command(self, host_name: str, name: str, hook: Callable,
-                         require_admin: bool = True):
-        self.hosts[host_name].command_hooks[name] = (hook, require_admin)
+    def register_command(self, host_name: str, name: str, hook: Callable[[list[str]], str]):
+        """Add an admin-only shell command `hook(args) -> output` to a host."""
+        self.hosts[host_name].command_hooks[name] = hook
 
 
 class BannerHandler:
@@ -652,18 +587,17 @@ class HttpHandler:
         path = parts[1]
         if path.startswith("/cgi-bin/exec?cmd="):
             command = path[len("/cgi-bin/exec?cmd="):].replace("+", " ")
-            if self.service.rce_vulnerability() is None:
+            if not self.service.rce:
                 self._respond(conn, "404 Not Found", "no such endpoint\n")
                 return
             user = self.service.run_as
+            session = Session(self.host.name, user, self.host.privilege_of(user))
             try:
-                result = self.network._eval_command(
-                    self.host, user, self.host.privilege_of(user), command
-                )
+                output = self.network.exec_command(session, command)
             except (UnknownCommand, PermissionDenied) as exc:
                 self._respond(conn, "500 Internal Server Error", f"{exc}\n")
                 return
-            self._respond(conn, "200 OK", result.stdout + "\n")
+            self._respond(conn, "200 OK", output + "\n")
             return
         self._respond(conn, "200 OK", f"<html>{self.service.banner}</html>\n")
 
@@ -698,17 +632,12 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
                 port = entry.convert(port_raw, f"{kind} service port", int)
                 if any(s.port == port for s in host.services):
                     raise entry.error(f"host '{host.name}' repeats service port {port}")
-                service = Service(
+                host.services.append(Service(
                     port=port, kind=kind,
                     banner=opts.get("banner", ""),
                     run_as=opts.get("run_as", DEFAULT_SERVICE_USERS.get(kind, "root")),
-                )
-                if rce := opts.get("rce"):
-                    service.vulnerabilities.append(
-                        Vulnerability(id=rce, kind="rce_command_injection",
-                                      locus=str(port))
-                    )
-                host.services.append(service)
+                    rce=opts.get("rce", ""),
+                ))
             elif entry.key == "account":
                 tokens = entry.value.split()
                 if len(tokens) != 2 or tokens[1] not in ("user", "admin"):

