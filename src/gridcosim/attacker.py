@@ -191,7 +191,7 @@ class Attacker:
         self._log(t, f"S2 rce http://{ip}:{port}/cgi-bin/exec?cmd=whoami")
         status = text.split("\r\n", 1)[0]
         if " 200 " not in status + " ":
-            self._log(t, f"  {status}")
+            self._log(t, f"  {status or 'connection closed without a response'}")
             raise AttackError("NotVulnerable")
         body = text.split("\r\n\r\n", 1)[1].strip() if "\r\n\r\n" in text else ""
         user = body.splitlines()[-1].strip() if body else "unknown"

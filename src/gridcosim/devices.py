@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import iec104
 from .configfile import ConfigError, Entry, Row
@@ -86,8 +87,9 @@ class DataPoint:
     scale: float = 1.0
     unit: str = ""
 
-    @property
+    @cached_property
     def entity(self) -> str:
+        """`<kind>:<id>`, built once: every step and truth row reuses it."""
         return f"{self.element_kind}:{self.element_id}"
 
 
@@ -228,22 +230,46 @@ class Rtu:
             self._conn.send(iec104.encode(apdu), at_s=at_s, from_server=True)
 
     # -- network handler (MTU side opens the connection) --------------------
+    # The RTU serves one controlling station: the first connection carries
+    # the session until the RTU hangs up on it, and any other connection is
+    # hung up on at its first bytes. A malformed APDU or a protocol
+    # violation on the session's connection ends that connection, not the run.
 
     def on_connect(self, conn: TcpConnection):
-        self._conn = conn
-        self._rx = b""
+        if self._conn is None:
+            self._conn = conn
+            self._rx = b""
 
     def on_client_data(self, conn: TcpConnection, payload: bytes):
+        if conn is not self._conn:
+            conn.close(from_server=True)
+            return
         self._rx += payload
-        apdus, used = iec104.decode_stream(self._rx)
+        try:
+            apdus, used = iec104.decode_stream(self._rx)
+        except iec104.Iec104Error:
+            self._hang_up()
+            return
         self._rx = self._rx[used:]
         for apdu in apdus:
             was_started = self.session.started
-            self._transmit(self.session.received(apdu))
+            try:
+                replies = self.session.received(apdu)
+            except iec104.Iec104Error:
+                self._hang_up()
+                return
+            self._transmit(replies)
             if not was_started and self.session.started:
                 self._flush_buffer()
             if apdu.kind == "I":
                 self._handle_asdu(apdu.asdu)
+
+    def _hang_up(self):
+        """Close the session's connection; reports buffer until the next
+        connection starts a fresh session."""
+        self._conn.close(from_server=True)
+        self._conn = None
+        self.session = iec104.ConnectionState(role="controlled")
 
     def _handle_asdu(self, asdu: iec104.Asdu):
         if asdu.type_id == iec104.C_IC_NA_1 and asdu.cot == iec104.COT_ACTIVATION:
@@ -316,7 +342,7 @@ class Rtu:
             self.overrides[ioa] = rule
 
 
-@dataclass
+@dataclass(slots=True)
 class ArchiveRow:
     t: int
     rtu: str
@@ -325,7 +351,7 @@ class ArchiveRow:
     quality: int
 
 
-@dataclass
+@dataclass(slots=True)
 class CommandLogRow:
     t: int
     rtu: str

@@ -242,15 +242,17 @@ class TcpConnection:
         elif self.handler is not None:
             self.handler.on_client_data(self, payload)
 
-    def close(self, at_s: int | None = None):
+    def close(self, at_s: int | None = None, from_server: bool = False):
+        """Four-way teardown, started by the client or by the server."""
         if self.closed:
             return
         t = self.network._clock(at_s)
         lat = self.latency_us
-        self._record(True, FIN | ACK, b"", t + lat)
-        self._record(False, ACK, b"", t + 2 * lat)
-        self._record(False, FIN | ACK, b"", t + 3 * lat)
-        self._record(True, ACK, b"", t + 4 * lat)
+        by_client = not from_server
+        self._record(by_client, FIN | ACK, b"", t + lat)
+        self._record(from_server, ACK, b"", t + 2 * lat)
+        self._record(from_server, FIN | ACK, b"", t + 3 * lat)
+        self._record(by_client, ACK, b"", t + 4 * lat)
         self.network._advance(t + 4 * lat)
         self.closed = True
 
@@ -435,8 +437,18 @@ class Network:
         return conn
 
     def close_all(self, at_s: int | None = None):
+        """Close every connection and end the run's use of the network.
+
+        Handlers and command hooks point back at the devices, which point
+        at the network and their connections; dropping those references
+        here lets the finished run be freed by reference counting."""
         for conn in self._connections:
             conn.close(at_s)
+            conn.handler = conn.on_data = None
+        self._connections.clear()
+        self._handlers.clear()
+        for host in self.hosts.values():
+            host.command_hooks.clear()
 
     # -- scanning ----------------------------------------------------------
 

@@ -712,7 +712,12 @@ def run_scenario(
         fh.write(f"-  {RUN_REPORT}\n")
 
     if fault is not None:
-        raise fault
+        # the fault's traceback holds this frame: drop the local that
+        # would close the loop and pin the whole run
+        try:
+            raise fault
+        finally:
+            fault = None
 
     return RunOutputs(
         outdir=outdir,

@@ -10,6 +10,7 @@ SCENARIOS_DIR = os.path.join(REPO, "scenarios")
 
 ATTACK_DEMO = os.path.join(SCENARIOS_DIR, "attack_demo", "scenario.txt")
 FLEX_DEMO = os.path.join(SCENARIOS_DIR, "flex_demo", "scenario.txt")
+SCADA_BURST = os.path.join(DATA_DIR, "scada_burst", "scenario.txt")
 FEEDER7 = os.path.join(DATA_DIR, "feeder7.grid")
 FEEDER7_PROFILES = os.path.join(DATA_DIR, "feeder7_profiles.csv")
 
@@ -32,3 +33,8 @@ def attack_demo_path():
 @pytest.fixture(scope="session")
 def flex_demo_path():
     return FLEX_DEMO
+
+
+@pytest.fixture(scope="session")
+def scada_burst_path():
+    return SCADA_BURST

@@ -189,6 +189,27 @@ class TestPollAndCommand:
         assert mtu.command_log[-1].confirmed is False
 
 
+class TestSessionConnection:
+    def test_second_connection_gets_no_session(self, rig):
+        network, rtu, mtu = rig
+        mtu.start(0)
+        intruder = network.open_connection("mtu", "10.0.2.11", devices.IEC104_PORT, at_s=30)
+        intruder.send(b"GET / HTTP/1.1\r\n\r\n", at_s=30)
+        assert intruder.closed
+        assert network.packet_log[-4].src_port == devices.IEC104_PORT  # the RTU's FIN
+        rtu.step(60, MEAS)
+        assert [(r.t, r.ioa) for r in mtu.archive] == [(60, 101), (60, 102)]
+
+    def test_malformed_apdu_closes_the_session_connection(self, rig):
+        network, rtu, mtu = rig
+        mtu.start(0)
+        conn = mtu._rtus["r1"]["conn"]
+        conn.send(b"\x68\x04\x07\x01\x00\x00", at_s=30)  # U-frame with a stray bit
+        assert conn.closed and not rtu.session.started
+        rtu.step(60, MEAS)
+        assert mtu.archive == [] and len(rtu.buffer) == 2
+
+
 class TestManipulationRules:
     def test_scale_offset_freeze(self):
         rule = ManipulationRule(kind="scale", factor=0.5)

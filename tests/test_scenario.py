@@ -1,4 +1,5 @@
 import csv
+import gc
 import os
 import shutil
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 
 from gridcosim import cli
 from gridcosim.configfile import ConfigError
+from gridcosim.kernel import SimulatorFault
 from gridcosim.scenario import HASHED_OUTPUTS, load_scenario, run_scenario
 
 
@@ -121,6 +123,25 @@ class TestRun:
         assert cli.main(["run", str(scenario_file), "--out", str(outdir)]) == 0
         trace = read_csv(outdir / "attack_trace.csv")
         assert [(r["stage"], r["outcome"]) for r in trace[-1:]] == [("S4", "failure(UnknownIoa)")]
+        assert_archive_equals_truth(load_scenario(scenario_file), outdir)
+
+    def test_rce_on_iec104_port_fails_stage_s2_not_the_run(self, attack_demo_path, tmp_path):
+        # the exploit's HTTP request reaches the RTU's IEC 104 port, which
+        # hangs up on it and keeps reporting to the MTU
+        scenario_file = edited_copy(
+            attack_demo_path, tmp_path / "rce_iec104", "scenario.txt",
+            lambda text: text.replace("stage = rce http", "stage = rce port:2404"),
+        )
+        outdir = tmp_path / "rce_iec104_out"
+        assert cli.main(["run", str(scenario_file), "--out", str(outdir)]) == 0
+        trace = read_csv(outdir / "attack_trace.csv")
+        assert [(r["stage"], r["outcome"]) for r in trace] == [
+            ("S1", "success"), ("S2", "failure(NotVulnerable)"),
+        ]
+        transcript = (outdir / "attack_transcript.log").read_text()
+        assert "[t=660]   connection closed without a response\n" in transcript
+        truth = read_csv(outdir / "ground_truth.csv")
+        assert len(read_csv(outdir / "archive.csv")) == len(truth) == 315
         assert_archive_equals_truth(load_scenario(scenario_file), outdir)
 
     def test_ved_power_beyond_16_bits_runs_to_horizon(self, flex_demo_path, tmp_path):
@@ -253,18 +274,17 @@ datapoint = 101 monitor bus:b:v_pu
 """
 
 
+@pytest.fixture
+def broken_bundle(tmp_path):
+    (tmp_path / "grid.txt").write_text(BROKEN_GRID)
+    (tmp_path / "topology.txt").write_text(BROKEN_TOPOLOGY)
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(BROKEN_SCENARIO)
+    return scenario_file
+
+
 class TestFaultHandling:
-    @pytest.fixture
-    def broken_bundle(self, tmp_path):
-        (tmp_path / "grid.txt").write_text(BROKEN_GRID)
-        (tmp_path / "topology.txt").write_text(BROKEN_TOPOLOGY)
-        scenario_file = tmp_path / "scenario.txt"
-        scenario_file.write_text(BROKEN_SCENARIO)
-        return scenario_file
-
     def test_simulator_fault_preserves_partial_outputs(self, broken_bundle, tmp_path):
-        from gridcosim.kernel import SimulatorFault
-
         scenario = load_scenario(broken_bundle)
         outdir = tmp_path / "fault_out"
         with pytest.raises(SimulatorFault) as err:
@@ -279,6 +299,30 @@ class TestFaultHandling:
             ["run", str(broken_bundle), "--out", str(tmp_path / "cli_fault")]
         ) == 2
         assert "runtime fault" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bundle, faults",
+    [("attack_demo_path", False), ("flex_demo_path", False),
+     ("scada_burst_path", False), ("broken_bundle", True)],
+)
+def test_finished_run_leaves_no_reference_cycles(request, tmp_path, bundle, faults):
+    """A run's object graph is freed by reference counting as soon as the
+    run returns or raises, so back-to-back runs keep memory bounded without
+    waiting for the cyclic collector."""
+    scenario_file = request.getfixturevalue(bundle)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            run_scenario(load_scenario(scenario_file), outdir=str(tmp_path / "out"))
+        except SimulatorFault:
+            assert faults
+        else:
+            assert not faults
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestCli:
