@@ -23,6 +23,9 @@ _VALIDATION_ERRORS = (ConfigError, NetError, OSError)
 
 
 def _cmd_run(args) -> int:
+    if args.until is not None and args.until <= 0:
+        print(f"error: --until must be positive, got {args.until}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         scenario = load_scenario(args.scenario)
     except _VALIDATION_ERRORS as exc:

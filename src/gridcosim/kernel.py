@@ -1,18 +1,15 @@
 """Time-discrete co-simulation kernel.
 
-Registered simulators are stepped at every multiple of their step size on a
-shared integer-second clock. Within a timestep they run in topological order
-of the unshifted data links, ties broken by registration order. Data moves
-across links between steps: an unshifted link delivers the producer value of
-the same timestep, a time-shifted link the value of the producer's previous
-step.
+Every registered simulator is stepped at t = 0, step_s, 2*step_s, ... < until
+on a shared integer-second clock. Within a step they run in topological order
+of the unshifted data links, ties broken by registration order.
 
-An input's default is declared once, in the consumer's
-`SimulatorDescriptor.input_defaults`. It is read while the input is unwired,
-and while it is wired but its producer has not yet provided a value (at t=0
-over a time-shifted link, or when the producer never emits the attribute).
-A wired input without a declared default reads None; an unwired one is an
-error.
+One rule gives every input its value:
+- an unshifted input reads the producer's value from the same step;
+- a time-shifted input reads the value the producer last emitted at an
+  earlier step;
+- an input with no value yet reads None: at t=0 over a time-shifted link,
+  an unwired input, or a producer that never emits the attribute.
 """
 
 from __future__ import annotations
@@ -34,19 +31,11 @@ class DuplicateId(KernelError):
     pass
 
 
-class InvalidStepSize(KernelError):
-    pass
-
-
 class UnknownEndpoint(KernelError):
     pass
 
 
 class CycleWithoutTimeShift(KernelError):
-    pass
-
-
-class UnwiredInput(KernelError):
     pass
 
 
@@ -63,10 +52,8 @@ class SimulatorFault(KernelError):
 @dataclass(frozen=True)
 class SimulatorDescriptor:
     id: str
-    step_size: int
     provides: tuple[Attr, ...] = ()
     consumes: tuple[Attr, ...] = ()
-    input_defaults: tuple[tuple[Attr, Any], ...] = ()
 
 
 @dataclass
@@ -91,19 +78,17 @@ class _Registered(NamedTuple):
 
 
 class Kernel:
-    def __init__(self):
+    def __init__(self, step_s: int):
+        if step_s < 1:
+            raise KernelError(f"step_s must be >= 1, got {step_s}")
+        self._step_s = step_s
         self._sims: dict[str, _Registered] = {}                 # registration order
         self._inputs: dict[Endpoint, tuple[Endpoint, bool]] = {}  # dst -> (src, time_shifted)
         self._upstream: dict[str, set[str]] = {}                # consumer -> unshifted producers
-        self._running = False
 
     def register_simulator(self, desc: SimulatorDescriptor, step_fn: StepFn) -> str:
-        if self._running:
-            raise KernelError("cannot register while a run is in progress")
         if desc.id in self._sims:
             raise DuplicateId(f"simulator id '{desc.id}' already registered")
-        if desc.step_size < 1:
-            raise InvalidStepSize(f"step_size must be >= 1, got {desc.step_size}")
         self._sims[desc.id] = _Registered(
             desc, step_fn, frozenset(desc.provides), frozenset(desc.consumes)
         )
@@ -158,65 +143,44 @@ class Kernel:
             ))
         return ordered
 
-    def _input_plan(self, sim_id: str) -> list[tuple[Attr, Endpoint | None, bool, Any]]:
-        """(attr, source endpoint, time_shifted, default) per consumed attr;
-        an unwired input has no source and must declare a default."""
-        desc = self._sims[sim_id].desc
-        defaults = dict(desc.input_defaults)
-        plan = []
-        for attr in desc.consumes:
-            src, shifted = self._inputs.get((sim_id, *attr), (None, False))
-            if src is None and attr not in defaults:
-                raise UnwiredInput(
-                    f"input ({attr[0]}, {attr[1]}) of '{sim_id}' has no link or default"
-                )
-            plan.append((attr, src, shifted, defaults.get(attr)))
-        return plan
-
     def run(self, until: int) -> RunReport:
         if not self._sims:
             raise KernelError("no simulators registered")
         if until <= 0:
             raise KernelError("until must be > 0")
+        # per simulator: (attr, source endpoint, time_shifted); an unwired
+        # input's source is None, which no value is keyed by
         schedule = [
-            (sim_id, self._sims[sim_id], self._input_plan(sim_id))
+            (sim_id, self._sims[sim_id], [
+                (attr, *self._inputs.get((sim_id, *attr), (None, False)))
+                for attr in self._sims[sim_id].desc.consumes
+            ])
             for sim_id in self._topological_order()
         ]
-        step_sizes = [sim.desc.step_size for sim in self._sims.values()]
+        shifted_sources = {src for src, shifted in self._inputs.values() if shifted}
         values: dict[Endpoint, Any] = {}
-        step_counts = dict.fromkeys(self._sims, 0)
+        times = range(0, until, self._step_s)
         started = time.perf_counter()
-        self._running = True
-        try:
-            t = 0
-            while t < until:
-                snapshot = dict(values)  # values produced strictly before t
-                for sim_id, sim, plan in schedule:
-                    if t % sim.desc.step_size:
-                        continue
-                    # an unwired input's source is None, which no value is keyed by
-                    inputs = {
-                        attr: (snapshot if shifted else values).get(src, default)
-                        for attr, src, shifted, default in plan
-                    }
-                    try:
-                        outputs = sim.step_fn(t, inputs) or {}
-                    except KernelError:
-                        raise
-                    except Exception as exc:
-                        raise SimulatorFault(sim_id, t, exc) from exc
-                    for attr, value in outputs.items():
-                        if attr not in sim.provides:
-                            raise SimulatorFault(
-                                sim_id, t, KeyError(f"undeclared output {attr}")
-                            )
-                        values[(sim_id, *attr)] = value
-                    step_counts[sim_id] += 1
-                t = min((t // size + 1) * size for size in step_sizes)
-        finally:
-            self._running = False
+        for t in times:
+            # what each time-shifted source held when this step began
+            earlier = {src: values.get(src) for src in shifted_sources}
+            for sim_id, sim, plan in schedule:
+                inputs = {
+                    attr: (earlier if shifted else values).get(src)
+                    for attr, src, shifted in plan
+                }
+                try:
+                    outputs = sim.step_fn(t, inputs) or {}
+                except Exception as exc:
+                    raise SimulatorFault(sim_id, t, exc) from exc
+                for attr, value in outputs.items():
+                    if attr not in sim.provides:
+                        raise SimulatorFault(
+                            sim_id, t, KeyError(f"undeclared output {attr}")
+                        )
+                    values[(sim_id, *attr)] = value
         return RunReport(
             until=until,
-            step_counts=step_counts,
+            step_counts=dict.fromkeys(self._sims, len(times)),
             wall_seconds=time.perf_counter() - started,
         )

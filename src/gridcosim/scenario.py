@@ -20,7 +20,8 @@ the removed `seed`):
 
   [mtu]
   host = <topology host>
-  poll_period_s = <int>           # optional; 0 = spontaneous reporting only
+  poll_period_s = <int>           # optional; 0 (default) = spontaneous reporting only,
+                                  # else a positive multiple of step_s
 
   [rtu <name>]
   host = <topology host>
@@ -263,9 +264,14 @@ def load_scenario(path) -> Scenario:
     mtu_section = single_section(sections, "mtu")
     mtu_config = None
     if mtu_section is not None:
+        poll_period = mtu_section.get_int("poll_period_s", 0)
+        if poll_period < 0 or poll_period % step_s:
+            raise mtu_section.entry("poll_period_s").error(
+                "poll_period_s must be 0 or a positive multiple of step_s"
+            )
         mtu_config = MtuConfig(
             host=_known(mtu_section, "host", network.hosts, "topology").value,
-            poll_period=mtu_section.get_int("poll_period_s", 0),
+            poll_period=poll_period,
         )
 
     rtus: list[devices.RtuConfig] = []
@@ -510,7 +516,7 @@ def run_scenario(
     until: int | None = None,
 ) -> RunOutputs:
     outdir = outdir or scenario.outdir
-    horizon = until or scenario.horizon_s
+    horizon = scenario.horizon_s if until is None else until
     os.makedirs(outdir, exist_ok=True)
 
     grid_model = scenario.grid_model
@@ -533,7 +539,7 @@ def run_scenario(
     )
     ved_buses = {v.name: v.bus for v in scenario.veds}
 
-    kernel = Kernel()
+    kernel = Kernel(scenario.step_s)
 
     ems_sims: dict[str, EmsSimulator] = {}
     for ved_config in scenario.veds:
@@ -545,7 +551,6 @@ def run_scenario(
         kernel.register_simulator(
             SimulatorDescriptor(
                 id=f"ems_{ved_config.name}",
-                step_size=scenario.step_s,
                 provides=((f"ved:{ved_config.name}", "grid_kw"),),
             ),
             sim.step,
@@ -557,7 +562,6 @@ def run_scenario(
     kernel.register_simulator(
         SimulatorDescriptor(
             id="grid",
-            step_size=scenario.step_s,
             provides=tuple((f"{k}:{e}", f) for k, e, f in monitored),
             consumes=tuple(grid_consumes),
         ),
@@ -578,7 +582,6 @@ def run_scenario(
         kernel.register_simulator(
             SimulatorDescriptor(
                 id=f"rtu_{config.name}",
-                step_size=scenario.step_s,
                 provides=provides,
                 consumes=consumes,
             ),
@@ -605,7 +608,7 @@ def run_scenario(
         for config in scenario.rtus:
             mtu.attach_rtu(config.name, network.hosts[config.host].primary_ip())
         kernel.register_simulator(
-            SimulatorDescriptor(id="mtu", step_size=scenario.step_s),
+            SimulatorDescriptor(id="mtu"),
             mtu.step,
         )
 
@@ -613,7 +616,7 @@ def run_scenario(
     if scenario.attack_plan is not None:
         attack_agent = attacker_mod.Attacker(network, scenario.attack_plan)
         kernel.register_simulator(
-            SimulatorDescriptor(id="attacker", step_size=scenario.step_s),
+            SimulatorDescriptor(id="attacker"),
             attack_agent.step,
         )
 

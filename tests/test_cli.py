@@ -56,6 +56,10 @@ MALFORMED = {
         "201 control sgen:pv1:p_kw"),
     "report_period_zero": (
         "flex_demo", "report_period_s = 900", "report_period_s = 0", "report_period_s = 0"),
+    "poll_period_not_multiple": (
+        "attack_demo", "poll_period_s = 900", "poll_period_s = 90", "poll_period_s = 90"),
+    "poll_period_negative": (
+        "attack_demo", "poll_period_s = 900", "poll_period_s = -300", "poll_period_s = -300"),
     "second_ems_section": (  # the extra space only makes the anchor line unique
         "flex_demo", "dso = import=5 export=5", "dso = import=5 export=5\n[ems  home1]",
         "[ems  home1]"),
@@ -114,6 +118,15 @@ def test_removed_seed_key_says_so(tmp_path, capsys):
                                     "step_s = 60", "step_s = 60\nseed = 7")
     assert cli.main(["validate", str(scenario_file)]) == 1
     assert "'seed' was removed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("until", ["0", "-60"])
+def test_run_rejects_non_positive_until_before_writing(until, tmp_path, capsys):
+    scenario_file = os.path.join(SCENARIOS_DIR, "attack_demo", "scenario.txt")
+    out = tmp_path / "out"
+    assert cli.main(["run", scenario_file, "--out", str(out), "--until", until]) == 1
+    assert "--until must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _capture(path, payloads):

@@ -152,8 +152,8 @@ class TestPollAndCommand:
             raise RuntimeError("interrogation bug")
 
         monkeypatch.setattr(rtu, "_interrogation_reply", broken_reply)
-        kernel = Kernel()
-        kernel.register_simulator(SimulatorDescriptor(id="mtu", step_size=60), mtu.step)
+        kernel = Kernel(60)
+        kernel.register_simulator(SimulatorDescriptor(id="mtu"), mtu.step)
         with pytest.raises(SimulatorFault) as err:
             kernel.run(120)
         assert err.value.sim_id == "mtu" and err.value.step_time == 60
@@ -270,25 +270,26 @@ class TestSwitchIslanding:
             controllable=[("line", "swline", "status")],
             ved_buses={},
         )
-        kernel = Kernel()
+        kernel = Kernel(60)
         kernel.register_simulator(
             SimulatorDescriptor(
-                id="grid", step_size=60,
+                id="grid",
                 provides=(("bus:g2", "v_pu"),),
                 consumes=(("line:swline", "status"),),
-                input_defaults=((("line:swline", "status"), None),),
             ),
             grid_sim.step,
         )
         kernel.register_simulator(
             SimulatorDescriptor(
-                id="rtu", step_size=60,
+                id="rtu",
                 provides=(("line:swline", "status"),),
                 consumes=(("bus:g2", "v_pu"),),
             ),
             rtu.step,
         )
         kernel.connect(("grid", "bus:g2", "v_pu"), ("rtu", "bus:g2", "v_pu"))
+        # the grid reads None for the switch until the RTU first actuates it,
+        # and a None command leaves the switch as it is
         kernel.connect(
             ("rtu", "line:swline", "status"),
             ("grid", "line:swline", "status"),
@@ -302,7 +303,7 @@ class TestSwitchIslanding:
                 mtu.command("r1", 202, 0.0, 60, control_map=config.datapoints)
             return {}
 
-        kernel.register_simulator(SimulatorDescriptor(id="mtu", step_size=60), mtu_step)
+        kernel.register_simulator(SimulatorDescriptor(id="mtu"), mtu_step)
         # command at t=60 lands mid-step: the RTU emits the actuation at its
         # t=120 step and the time-shifted link delivers it to the grid at 180
         kernel.run(240)
