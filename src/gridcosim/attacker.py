@@ -23,53 +23,14 @@ class PlanOrderError(AttackError):
     pass
 
 
-@dataclass(frozen=True)
-class ScanStage:
-    subnet: str
+# the stage kinds in plan order; a stage's name is S1..S4 by its position
+STAGE_KINDS = ("scan", "rce", "pe", "manipulate")
 
 
 @dataclass(frozen=True)
-class RceStage:
-    selector: str  # service kind, "port:<n>", or an IP address
-
-
-@dataclass(frozen=True)
-class PeStage:
-    method: str  # suid | sudoers
-
-
-@dataclass(frozen=True)
-class ManipulationStrategy:
-    kind: str                       # a devices.MANIPULATION_KINDS key
-    factor: float = 1.0
-    delta: float = 0.0
-    target_ioas: tuple[int, ...] | None = None  # None = all monitor points
-
-    def __post_init__(self):
-        if self.kind not in devices.MANIPULATION_KINDS:
-            raise AttackError(f"unknown manipulation kind '{self.kind}'")
-
-    def to_command(self) -> str:
-        parts = ["rtu-override", "install", self.kind]
-        param = devices.MANIPULATION_KINDS[self.kind]
-        if param is not None:
-            parts.append(f"{param}={getattr(self, param)!r}")
-        if self.target_ioas is None:
-            parts.append("targets=all")
-        else:
-            parts.append("targets=" + ",".join(str(i) for i in self.target_ioas))
-        return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class ManipulateStage:
-    strategy: ManipulationStrategy
-
-
-Stage = ScanStage | RceStage | PeStage | ManipulateStage
-
-_STAGE_RANK = {ScanStage: 1, RceStage: 2, PeStage: 3, ManipulateStage: 4}
-_STAGE_NAME = {ScanStage: "S1", RceStage: "S2", PeStage: "S3", ManipulateStage: "S4"}
+class Stage:
+    kind: str  # a STAGE_KINDS entry
+    arg: str   # subnet, target selector, pe method, or `<manipulation kind> [options]`
 
 
 @dataclass(frozen=True)
@@ -79,7 +40,7 @@ class AttackPlan:
     start_time: int = 0
 
     def __post_init__(self):
-        ranks = [_STAGE_RANK[type(stage)] for stage in self.stages]
+        ranks = [STAGE_KINDS.index(stage.kind) for stage in self.stages]
         if any(b <= a for a, b in zip(ranks, ranks[1:])):
             raise PlanOrderError("stages must appear in S1 < S2 < S3 < S4 order")
 
@@ -91,10 +52,6 @@ class TraceEvent:
     action: str
     target: str
     outcome: str  # "success" or "failure(<reason>)"
-
-    @property
-    def success(self) -> bool:
-        return self.outcome == "success"
 
 
 class Attacker:
@@ -121,20 +78,11 @@ class Attacker:
     # -- stage dispatch --------------------------------------------------------
 
     def _execute(self, stage: Stage, t: int):
-        name = _STAGE_NAME[type(stage)]
+        name = f"S{STAGE_KINDS.index(stage.kind) + 1}"
+        action = stage.kind
+        target = stage.arg.split()[0]  # a manipulation is traced by its kind alone
         try:
-            if isinstance(stage, ScanStage):
-                action, target = "scan", stage.subnet
-                self.stage_scan(stage.subnet, t)
-            elif isinstance(stage, RceStage):
-                action, target = "rce", stage.selector
-                target = self.stage_rce(stage.selector, t)
-            elif isinstance(stage, PeStage):
-                action, target = "pe", stage.method
-                self.stage_pe(stage.method, t)
-            else:
-                action, target = "manipulate", stage.strategy.kind
-                self.stage_manipulate(stage.strategy, t)
+            target = getattr(self, f"stage_{action}")(stage.arg, t) or target
         except (netsim.NetError, devices.DeviceError, AttackError) as exc:
             reason = str(exc) if type(exc) is AttackError else type(exc).__name__
             self.trace.append(
@@ -225,16 +173,15 @@ class Attacker:
         self._log(t, f"  {session.user}@{session.host}$ whoami")
         self._log(t, f"  {self.network.exec_command(session, 'whoami')}")
 
-    def stage_manipulate(self, strategy: ManipulationStrategy, t: int):
+    def stage_manipulate(self, manipulation: str, t: int):
         session = self._session()
-        command = strategy.to_command()
+        command = f"rtu-override install {manipulation}"
         try:
             output = self.network.exec_command(session, command)
         except netsim.PermissionDenied:
             raise AttackError("PermissionDenied") from None
         except netsim.UnknownCommand:
             raise AttackError("NotAnRtu") from None
-        self._log(t, f"S4 manipulate ({strategy.kind})")
+        self._log(t, f"S4 manipulate ({manipulation.split()[0]})")
         self._log(t, f"  {session.user}@{session.host}$ {command}")
         self._log(t, f"  {output}")
-

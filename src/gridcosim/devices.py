@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import iec104
-from .configfile import ConfigError, Entry, Row
+from .configfile import ConfigError, Entry
 from .netsim import NetError, Network, TcpConnection
 
 REPORT_BUFFER_LIMIT = 100
@@ -41,22 +41,34 @@ CONTROL_FIELDS = {
     "sgen": ("p_kw", "q_kvar"),
 }
 
-# manipulation kind -> the rule parameter it takes (freeze takes none)
-MANIPULATION_KINDS = {"scale": "factor", "offset": "delta", "freeze": None, "fdi_stealth": "factor"}
-# the options of a manipulation, in a scenario stage and in `rtu-override`
-MANIPULATE_OPTIONS = frozenset(("factor", "delta", "targets"))
+# manipulation kind -> the options it takes, in a scenario stage and in
+# `rtu-override install`
+MANIPULATION_KINDS = {
+    "scale": ("factor", "targets"),
+    "offset": ("delta", "targets"),
+    "freeze": ("targets",),
+    "fdi_stealth": ("factor", "targets"),
+}
 OVERRIDE_USAGE = "usage: install <kind> [factor=F] [delta=D] [targets=all|ioa,..]"
 
 
-def manipulation_options(opts: Row) -> tuple[float, float, tuple[int, ...] | None]:
-    """factor, delta and target IOAs (None = all monitor points) of a
-    manipulation's options; a malformed value is a ConfigError."""
+def parse_manipulation(entry: Entry) -> tuple[str, tuple[int, ...] | None, dict[str, float]]:
+    """The kind, target IOAs (None = all monitor points) and rule parameters
+    of a manipulation `<kind> [options]`; a ConfigError at the entry's line
+    for an unknown kind, an option the kind does not take, or a bad value."""
+    (kind,), opts = entry.split(1, OVERRIDE_USAGE)
+    takes = MANIPULATION_KINDS.get(kind)
+    if takes is None:
+        raise entry.error(f"unknown manipulation kind '{kind}'")
+    for key in opts.attrs:
+        if key not in takes:
+            raise entry.error(f"manipulation {kind} takes no option '{key}'")
     targets = opts.get("targets", "all")
     return (
-        opts.get_float("factor", 1.0),
-        opts.get_float("delta", 0.0),
+        kind,
         None if targets == "all"
         else tuple(opts.convert(part, "targets", int) for part in targets.split(",")),
+        {key: opts.get_float(key) for key in opts.attrs if key != "targets"},
     )
 
 
@@ -136,10 +148,6 @@ class ManipulationRule:
     delta: float = 0.0
     frozen: dict[int, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.kind not in MANIPULATION_KINDS:
-            raise DeviceError(f"unknown manipulation kind '{self.kind}'")
-
     def apply(self, ioa: int, value: float) -> float:
         if self.kind == "freeze":
             return self.frozen.setdefault(ioa, value)
@@ -163,7 +171,7 @@ class Rtu:
     def __init__(self, config: RtuConfig, network: Network):
         self.config = config
         self.network = network
-        self.session = iec104.ConnectionState(role="controlled")
+        self.session = iec104.ConnectionState()
         self.overrides: dict[int, ManipulationRule] = {}
         self.current: dict[int, float] = {}        # digitized truth per monitor IOA
         self.last_sent: dict[int, float] = {}      # last wire value per IOA
@@ -269,7 +277,7 @@ class Rtu:
         connection starts a fresh session."""
         self._conn.close(from_server=True)
         self._conn = None
-        self.session = iec104.ConnectionState(role="controlled")
+        self.session = iec104.ConnectionState()
 
     def _handle_asdu(self, asdu: iec104.Asdu):
         if asdu.type_id == iec104.C_IC_NA_1 and asdu.cot == iec104.COT_ACTIVATION:
@@ -320,22 +328,23 @@ class Rtu:
         try:
             if args[:1] != ["install"]:
                 raise command.error(OVERRIDE_USAGE)
-            (kind,), opts = command.split(1, OVERRIDE_USAGE, MANIPULATE_OPTIONS)
-            factor, delta, targets = manipulation_options(opts)
+            kind, targets, params = parse_manipulation(command)
         except ConfigError as exc:
             raise DeviceError(str(exc)) from None
         if targets is None:
             targets = [dp.ioa for dp in self.config.datapoints.monitor]
-        self.install_override(kind, targets, factor=factor, delta=delta)
+        self.install_override(kind, targets, **params)
         return f"override {kind} installed on {len(targets)} points"
 
     def install_override(self, kind: str, target_ioas, factor: float = 1.0,
                          delta: float = 0.0):
-        """Install one rule on every target, or on none if any is unmapped."""
+        """Install one rule on every target, or on none if any is not a
+        monitor point."""
         rule = ManipulationRule(kind=kind, factor=factor, delta=delta)
         for ioa in target_ioas:
-            if self.config.datapoints.point(ioa) is None:
-                raise UnknownIoa(f"IOA {ioa} not mapped on {self.config.name}")
+            dp = self.config.datapoints.point(ioa)
+            if dp is None or dp.direction != "monitor":
+                raise UnknownIoa(f"IOA {ioa} is not a monitor point on {self.config.name}")
         for ioa in target_ioas:
             if kind == "freeze" and ioa in self.last_sent:
                 rule.frozen[ioa] = self.last_sent[ioa]
@@ -379,7 +388,7 @@ class Mtu:
     def attach_rtu(self, name: str, ip: str):
         self._rtus[name] = {
             "ip": ip, "conn": None,
-            "session": iec104.ConnectionState(role="controlling"),
+            "session": iec104.ConnectionState(),
             "rx": b"", "pending_poll": None,
         }
 
@@ -397,9 +406,8 @@ class Mtu:
             self.events.append((t, "connect-failed", name))
             return
         entry["conn"] = conn
-        entry["session"].start_pending = True
         conn.on_data = lambda data, _n=name: self._on_data(_n, data)
-        conn.send(iec104.encode(iec104.u_frame(iec104.U_STARTDT_ACT)), at_s=t)
+        self._transmit(name, entry["session"].start(), at_s=t)
 
     def _transmit(self, name: str, apdus, at_s: int | None = None):
         entry = self._rtus[name]

@@ -325,11 +325,11 @@ def decode_stream(buf: bytes) -> tuple[list[Apdu], int]:
 class ConnectionState:
     """Sequence/keep-alive state for one side of a 104 connection.
 
-    The controlling station (MTU) opens data transfer with STARTDT_act;
-    the controlled station (RTU) confirms. I-frames flow only while started.
+    The controlling station (MTU) opens data transfer with STARTDT_act
+    (`start`); the controlled station (RTU) confirms. I-frames flow only
+    while started.
     """
 
-    role: Literal["controlling", "controlled"]
     started: bool = False
     vs: int = 0              # next send sequence number
     vr: int = 0              # next expected receive sequence number
@@ -353,14 +353,13 @@ class ConnectionState:
 
     def send(self, asdu: Asdu) -> list[Apdu]:
         """Queue an ASDU for transmission; returns the APDUs to put on the wire."""
-        if not self.started:
-            self.pending.append(asdu)
-            if self.role == "controlling" and not self.start_pending:
-                self.start_pending = True
-                return [u_frame(U_STARTDT_ACT)]
-            return []
         self.pending.append(asdu)
-        return self._flush()
+        return self._flush() if self.started else []
+
+    def start(self) -> list[Apdu]:
+        """Ask the peer to start data transfer; returns the STARTDT_act."""
+        self.start_pending = True
+        return [u_frame(U_STARTDT_ACT)]
 
     def _apply_ack(self, recv_seq: int) -> None:
         acked_base = (self.vs - self.unacked_sent) % SEQ_MODULO

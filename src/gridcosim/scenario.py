@@ -47,14 +47,16 @@ the removed `seed`):
   stage = rce <selector>
   stage = pe <suid|sudoers>
   stage = manipulate <kind> [factor=<f>] [delta=<f>] [targets=all|<ioa,..>]
-                                  # kinds: devices.MANIPULATION_KINDS
+                                  # scale and fdi_stealth take factor, offset takes
+                                  # delta, freeze neither (devices.MANIPULATION_KINDS);
+                                  # targets are monitor IOAs, default all
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from . import attacker as attacker_mod
@@ -192,28 +194,18 @@ def _parse_datapoint(entry: Entry) -> devices.DataPoint:
     )
 
 
-def _parse_stage(entry: Entry):
-    (kind, arg), opts = entry.split(
-        2, "stage = <scan|rce|pe|manipulate> <argument> ...", devices.MANIPULATE_OPTIONS
-    )
-    if opts.attrs and kind != "manipulate":
-        raise entry.error(f"stage {kind} takes no options")
-    if kind == "scan":
-        return attacker_mod.ScanStage(subnet=arg)
-    if kind == "rce":
-        return attacker_mod.RceStage(selector=arg)
-    if kind == "pe":
-        return attacker_mod.PeStage(method=arg)
-    if kind != "manipulate":
+def _parse_stage(entry: Entry) -> attacker_mod.Stage:
+    """A stage keeps its argument as written: a manipulation's options reach
+    the RTU as text, checked here by the RTU's own parser."""
+    (kind, _), opts = entry.split(2, "stage = <scan|rce|pe|manipulate> <argument> ...")
+    if kind not in attacker_mod.STAGE_KINDS:
         raise entry.error(f"unknown stage kind '{kind}'")
-    factor, delta, targets = devices.manipulation_options(opts)
-    try:
-        strategy = attacker_mod.ManipulationStrategy(
-            kind=arg, factor=factor, delta=delta, target_ioas=targets
-        )
-    except attacker_mod.AttackError as exc:
-        raise entry.error(str(exc)) from None
-    return attacker_mod.ManipulateStage(strategy=strategy)
+    arg = entry.value.split(maxsplit=1)[1]
+    if kind == "manipulate":
+        devices.parse_manipulation(replace(entry, value=arg))
+    elif opts.attrs:
+        raise entry.error(f"stage {kind} takes no options")
+    return attacker_mod.Stage(kind, arg)
 
 
 def _parse_window(entry: Entry, keys: tuple[str, ...]) -> tuple:
@@ -517,7 +509,6 @@ def run_scenario(
 ) -> RunOutputs:
     outdir = outdir or scenario.outdir
     horizon = scenario.horizon_s if until is None else until
-    os.makedirs(outdir, exist_ok=True)
 
     grid_model = scenario.grid_model
     profiles = scenario.profiles
@@ -630,6 +621,9 @@ def run_scenario(
     network.close_all(horizon)
 
     # -- flush outputs (also on fault: partial artifacts are preserved) -----
+    # the directory is made only now, so a run the kernel refuses (until <= 0)
+    # leaves none behind
+    os.makedirs(outdir, exist_ok=True)
     paths = {name: os.path.join(outdir, name) for name in HASHED_OUTPUTS}
     paths[RUN_REPORT] = os.path.join(outdir, RUN_REPORT)
     paths[MANIFEST] = os.path.join(outdir, MANIFEST)

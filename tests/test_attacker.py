@@ -1,16 +1,7 @@
 import pytest
 
 from gridcosim import netsim
-from gridcosim.attacker import (
-    AttackPlan,
-    Attacker,
-    ManipulateStage,
-    ManipulationStrategy,
-    PeStage,
-    PlanOrderError,
-    RceStage,
-    ScanStage,
-)
+from gridcosim.attacker import AttackPlan, Attacker, PlanOrderError, Stage
 from gridcosim.devices import (
     DataPoint,
     DataPointMap,
@@ -52,10 +43,10 @@ l3 a=kali b=sw latency_ms=1
 FULL_PLAN = AttackPlan(
     foothold="kali",
     stages=(
-        ScanStage("10.0.2.0/24"),
-        RceStage("http"),
-        PeStage("suid"),
-        ManipulateStage(ManipulationStrategy(kind="scale", factor=0.5)),
+        Stage("scan", "10.0.2.0/24"),
+        Stage("rce", "http"),
+        Stage("pe", "suid"),
+        Stage("manipulate", "scale factor=0.5"),
     ),
     start_time=0,
 )
@@ -80,6 +71,7 @@ def network():
         datapoints=DataPointMap(entries=[
             DataPoint(101, "monitor", "trafo", "t1", "p_from_kw"),
             DataPoint(102, "monitor", "trafo", "t1", "q_from_kvar"),
+            DataPoint(201, "control", "line", "l1", "status"),
         ]),
         report_period=60,
     )
@@ -91,36 +83,45 @@ def network():
 class TestPlanValidation:
     def test_reordered_stages_rejected(self):
         with pytest.raises(PlanOrderError):
-            AttackPlan(foothold="kali", stages=(PeStage("suid"), RceStage("http")))
+            AttackPlan(foothold="kali", stages=(Stage("pe", "suid"), Stage("rce", "http")))
 
     def test_duplicate_stage_rejected(self):
         with pytest.raises(PlanOrderError):
-            AttackPlan(foothold="kali", stages=(RceStage("http"), RceStage("http")))
+            AttackPlan(foothold="kali", stages=(Stage("rce", "http"), Stage("rce", "http")))
 
     def test_later_stages_may_be_omitted(self):
-        AttackPlan(foothold="kali", stages=(ScanStage("10.0.2.0/24"), RceStage("http")))
+        AttackPlan(foothold="kali", stages=(Stage("scan", "10.0.2.0/24"), Stage("rce", "http")))
 
 
 class TestStages:
     def test_full_chain_succeeds(self, network):
         trace = run_plan(network, FULL_PLAN)
         assert [e.stage for e in trace] == ["S1", "S2", "S3", "S4"]
-        assert all(e.success for e in trace)
+        assert all(e.outcome == "success" for e in trace)
         rtu = network._test_rtu
         assert 101 in rtu.overrides and 102 in rtu.overrides
 
-    @pytest.mark.parametrize("strategy, param, value", [
-        (ManipulationStrategy(kind="scale", factor=0.123456789), "factor", 0.123456789),
-        (ManipulationStrategy(kind="offset", delta=1234567), "delta", 1234567),
+    @pytest.mark.parametrize("manipulation, param, value", [
+        ("scale factor=0.123456789", "factor", 0.123456789),
+        ("offset delta=1234567", "delta", 1234567),
     ], ids=["factor", "delta"])
-    def test_parameters_reach_the_rtu_exactly(self, network, strategy, param, value):
+    def test_parameters_reach_the_rtu_exactly(self, network, manipulation, param, value):
         # six significant digits would install 0.123457 and 1.23457e+06
         plan = AttackPlan(foothold="kali",
-                          stages=FULL_PLAN.stages[:3] + (ManipulateStage(strategy),))
-        assert all(e.success for e in run_plan(network, plan))
+                          stages=FULL_PLAN.stages[:3] + (Stage("manipulate", manipulation),))
+        assert all(e.outcome == "success" for e in run_plan(network, plan))
         overrides = network._test_rtu.overrides
         assert set(overrides) == {101, 102}
         assert all(getattr(rule, param) == value for rule in overrides.values())
+
+    def test_manipulation_reaches_the_rtu_as_written(self, network):
+        plan = AttackPlan(foothold="kali", stages=FULL_PLAN.stages[:3] + (
+            Stage("manipulate", "scale factor=0.450"),))
+        agent = Attacker(network, plan)
+        trace = run_to_end(agent)
+        assert (trace[-1].target, trace[-1].outcome) == ("scale", "success")
+        assert "root@rtu1$ rtu-override install scale factor=0.450" in agent.transcript[-2]
+        assert {rule.factor for rule in network._test_rtu.overrides.values()} == {0.45}
 
     def test_scan_fills_knowledge(self, network):
         agent = Attacker(network, FULL_PLAN)
@@ -149,22 +150,22 @@ class TestStages:
         assert len(exploit) == 1  # byte-visible exactly once
 
     def test_rce_without_target_fails(self, network):
-        plan = AttackPlan(foothold="kali", stages=(RceStage("http"),))
+        plan = AttackPlan(foothold="kali", stages=(Stage("rce", "http"),))
         trace = run_plan(network, plan)  # no scan first: knowledge empty
         assert trace[0].outcome == "failure(NoTarget)"
 
     def test_rce_on_service_without_vulnerability_fails(self, network):
         plan = AttackPlan(
             foothold="kali",
-            stages=(ScanStage("10.0.2.0/24"), RceStage("port:22")),
+            stages=(Stage("scan", "10.0.2.0/24"), Stage("rce", "port:22")),
         )
         trace = run_plan(network, plan)
-        assert trace[0].success
+        assert trace[0].outcome == "success"
         assert trace[1].outcome == "failure(NotVulnerable)"
         assert len(trace) == 2
 
     def test_pe_without_session_fails(self, network):
-        plan = AttackPlan(foothold="kali", stages=(PeStage("suid"),))
+        plan = AttackPlan(foothold="kali", stages=(Stage("pe", "suid"),))
         trace = run_plan(network, plan)
         assert "NoSession" in trace[0].outcome
 
@@ -178,10 +179,10 @@ class TestStages:
         plan = AttackPlan(
             foothold="kali",
             stages=(
-                ScanStage("10.0.2.0/24"),
-                RceStage("10.0.2.12"),
-                PeStage("suid"),
-                ManipulateStage(ManipulationStrategy(kind="scale", factor=0.5)),
+                Stage("scan", "10.0.2.0/24"),
+                Stage("rce", "10.0.2.12"),
+                Stage("pe", "suid"),
+                Stage("manipulate", "scale factor=0.5"),
             ),
         )
         agent = Attacker(network, plan)
@@ -195,9 +196,9 @@ class TestStages:
         plan = AttackPlan(
             foothold="kali",
             stages=(
-                ScanStage("10.0.2.0/24"),
-                RceStage("http"),
-                ManipulateStage(ManipulationStrategy(kind="scale", factor=0.5)),
+                Stage("scan", "10.0.2.0/24"),
+                Stage("rce", "http"),
+                Stage("manipulate", "scale factor=0.5"),
             ),
         )
         trace = run_plan(network, plan)
@@ -222,11 +223,11 @@ class TestStages:
         )
         plan = AttackPlan(
             foothold="kali",
-            stages=(ScanStage("10.0.2.0/24"), RceStage("http"), PeStage("sudoers")),
+            stages=(Stage("scan", "10.0.2.0/24"), Stage("rce", "http"), Stage("pe", "sudoers")),
         )
         agent = Attacker(network, plan)
         trace = run_to_end(agent)
-        assert all(e.success for e in trace)
+        assert all(e.outcome == "success" for e in trace)
         assert any("sudo -l" in line for line in agent.transcript)
         assert any("maint.sh" in line for line in agent.transcript)
 
@@ -234,10 +235,10 @@ class TestStages:
         # every prefix-with-gap plan fails at the first stage whose
         # prerequisite state is missing
         gapped = [
-            (RceStage("http"),),
-            (PeStage("suid"),),
-            (ManipulateStage(ManipulationStrategy(kind="scale", factor=0.5)),),
-            (ScanStage("10.0.2.0/24"), PeStage("suid")),
+            (Stage("rce", "http"),),
+            (Stage("pe", "suid"),),
+            (Stage("manipulate", "scale factor=0.5"),),
+            (Stage("scan", "10.0.2.0/24"), Stage("pe", "suid")),
         ]
         for stages in gapped:
             net = netsim.parse_topology(FIELD_NET)
@@ -248,7 +249,7 @@ class TestStages:
             )
             Rtu(RtuConfig_, net)
             trace = run_plan(net, AttackPlan(foothold="kali", stages=stages))
-            failures = [e for e in trace if not e.success]
+            failures = [e for e in trace if e.outcome != "success"]
             assert len(failures) == 1
             assert trace[-1] == failures[0]  # plan aborts at the failure
 
@@ -276,7 +277,11 @@ class TestRtuOverrideCommand:
         ("scale factor=0.5 stray", "stray"),
         ("", "usage"),
         ("scale factor=abc", "abc"),
-    ], ids=["misspelled_option", "stray_token", "no_kind", "factor_not_a_number"])
+        ("scale delta=5", "delta"),
+        ("offset factor=0.5", "factor"),
+        ("freeze factor=0.5", "factor"),
+    ], ids=["misspelled_option", "stray_token", "no_kind", "factor_not_a_number",
+            "scale_takes_no_delta", "offset_takes_no_factor", "freeze_takes_no_factor"])
     def test_malformed_command_installs_nothing(self, root_shell, args, bad):
         network, session = root_shell
         with pytest.raises(DeviceError, match=bad):
@@ -287,4 +292,11 @@ class TestRtuOverrideCommand:
         network, session = root_shell
         with pytest.raises(UnknownIoa, match="999"):
             network.exec_command(session, "rtu-override install scale targets=101,999")
+        assert not network._test_rtu.overrides
+
+    def test_control_target_installs_nothing(self, root_shell):
+        # an override changes reported values; a control point reports none
+        network, session = root_shell
+        with pytest.raises(UnknownIoa, match="IOA 201 is not a monitor point"):
+            network.exec_command(session, "rtu-override install scale factor=0.5 targets=201")
         assert not network._test_rtu.overrides

@@ -50,6 +50,9 @@ MALFORMED = {
         "[attack]"),
     "unknown_manipulation_kind": (
         "attack_demo", "manipulate scale factor=0.5", "manipulate bogus", "manipulate bogus"),
+    "option_not_taken_by_kind": (
+        "attack_demo", "manipulate scale factor=0.5", "manipulate scale delta=5",
+        "manipulate scale delta=5"),
     "field_controlled_by_two_rtus": (
         "attack_demo", "103 monitor bus:lv1:v_pu scale=1.0 unit=pu",
         "103 monitor bus:lv1:v_pu scale=1.0 unit=pu\ndatapoint = 301 control sgen:pv1:p_kw",

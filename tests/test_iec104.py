@@ -186,30 +186,30 @@ def test_roundtrip_property(apdu):
 
 class TestSession:
     def test_controlled_confirms_startdt(self):
-        state = ConnectionState(role="controlled")
+        state = ConnectionState()
         out = state.received(u_frame(iec104.U_STARTDT_ACT))
         assert out == [u_frame(iec104.U_STARTDT_CON)]
         assert state.started
 
     def test_i_frame_before_start_is_violation(self):
-        state = ConnectionState(role="controlled")
+        state = ConnectionState()
         with pytest.raises(ProtocolViolation):
             state.received(i_frame(0, 0, meas_asdu()))
 
     def test_testfr_act_answered(self):
-        state = ConnectionState(role="controlled", started=True)
+        state = ConnectionState(started=True)
         assert state.received(u_frame(iec104.U_TESTFR_ACT)) == [u_frame(iec104.U_TESTFR_CON)]
 
     def test_controlling_emits_startdt_before_first_i_frame(self):
-        state = ConnectionState(role="controlling")
-        out = state.send(meas_asdu())
-        assert out == [u_frame(iec104.U_STARTDT_ACT)]
+        state = ConnectionState()
+        assert state.start() == [u_frame(iec104.U_STARTDT_ACT)]
+        assert state.send(meas_asdu()) == []
         out = state.received(u_frame(iec104.U_STARTDT_CON))
         assert [a.kind for a in out] == ["I"]
         assert state.vs == 1
 
     def test_thirteenth_unacked_send_blocked(self):
-        state = ConnectionState(role="controlled", started=True)
+        state = ConnectionState(started=True)
         emitted = []
         for _ in range(13):
             emitted.extend(state.send(meas_asdu()))
@@ -221,7 +221,7 @@ class TestSession:
         assert state.unacked_sent == 1
 
     def test_s_frame_emitted_after_w_received(self):
-        state = ConnectionState(role="controlling", started=True)
+        state = ConnectionState(started=True)
         emissions = []
         for i in range(iec104.W_ACK_THRESHOLD):
             emissions = state.received(i_frame(i, 0, meas_asdu()))
@@ -229,25 +229,25 @@ class TestSession:
         assert state.vr == iec104.W_ACK_THRESHOLD
 
     def test_ack_of_unsent_frames_is_violation(self):
-        state = ConnectionState(role="controlled", started=True)
+        state = ConnectionState(started=True)
         state.send(meas_asdu())
         with pytest.raises(ProtocolViolation):
             state.received(s_frame(5))
 
     def test_sequence_numbers_wrap(self):
-        state = ConnectionState(role="controlled", started=True, vs=32767)
+        state = ConnectionState(started=True, vs=32767)
         out = state.send(meas_asdu())
         assert out[0].send_seq == 32767
         assert state.vs == 0
 
     def test_out_of_order_receive_is_violation(self):
-        state = ConnectionState(role="controlling", started=True)
+        state = ConnectionState(started=True)
         state.received(i_frame(0, 0, meas_asdu()))
         with pytest.raises(ProtocolViolation):
             state.received(i_frame(5, 0, meas_asdu()))
 
     def test_vr_monotone_modulo_wrap(self):
-        state = ConnectionState(role="controlling", started=True, vr=32766)
+        state = ConnectionState(started=True, vr=32766)
         seen = []
         for seq in (32766, 32767, 0, 1):
             state.received(i_frame(seq, 0, meas_asdu()))

@@ -8,7 +8,7 @@ import pytest
 
 from gridcosim import cli
 from gridcosim.configfile import ConfigError
-from gridcosim.kernel import SimulatorFault
+from gridcosim.kernel import KernelError, SimulatorFault
 from gridcosim.scenario import HASHED_OUTPUTS, load_scenario, run_scenario
 
 
@@ -106,6 +106,14 @@ class TestRun:
         out = run_scenario(scenario, outdir=str(tmp_path / "out"), until=300)
         truth = read_csv(out.paths["ground_truth.csv"])
         assert max(int(r["t"]) for r in truth) == 240
+
+    @pytest.mark.parametrize("until", [0, -60])
+    def test_non_positive_until_rejected_before_writing(self, attack_demo_path, tmp_path,
+                                                        until):
+        out = tmp_path / "out"
+        with pytest.raises(KernelError, match="until must be > 0"):
+            run_scenario(load_scenario(attack_demo_path), outdir=str(out), until=until)
+        assert not out.exists()
 
     def test_no_attack_archive_equals_truth(self, attack_demo_path, tmp_path):
         scenario = replace(load_scenario(attack_demo_path), attack_plan=None)
