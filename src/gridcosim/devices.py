@@ -55,7 +55,8 @@ OVERRIDE_USAGE = "usage: install <kind> [factor=F] [delta=D] [targets=all|ioa,..
 def parse_manipulation(entry: Entry) -> tuple[str, tuple[int, ...] | None, dict[str, float]]:
     """The kind, target IOAs (None = all monitor points) and rule parameters
     of a manipulation `<kind> [options]`; a ConfigError at the entry's line
-    for an unknown kind, an option the kind does not take, or a bad value."""
+    for an unknown kind, an option the kind does not take, a bad value, or
+    an IOA named twice in `targets`."""
     (kind,), opts = entry.split(1, OVERRIDE_USAGE)
     takes = MANIPULATION_KINDS.get(kind)
     if takes is None:
@@ -64,12 +65,13 @@ def parse_manipulation(entry: Entry) -> tuple[str, tuple[int, ...] | None, dict[
         if key not in takes:
             raise entry.error(f"manipulation {kind} takes no option '{key}'")
     targets = opts.get("targets", "all")
-    return (
-        kind,
-        None if targets == "all"
-        else tuple(opts.convert(part, "targets", int) for part in targets.split(",")),
-        {key: opts.get_float(key) for key in opts.attrs if key != "targets"},
-    )
+    ioas = None
+    if targets != "all":
+        ioas = tuple(opts.convert(part, "targets", int) for part in targets.split(","))
+        for i, ioa in enumerate(ioas):
+            if ioa in ioas[:i]:
+                raise entry.error(f"targets names IOA {ioa} twice")
+    return kind, ioas, {key: opts.get_float(key) for key in opts.attrs if key != "targets"}
 
 
 def to_f32(value: float) -> float:

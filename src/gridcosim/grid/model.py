@@ -29,7 +29,7 @@ a loop without `meshed = true`) names the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from ..configfile import ConfigError, check_kinds, parse_config, sections_of, single_section
 
@@ -121,6 +121,8 @@ class GridModel:
 
     bus_index: dict[str, int] = field(init=False, repr=False)
     _elements: dict[str, dict[str, object]] = field(init=False, repr=False)
+    # the power flow's plan for the switching state it solved last
+    last_plan: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.bus_index = {bus.id: i for i, bus in enumerate(self.buses)}
@@ -149,22 +151,6 @@ class GridModel:
     def element(self, kind: str, elem_id: str):
         """The element of `kind` with id `elem_id`, or None."""
         return self._elements.get(kind, {}).get(elem_id)
-
-    def with_line_status(self, statuses: dict[str, bool]) -> "GridModel":
-        """Copy of the model with the given lines switched in or out."""
-        lines = [
-            replace(line, in_service=statuses.get(line.id, line.in_service))
-            for line in self.lines
-        ]
-        return GridModel(
-            buses=self.buses,
-            lines=lines,
-            trafos=self.trafos,
-            loads=self.loads,
-            sgens=self.sgens,
-            base_mva=self.base_mva,
-            meshed=self.meshed,
-        )
 
 
 def _check_unique(elements, what: str):
@@ -232,11 +218,12 @@ def validate(model: GridModel) -> None:
         )
 
 
-def connected_buses(model: GridModel, start: str, switching: bool = False) -> set[str]:
-    """Buses reachable from `start`; with `switching`, open lines conduct nothing."""
+def connected_buses(model: GridModel, start: str,
+                    open_lines: frozenset[str] = frozenset()) -> set[str]:
+    """Buses reachable from `start` when the lines in `open_lines` conduct nothing."""
     adjacency: dict[str, list[str]] = {b.id: [] for b in model.buses}
     for line in model.lines:
-        if line.in_service or not switching:
+        if line.id not in open_lines:
             adjacency[line.from_bus].append(line.to_bus)
             adjacency[line.to_bus].append(line.from_bus)
     for trafo in model.trafos:

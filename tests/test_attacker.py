@@ -280,8 +280,10 @@ class TestRtuOverrideCommand:
         ("scale delta=5", "delta"),
         ("offset factor=0.5", "factor"),
         ("freeze factor=0.5", "factor"),
+        ("scale factor=0.5 targets=101,101", "targets names IOA 101 twice"),
     ], ids=["misspelled_option", "stray_token", "no_kind", "factor_not_a_number",
-            "scale_takes_no_delta", "offset_takes_no_factor", "freeze_takes_no_factor"])
+            "scale_takes_no_delta", "offset_takes_no_factor", "freeze_takes_no_factor",
+            "repeated_target"])
     def test_malformed_command_installs_nothing(self, root_shell, args, bad):
         network, session = root_shell
         with pytest.raises(DeviceError, match=bad):

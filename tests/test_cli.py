@@ -43,6 +43,8 @@ MALFORMED = {
         "attack_demo", "step_s = 60", "step_s = 60\nstep_s = 30", "step_s = 30"),
     "targets_not_integers": (
         "attack_demo", "targets=all", "targets=x", "targets=x"),
+    "targets_repeated": (
+        "attack_demo", "targets=all", "targets=101,101", "targets=101,101"),
     "scan_without_subnet": (
         "attack_demo", "stage = scan 10.0.2.0/24", "stage = scan", "stage = scan"),
     "stages_out_of_order": (
@@ -121,6 +123,13 @@ def test_removed_seed_key_says_so(tmp_path, capsys):
                                     "step_s = 60", "step_s = 60\nseed = 7")
     assert cli.main(["validate", str(scenario_file)]) == 1
     assert "'seed' was removed" in capsys.readouterr().err
+
+
+def test_repeated_target_ioa_is_named(tmp_path, capsys):
+    scenario_file, _ = _edit_bundle(tmp_path, "attack_demo", "scenario.txt",
+                                    "targets=all", "targets=101,102,101")
+    assert cli.main(["validate", str(scenario_file)]) == 1
+    assert "targets names IOA 101 twice" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("until", ["0", "-60"])

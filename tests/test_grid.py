@@ -15,7 +15,7 @@ from gridcosim.grid import (
     run_power_flow,
 )
 from gridcosim.grid.model import Bus, GridModel, Line, Trafo, validate
-from gridcosim.grid.powerflow import UnconvergedSolution, UnknownElement, _jacobian
+from gridcosim.grid.powerflow import UnconvergedSolution, UnknownElement, _jacobian, _plan
 
 TWO_BUS = """
 [grid]
@@ -176,6 +176,25 @@ class TestPowerFlow:
         assert solution.vm_pu["b5"] == 0.0
         assert solution.branch_flows[("line", "ln5")].p_from_kw == 0.0
 
+    def test_switching_back_and_forth_matches_fresh_models(self, feeder7_path):
+        # one model keeps the plan of its last switching state; each solve
+        # must equal a solve on a model that never saw another state
+        model = load_grid(feeder7_path)
+        injections = bus_injections(model, element_values_at(model, None, 0))
+        for line_status in ({"ln4": False}, {}, {"ln4": False}):
+            solution = run_power_flow(model, injections, line_status)
+            fresh = run_power_flow(load_grid(feeder7_path), injections, line_status)
+            assert solution.converged and fresh.converged
+            assert solution.vm_pu == fresh.vm_pu
+            assert solution.branch_flows == fresh.branch_flows
+            assert solution.islanded_buses == fresh.islanded_buses
+            assert bool(solution.islanded_buses) == ("ln4" in line_status)
+
+    def test_unknown_line_in_line_status_rejected(self, feeder7_path):
+        model = load_grid(feeder7_path)
+        with pytest.raises(UnknownElement, match="unknown line 'ln99'"):
+            run_power_flow(model, {}, line_status={"ln99": False})
+
     def test_unconverged_reported_not_raised(self):
         model = two_bus_model(0.01 + 0.3j)
         solution = run_power_flow(model, {"b": (-5000.0, -2000.0)})  # far beyond loadability
@@ -310,9 +329,36 @@ class TestNewtonJacobian:
             for e in np.eye(2 * npq)
         ])
         v = vm * np.exp(1j * va)
-        jac = np.empty((2 * npq, 2 * npq))
-        _jacobian(ybus, vm, v, ybus @ v, jac)
+        plan = _plan(model, {})
+        assert plan.order == order
+        jac = np.zeros((2 * npq, 2 * npq))
+        _jacobian(plan, vm, v, ybus @ v, jac)
         np.testing.assert_allclose(jac, numeric, rtol=1e-6)
+
+    @pytest.mark.parametrize("grid_text", [MESHED_TAP, binary_tree_feeder(127, seed=7)],
+                             ids=["meshed_tap", "radial_127"])
+    def test_pattern_jacobian_equals_dense_formula_bit_for_bit(self, grid_text):
+        model = parse_grid(grid_text)
+        solution = run_power_flow(model, bus_injections(model, element_values_at(model, None, 0)))
+        assert solution.converged
+        plan = _plan(model, {})
+        npq = len(plan.order) - 1
+        flat_vm = np.ones(npq + 1)
+        flat_vm[0] = model.slack_bus.vm_setpoint_pu
+        solved_vm = np.array([solution.vm_pu[b] for b in plan.order])
+        solved_va = np.array([solution.va_rad[b] for b in plan.order])
+        for vm, va in ((flat_vm, np.zeros(npq + 1)), (solved_vm, solved_va)):
+            v = vm * np.exp(1j * va)
+            i_bus = plan.ybus @ v
+            # the dense complex-matrix form of MATPOWER TN2, over the PQ buses
+            y_pq, v_pq, i_pq = plan.ybus[1:, 1:], v[1:], i_bus[1:]
+            v_dir = v_pq / vm[1:]
+            ds_dva = 1j * v_pq[:, None] * np.conj(np.diag(i_pq) - y_pq * v_pq)
+            ds_dvm = v_pq[:, None] * np.conj(y_pq * v_dir) + np.diag(np.conj(i_pq) * v_dir)
+            dense = np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
+            jac = np.zeros((2 * npq, 2 * npq))
+            _jacobian(plan, vm, v, i_bus, jac)
+            assert np.array_equal(jac.view(np.int64), dense.view(np.int64))
 
     def test_large_radial_feeder_conserves_power(self):
         model = parse_grid(binary_tree_feeder(127, seed=7))
