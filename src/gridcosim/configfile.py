@@ -9,7 +9,8 @@ Grammar, line by line:
 
 Option grammar: a row's attributes, and the options that follow an entry's
 leading values (`Entry.split`), are `k=v` tokens with a non-empty key and
-value, each key at most once; any other token is an error.
+value, each key at most once; any other token is an error. A number read
+from any file must be finite: `nan` and `inf` are errors at their line.
 
 Every section, entry and row knows its file and line, and every error about
 it is a `ConfigError` that names them: a bad or repeated value names its own
@@ -23,6 +24,7 @@ its line, never silently ignored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 _TRUE = ("true", "yes", "on", "1", "closed")
@@ -54,7 +56,8 @@ class Located:
         return ConfigError(message, self.source, self.lineno)
 
     def convert(self, value: str, what: str, kind: type) -> float | int | bool:
-        """`value` as a float, int or bool, or a ConfigError at this line."""
+        """`value` as a float, int or bool, or a ConfigError at this line; a
+        float must be finite, so no nan or inf reaches a solve or an artifact."""
         if kind is bool:
             if value.lower() in _TRUE:
                 return True
@@ -62,9 +65,13 @@ class Located:
                 return False
         else:
             try:
-                return kind(value)
+                number = kind(value)
             except ValueError:
                 pass
+            else:
+                if math.isfinite(number):
+                    return number
+                raise self.error(f"{what} must be finite, got '{value}'")
         raise self.error(f"{what}: expected {_EXPECTED[kind]}, got '{value}'")
 
 

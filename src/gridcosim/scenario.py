@@ -56,7 +56,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from operator import itemgetter
 
 from . import attacker as attacker_mod
@@ -388,7 +390,10 @@ def load_scenario(path) -> Scenario:
 
 class GridSimulator:
     """Kernel adapter around the power-flow core; applies profiles, command
-    overrides and VED exchanges, then publishes the monitored measurements."""
+    overrides and VED exchanges, then publishes the monitored measurements.
+    A step whose inputs equal, bit for bit, those of the last step solved
+    returns that step's outputs: every solve starts flat, so a second solve
+    would repeat it exactly."""
 
     def __init__(self, model: GridModel, profiles: ProfileSet | None,
                  monitored: list[tuple[str, str, str]],
@@ -402,6 +407,9 @@ class GridSimulator:
         self.command_overrides: dict[tuple[str, str], float] = {}
         self.line_status: dict[str, bool] = {}
         self.last_solution = None
+        # the inputs of the last step solved, and the outputs it produced
+        self._memo_key = None
+        self._memo_outputs: dict = {}
 
     def step(self, t: int, inputs: dict) -> dict:
         for kind, elem_id, fieldname in self.controllable:
@@ -415,9 +423,16 @@ class GridSimulator:
         element_values = element_values_at(
             self.model, self.profiles, t, self.command_overrides
         )
+        exchanges = [inputs.get((f"ved:{ved_name}", "grid_kw"), 0.0) or 0.0
+                     for ved_name in self.ved_buses]
+        # packed doubles tell -0.0 from 0.0, which the CSVs write apart
+        numbers = [*chain.from_iterable(element_values.values()), *exchanges]
+        key = (struct.pack(f"{len(numbers)}d", *numbers),
+               tuple(sorted(self.line_status.items())))
+        if key == self._memo_key:
+            return self._memo_outputs
         extra = {}
-        for ved_name, bus in self.ved_buses.items():
-            exchange = inputs.get((f"ved:{ved_name}", "grid_kw"), 0.0) or 0.0
+        for bus, exchange in zip(self.ved_buses.values(), exchanges):
             p, q = extra.get(bus, (0.0, 0.0))
             extra[bus] = (p - exchange, q)  # import draws power from the bus
         injections = bus_injections(self.model, element_values, extra)
@@ -433,6 +448,7 @@ class GridSimulator:
             m = measurements_at(self.model, solution, kind, elem_id,
                                 element_values=element_values)
             outputs[(f"{kind}:{elem_id}", fieldname)] = m.value(fieldname)
+        self._memo_key, self._memo_outputs = key, outputs
         return outputs
 
 

@@ -34,6 +34,8 @@ MALFORMED = {
         "101 monitor trafo:tr1:q_from_kvar"),
     "scale_not_a_number": (
         "attack_demo", "p_from_kw scale=1.0", "p_from_kw scale=abc", "scale=abc"),
+    "datapoint_scale_nan": (
+        "attack_demo", "p_from_kw scale=1.0", "p_from_kw scale=nan", "scale=nan"),
     "datapoint_stray_token": (
         "attack_demo", "q_from_kvar scale=1.0", "q_from_kvar 1.0", "q_from_kvar 1.0"),
     "datapoint_repeated_option": (
@@ -55,6 +57,9 @@ MALFORMED = {
     "option_not_taken_by_kind": (
         "attack_demo", "manipulate scale factor=0.5", "manipulate scale delta=5",
         "manipulate scale delta=5"),
+    "manipulate_scale_factor_nan": (
+        "attack_demo", "manipulate scale factor=0.5", "manipulate scale factor=nan",
+        "factor=nan"),
     "field_controlled_by_two_rtus": (
         "attack_demo", "103 monitor bus:lv1:v_pu scale=1.0 unit=pu",
         "103 monitor bus:lv1:v_pu scale=1.0 unit=pu\ndatapoint = 301 control sgen:pv1:p_kw",
@@ -218,6 +223,14 @@ MALFORMED_INPUT = {
         "[firewall]\nallow = 10.0.1.0/24 garbage\n[switch sw_ctrl]", "garbage"),
     "profile_value_not_a_number": (
         "attack_demo", "profiles.csv", "900,l2,p_kw,33.5", "900,l2,p_kw,abc", "abc"),
+    "profile_value_inf": (
+        "attack_demo", "profiles.csv", "900,l2,p_kw,33.5", "900,l2,p_kw,inf", "900,l2,p_kw,inf"),
+    "line_r_ohm_nan": (
+        "attack_demo", "grid.txt", "lline2  from=lv2 to=lv3 r_ohm=0.04",
+        "lline2  from=lv2 to=lv3 r_ohm=nan", "r_ohm=nan"),
+    "load_p_kw_inf": (
+        "attack_demo", "grid.txt", "l2      bus=lv2 p_kw=30.0", "l2      bus=lv2 p_kw=inf",
+        "p_kw=inf"),
     "grid_unknown_bus": (
         "attack_demo", "grid.txt", "lline3  from=lv3 to=lv4", "lline3  from=lv3 to=ghost",
         "to=ghost"),

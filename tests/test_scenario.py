@@ -6,10 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from gridcosim import cli
+from gridcosim import cli, scenario as scenario_mod
 from gridcosim.configfile import ConfigError
 from gridcosim.kernel import KernelError, SimulatorFault
-from gridcosim.scenario import HASHED_OUTPUTS, load_scenario, run_scenario
+from gridcosim.scenario import HASHED_OUTPUTS, GridSimulator, load_scenario, run_scenario
 
 
 def read_csv(path):
@@ -237,6 +237,65 @@ class TestRun:
         # at a time with pv surplus, household exports and head power dips
         noon = 43200
         assert decisions[noon] <= 0.0
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """A list that grows by one entry per power-flow solve, counted at the
+    name the grid simulator calls."""
+    calls = []
+    solve = scenario_mod.run_power_flow
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_mod, "run_power_flow", counted)
+    return calls
+
+
+def bits(outputs):
+    """The outputs with each value as its exact bits (-0.0 differs from 0.0)."""
+    return {key: float(value).hex() for key, value in outputs.items()}
+
+
+class TestGridMemo:
+    """The grid re-solves only a step whose inputs differ, bit for bit, from
+    the last step it solved; any other step returns that step's outputs."""
+
+    MONITORED = [("bus", "lv4", "v_pu"), ("sgen", "pv1", "p_kw"), ("trafo", "tr1", "p_from_kw")]
+
+    def grid_sim(self, attack_demo_path, controllable):
+        scenario = load_scenario(attack_demo_path)
+        return GridSimulator(scenario.grid_model, None, self.MONITORED, controllable, {})
+
+    def test_attack_demo_solves_once_per_profile_change(self, attack_demo_path, tmp_path,
+                                                         solves):
+        # profiles change every 900 s and the kernel steps every 60 s
+        out = run_scenario(load_scenario(attack_demo_path), outdir=str(tmp_path / "out"))
+        assert len({r["t"] for r in read_csv(out.paths["ground_truth.csv"])}) == 60
+        assert len(solves) == 4
+
+    def test_line_that_opens_and_closes_resolves_each_time(self, attack_demo_path, solves):
+        sim = self.grid_sim(attack_demo_path, [("line", "lline3", "status")])
+        status = ("line:lline3", "status")
+        before = bits(sim.step(0, {}))
+        opened = bits(sim.step(60, {status: 0.0}))
+        closed = bits(sim.step(120, {status: 1.0}))
+        still_closed = bits(sim.step(180, {}))
+        assert len(solves) == 3
+        assert opened != before
+        assert closed == before == still_closed
+
+    def test_negative_zero_override_is_a_miss(self, attack_demo_path, solves):
+        setpoint = ("sgen:pv1", "p_kw")
+        sim = self.grid_sim(attack_demo_path, [("sgen", "pv1", "p_kw")])
+        sim.step(0, {setpoint: 0.0})
+        outputs = sim.step(60, {setpoint: -0.0})
+        assert len(solves) == 2
+        assert bits(outputs)[setpoint] == (-0.0).hex()
+        fresh = self.grid_sim(attack_demo_path, [("sgen", "pv1", "p_kw")])
+        assert bits(outputs) == bits(fresh.step(60, {setpoint: -0.0}))
 
 
 BROKEN_GRID = """
