@@ -167,20 +167,61 @@ class RtuConfig:
     report_period: int
 
 
+class _SessionEnd:
+    """One end of an IEC 104 session: the connection, its sequence state and
+    the received bytes not yet decoded. `server` is the controlled station's
+    end, which hangs up on a malformed or out-of-sequence APDU; at the
+    controlling station's end that error propagates."""
+
+    def __init__(self, conn: TcpConnection, server: bool):
+        self.conn = conn
+        self.server = server
+        self.state = iec104.ConnectionState()
+        self.rx = b""
+
+    def send(self, asdu: iec104.Asdu, at_s: int | None = None):
+        self.put(self.state.send(asdu), at_s)
+
+    def put(self, apdus, at_s: int | None = None):
+        for apdu in apdus:
+            self.conn.send(iec104.encode(apdu), at_s=at_s, from_server=self.server)
+
+    def receive(self, payload: bytes):
+        """Yield each APDU that `payload` completes, once the session's
+        replies to it are on the wire; a hang-up yields nothing more."""
+        self.rx += payload
+        try:
+            apdus, used = iec104.decode_stream(self.rx)
+        except iec104.Iec104Error:
+            if not self.server:
+                raise
+            self.conn.close(from_server=True)
+            return
+        self.rx = self.rx[used:]
+        for apdu in apdus:
+            try:
+                replies = self.state.received(apdu)
+            except iec104.Iec104Error:
+                if not self.server:
+                    raise
+                self.conn.close(from_server=True)
+                return
+            self.put(replies)
+            yield apdu
+
+
 class Rtu:
     """Controlled-station field device bridging grid values onto IEC 104."""
 
     def __init__(self, config: RtuConfig, network: Network):
         self.config = config
         self.network = network
-        self.session = iec104.ConnectionState()
+        self.session: _SessionEnd | None = None
         self.overrides: dict[int, ManipulationRule] = {}
         self.current: dict[int, float] = {}        # digitized truth per monitor IOA
         self.last_sent: dict[int, float] = {}      # last wire value per IOA
         self.buffer: deque = deque(maxlen=REPORT_BUFFER_LIMIT)
         self.truth_rows: list[tuple[int, str, str, float]] = []
-        self._conn: TcpConnection | None = None
-        self._rx = b""
         self._pending_outputs: dict[tuple[str, str], float] = {}
         network.register_handler(config.host, IEC104_PORT, self)
         network.register_command(config.host, "rtu-override", self._override_hook)
@@ -200,13 +241,6 @@ class Rtu:
 
     # -- reporting ---------------------------------------------------------
 
-    def wire_value(self, ioa: int) -> float | None:
-        truth = self.current.get(ioa)
-        if truth is None:
-            return None
-        rule = self.overrides.get(ioa)
-        return truth if rule is None else rule.apply(ioa, truth)
-
     def _points(self, t: int, cot: int):
         """Yield one M_ME_NC_1 ASDU per acquired monitor point, logging its
         truth row and wire value as it goes."""
@@ -214,7 +248,8 @@ class Rtu:
             truth = self.current.get(dp.ioa)
             if truth is None:
                 continue
-            wire = self.wire_value(dp.ioa)
+            rule = self.overrides.get(dp.ioa)
+            wire = truth if rule is None else rule.apply(dp.ioa, truth)
             self.truth_rows.append((t, dp.entity, dp.fieldname, truth))
             self.last_sent[dp.ioa] = wire
             yield iec104.Asdu(
@@ -226,102 +261,65 @@ class Rtu:
     def report(self, t: int):
         """Spontaneous transmission of every monitor point (buffered when down)."""
         for asdu in self._points(t, iec104.COT_SPONTANEOUS):
-            if self.session.started and self._conn is not None:
-                self._transmit(self.session.send(asdu), at_s=t)
+            if self.session is not None and self.session.state.started:
+                self.session.send(asdu, at_s=t)
             else:
                 self.buffer.append(asdu)
-
-    def _flush_buffer(self):
-        while self.buffer:
-            self._transmit(self.session.send(self.buffer.popleft()))
-
-    def _transmit(self, apdus, at_s: int | None = None):
-        for apdu in apdus:
-            self._conn.send(iec104.encode(apdu), at_s=at_s, from_server=True)
 
     # -- network handler (MTU side opens the connection) --------------------
     # The RTU serves one controlling station: the first connection carries
     # the session until the RTU hangs up on it, and any other connection is
-    # hung up on at its first bytes. A malformed APDU or a protocol
-    # violation on the session's connection ends that connection, not the run.
+    # hung up on at its first bytes. Reports buffer until the next
+    # connection's STARTDT_act starts a fresh session.
 
     def on_connect(self, conn: TcpConnection):
-        if self._conn is None:
-            self._conn = conn
-            self._rx = b""
+        if self.session is None:
+            self.session = _SessionEnd(conn, server=True)
 
     def on_client_data(self, conn: TcpConnection, payload: bytes):
-        if conn is not self._conn:
+        session = self.session
+        if session is None or conn is not session.conn:
             conn.close(from_server=True)
             return
-        self._rx += payload
-        try:
-            apdus, used = iec104.decode_stream(self._rx)
-        except iec104.Iec104Error:
-            self._hang_up()
-            return
-        self._rx = self._rx[used:]
-        for apdu in apdus:
-            was_started = self.session.started
-            try:
-                replies = self.session.received(apdu)
-            except iec104.Iec104Error:
-                self._hang_up()
-                return
-            self._transmit(replies)
-            if not was_started and self.session.started:
-                self._flush_buffer()
-            if apdu.kind == "I":
-                self._handle_asdu(apdu.asdu)
+        for apdu in session.receive(payload):
+            asdu = apdu.asdu
+            if apdu.kind == "U" and apdu.u_function == iec104.U_STARTDT_ACT:
+                while self.buffer:
+                    session.send(self.buffer.popleft())
+            elif asdu is None:  # S-frame or another U-frame
+                continue
+            elif asdu.type_id == iec104.C_IC_NA_1 and asdu.cot == iec104.COT_ACTIVATION:
+                self._interrogation_reply(asdu)
+            elif asdu.type_id in (iec104.C_SC_NA_1, iec104.C_SE_NC_1):
+                self._actuate(asdu)
+        if conn.closed:  # the session end hung up
+            self.session = None
 
-    def _hang_up(self):
-        """Close the session's connection; reports buffer until the next
-        connection starts a fresh session."""
-        self._conn.close(from_server=True)
-        self._conn = None
-        self.session = iec104.ConnectionState()
-
-    def _handle_asdu(self, asdu: iec104.Asdu):
-        if asdu.type_id == iec104.C_IC_NA_1 and asdu.cot == iec104.COT_ACTIVATION:
-            self._interrogation_reply(asdu)
-        elif asdu.type_id in (iec104.C_SC_NA_1, iec104.C_SE_NC_1):
-            self._actuate(asdu)
+    def _reply(self, request: iec104.Asdu, cot: int):
+        self.session.send(iec104.Asdu(
+            type_id=request.type_id, cot=cot,
+            common_address=self.config.common_address, objects=request.objects,
+        ))
 
     def _interrogation_reply(self, request: iec104.Asdu):
-        t = self.network._now_us // 1_000_000
-        confirm = iec104.Asdu(
-            type_id=iec104.C_IC_NA_1, cot=iec104.COT_ACTCON,
-            common_address=self.config.common_address, objects=request.objects,
-        )
-        self._transmit(self.session.send(confirm))
+        t = self.network.now_s
+        self._reply(request, iec104.COT_ACTCON)
         for asdu in self._points(t, iec104.COT_INTERROGATED):
-            self._transmit(self.session.send(asdu))
-        terminate = iec104.Asdu(
-            type_id=iec104.C_IC_NA_1, cot=iec104.COT_ACTTERM,
-            common_address=self.config.common_address, objects=request.objects,
-        )
-        self._transmit(self.session.send(terminate))
+            self.session.send(asdu)
+        self._reply(request, iec104.COT_ACTTERM)
 
     def _actuate(self, asdu: iec104.Asdu):
         obj = asdu.objects[0]
         dp = self.config.datapoints.point(obj.ioa)
         if dp is None or dp.direction != "control":
-            reject = iec104.Asdu(
-                type_id=asdu.type_id, cot=iec104.COT_UNKNOWN_IOA,
-                common_address=self.config.common_address, objects=asdu.objects,
-            )
-            self._transmit(self.session.send(reject))
+            self._reply(asdu, iec104.COT_UNKNOWN_IOA)
             return
         if asdu.type_id == iec104.C_SC_NA_1:
             value = float(int(obj.value) & 0x01)
         else:
             value = float(obj.value) * dp.scale
         self._pending_outputs[(dp.entity, dp.fieldname)] = value
-        confirm = iec104.Asdu(
-            type_id=asdu.type_id, cot=iec104.COT_ACTCON,
-            common_address=self.config.common_address, objects=asdu.objects,
-        )
-        self._transmit(self.session.send(confirm))
+        self._reply(asdu, iec104.COT_ACTCON)
 
     # -- attacker-facing override hook --------------------------------------
 
@@ -383,59 +381,41 @@ class Mtu:
         self.archive: list[ArchiveRow] = []
         self.command_log: list[CommandLogRow] = []
         self.events: list[tuple[int, str, str]] = []
-        self._rtus: dict[str, dict] = {}   # name -> {ip, conn, session, rx, pending}
+        self._rtus: dict[str, str] = {}                    # name -> IP, in attach order
+        self._sessions: dict[str, _SessionEnd] = {}        # name -> session, once connected
+        self._poll_deadline: dict[str, int | None] = {}    # name -> when the open poll times out
         self._last_confirm: dict[str, iec104.Asdu | None] = {}
         self._started = False
 
     def attach_rtu(self, name: str, ip: str):
-        self._rtus[name] = {
-            "ip": ip, "conn": None,
-            "session": iec104.ConnectionState(),
-            "rx": b"", "pending_poll": None,
-        }
+        self._rtus[name] = ip
+        self._poll_deadline[name] = None
 
     def start(self, t: int = 0):
         """Open all RTU connections and begin data transfer."""
         self._started = True
-        for name in self._rtus:
-            self._connect(name, t)
-
-    def _connect(self, name: str, t: int):
-        entry = self._rtus[name]
-        try:
-            conn = self.network.open_connection(self.host, entry["ip"], IEC104_PORT, at_s=t)
-        except NetError:
-            self.events.append((t, "connect-failed", name))
-            return
-        entry["conn"] = conn
-        conn.on_data = lambda data, _n=name: self._on_data(_n, data)
-        self._transmit(name, entry["session"].start(), at_s=t)
-
-    def _transmit(self, name: str, apdus, at_s: int | None = None):
-        entry = self._rtus[name]
-        for apdu in apdus:
-            entry["conn"].send(iec104.encode(apdu), at_s=at_s)
+        for name, ip in self._rtus.items():
+            try:
+                conn = self.network.open_connection(self.host, ip, IEC104_PORT, at_s=t)
+            except NetError:
+                self.events.append((t, "connect-failed", name))
+                continue
+            session = self._sessions[name] = _SessionEnd(conn, server=False)
+            conn.on_data = lambda data, _n=name: self._on_data(_n, data)
+            session.put(session.state.start(), at_s=t)
 
     def _on_data(self, name: str, payload: bytes):
-        entry = self._rtus[name]
-        entry["rx"] += payload
-        apdus, used = iec104.decode_stream(entry["rx"])
-        entry["rx"] = entry["rx"][used:]
-        t = self.network._now_us // 1_000_000
-        for apdu in apdus:
-            self._transmit(name, entry["session"].received(apdu))
+        t = self.network.now_s
+        for apdu in self._sessions[name].receive(payload):
             if apdu.kind != "I":
                 continue
             asdu = apdu.asdu
             if asdu.type_id == iec104.M_ME_NC_1:
                 for obj in asdu.objects:
-                    self.archive.append(
-                        ArchiveRow(t=t, rtu=name, ioa=obj.ioa,
-                                   value=obj.value, quality=obj.quality)
-                    )
+                    self.archive.append(ArchiveRow(t, name, obj.ioa, obj.value, obj.quality))
             elif asdu.cot == iec104.COT_ACTCON:
                 if asdu.type_id == iec104.C_IC_NA_1:
-                    entry["pending_poll"] = None
+                    self._poll_deadline[name] = None
                 self._last_confirm[name] = asdu
             elif asdu.cot == iec104.COT_UNKNOWN_IOA:
                 self._last_confirm[name] = asdu
@@ -445,10 +425,9 @@ class Mtu:
     def step(self, t: int, _inputs: dict) -> dict:
         if not self._started:
             self.start(t)
-        for name, entry in self._rtus.items():
-            pending = entry["pending_poll"]
-            if pending is not None and t >= pending:
-                entry["pending_poll"] = None
+        for name, deadline in self._poll_deadline.items():
+            if deadline is not None and t >= deadline:
+                self._poll_deadline[name] = None
                 self.events.append((t, "timeout", name))
         if self.poll_period and t and t % self.poll_period == 0:
             for name in self._rtus:
@@ -459,20 +438,19 @@ class Mtu:
 
     def poll(self, name: str, t: int) -> list[ArchiveRow]:
         """General interrogation of one RTU; returns the newly archived rows."""
-        entry = self._rtus[name]
         before = len(self.archive)
         request = iec104.Asdu(
-            type_id=iec104.C_IC_NA_1, cot=iec104.COT_ACTIVATION,
-            common_address=0,
+            type_id=iec104.C_IC_NA_1, cot=iec104.COT_ACTIVATION, common_address=0,
             objects=(iec104.InfoObject(ioa=0, value=iec104.QOI_STATION),),
         )
-        entry["pending_poll"] = t + POLL_TIMEOUT_STEPS * self.step_size
-        if entry["conn"] is None or entry["conn"].closed:
+        self._poll_deadline[name] = t + POLL_TIMEOUT_STEPS * self.step_size
+        session = self._sessions.get(name)
+        if session is None or session.conn.closed:
             return []
         try:
             # delivery is synchronous: the act-con arrives inside this call
-            # and clears pending_poll via _on_data
-            self._transmit(name, entry["session"].send(request), at_s=t)
+            # and clears the deadline via _on_data
+            session.send(request, at_s=t)
         except NetError:
             return []
         return self.archive[before:]
@@ -480,8 +458,7 @@ class Mtu:
     def command(self, name: str, ioa: int, value: float, t: int,
                 control_map: DataPointMap | None = None) -> bool:
         """Switch or set-point command to one RTU data point."""
-        entry = self._rtus.get(name)
-        if entry is None:
+        if name not in self._rtus:
             raise DeviceError(f"no RTU '{name}' attached")
         if control_map is not None:
             dp = control_map.point(ioa)
@@ -490,17 +467,14 @@ class Mtu:
             type_id = iec104.C_SC_NA_1 if dp.fieldname == "status" else iec104.C_SE_NC_1
         else:
             type_id = iec104.C_SE_NC_1
-        obj = (
-            iec104.InfoObject(ioa=ioa, value=int(value) & 0x01)
-            if type_id == iec104.C_SC_NA_1
-            else iec104.InfoObject(ioa=ioa, value=float(value))
-        )
+        wire = int(value) & 0x01 if type_id == iec104.C_SC_NA_1 else float(value)
         request = iec104.Asdu(
             type_id=type_id, cot=iec104.COT_ACTIVATION,
-            common_address=0, objects=(obj,),
+            common_address=0, objects=(iec104.InfoObject(ioa=ioa, value=wire),),
         )
         self._last_confirm[name] = None
-        self._transmit(name, entry["session"].send(request), at_s=t)
+        if name in self._sessions:
+            self._sessions[name].send(request, at_s=t)
         confirm = self._last_confirm.get(name)
         confirmed = confirm is not None and confirm.cot == iec104.COT_ACTCON
         self.command_log.append(

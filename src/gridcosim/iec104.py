@@ -22,6 +22,8 @@ START_BYTE = 0x68
 MAX_LENGTH = 253
 MIN_LENGTH = 4
 SEQ_MODULO = 32768
+IOA_MAX = 0xFFFFFF              # 3-octet information object address
+COMMON_ADDRESS_MAX = 0xFFFF     # 2-octet common address
 
 K_UNACKED_LIMIT = 12  # k: max I-frames sent without acknowledgement
 W_ACK_THRESHOLD = 8   # w: received I-frames that force an S-frame ack
@@ -189,7 +191,7 @@ _FLOAT_TYPES = (M_ME_NC_1, C_SE_NC_1)
 
 def _pack_object(type_id: int, obj: InfoObject) -> bytes:
     ioa = obj.ioa
-    if not 0 <= ioa <= 0xFFFFFF:
+    if not 0 <= ioa <= IOA_MAX:
         raise Iec104Error(f"IOA {ioa} outside 3-octet range")
     if type_id in _FLOAT_TYPES:
         return _FLOAT_OBJECT.pack(ioa & 0xFFFF, ioa >> 16, float(obj.value), obj.quality & 0xFF)
@@ -204,12 +206,14 @@ def _pack_object(type_id: int, obj: InfoObject) -> bytes:
 
 def encode_asdu(asdu: Asdu) -> bytes:
     type_id = asdu.type_id
+    if not 0 <= asdu.common_address <= COMMON_ADDRESS_MAX:
+        raise Iec104Error(f"common address {asdu.common_address} outside 2-octet range")
     header = _ASDU_HEADER.pack(
         type_id,
         len(asdu.objects) & 0x7F,  # VSQ: SQ=0, object count
         asdu.cot & 0xFF,
         asdu.originator & 0xFF,
-        asdu.common_address & 0xFFFF,
+        asdu.common_address,
     )
     return header + b"".join([_pack_object(type_id, o) for o in asdu.objects])
 

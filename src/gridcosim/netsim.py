@@ -378,6 +378,11 @@ class Network:
             self._now_us = max(self._now_us, at_s * US_PER_S)
         return self._now_us
 
+    @property
+    def now_s(self) -> int:
+        """The network clock in whole seconds."""
+        return self._now_us // US_PER_S
+
     def _advance(self, t_us: int):
         self._now_us = max(self._now_us, t_us)
 

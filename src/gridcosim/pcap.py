@@ -188,12 +188,19 @@ def read_pcap(path) -> list[PacketRecord]:
         ip = frame[14:34]
         ihl = (ip[0] & 0x0F) * 4
         total_len = struct.unpack(">H", ip[2:4])[0]
+        if ip[0] >> 4 != 4 or ihl < 20 or ip[9] != IP_PROTO_TCP:
+            raise PcapError(f"not an IPv4/TCP header: version {ip[0] >> 4}, "
+                            f"IHL {ihl // 4}, protocol {ip[9]}")
+        if 14 + total_len > len(frame) or total_len < ihl + 20:
+            raise PcapError(f"IPv4 total length {total_len} outside {ihl + 20}..{len(frame) - 14}")
         src_ip = ".".join(str(b) for b in ip[12:16])
         dst_ip = ".".join(str(b) for b in ip[16:20])
         tcp = frame[14 + ihl : 14 + total_len]
         src_port, dst_port = struct.unpack(">HH", tcp[:4])
         seq, ack = struct.unpack(">II", tcp[4:12])
         data_off = (tcp[12] >> 4) * 4
+        if not 20 <= data_off <= len(tcp):
+            raise PcapError(f"TCP data offset {data_off} outside the {len(tcp)}-byte segment")
         flags = tcp[13] & 0x3F
         payload = tcp[data_off:]
         records.append(

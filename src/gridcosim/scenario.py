@@ -25,7 +25,7 @@ the removed `seed`):
 
   [rtu <name>]
   host = <topology host>
-  common_address = <int>
+  common_address = <int>          # 0..65535
   report_period_s = <int>         # a positive multiple of step_s
   datapoint = <ioa> <monitor|control> <kind>:<element>:<field> [scale=<f>] [unit=<text>]
                                   # repeatable; fields per kind: devices.MONITOR_FIELDS /
@@ -62,7 +62,7 @@ from itertools import chain
 from operator import itemgetter
 
 from . import attacker as attacker_mod
-from . import devices, ems, netsim
+from . import devices, ems, iec104, netsim
 from .configfile import (
     ConfigError,
     Entry,
@@ -185,8 +185,11 @@ def _parse_datapoint(entry: Entry) -> devices.DataPoint:
     parts = ref.split(":")
     if len(parts) != 3:
         raise entry.error(f"bad element reference '{ref}'")
+    ioa = entry.convert(ioa, "ioa", int)
+    if not 0 <= ioa <= iec104.IOA_MAX:
+        raise entry.error(f"IOA {ioa} outside 0..{iec104.IOA_MAX}")
     return devices.DataPoint(
-        ioa=entry.convert(ioa, "ioa", int),
+        ioa=ioa,
         direction=direction,
         element_kind=parts[0],
         element_id=parts[1],
@@ -299,11 +302,16 @@ def load_scenario(path) -> Scenario:
                         f"is already controlled by rtu '{rtu}' (line {lineno})"
                     )
                 controllers[target] = (section.name, entry.lineno)
+        address = section.entry("common_address", required=True)
+        common_address = address.convert(address.value, "common_address", int)
+        if not 0 <= common_address <= iec104.COMMON_ADDRESS_MAX:
+            raise address.error(
+                f"common_address {common_address} outside 0..{iec104.COMMON_ADDRESS_MAX}")
         rtus.append(
             devices.RtuConfig(
                 name=section.name,
                 host=host.value,
-                common_address=section.get_int("common_address"),
+                common_address=common_address,
                 datapoints=datapoints,
                 report_period=report_period,
             )

@@ -36,6 +36,12 @@ MALFORMED = {
         "attack_demo", "p_from_kw scale=1.0", "p_from_kw scale=abc", "scale=abc"),
     "datapoint_scale_nan": (
         "attack_demo", "p_from_kw scale=1.0", "p_from_kw scale=nan", "scale=nan"),
+    "ioa_out_of_range": (
+        "attack_demo", "datapoint = 103 monitor", "datapoint = 16777216 monitor",
+        "16777216 monitor"),
+    "common_address_out_of_range": (
+        "attack_demo", "common_address = 1", "common_address = 65537",
+        "common_address = 65537"),
     "datapoint_stray_token": (
         "attack_demo", "q_from_kvar scale=1.0", "q_from_kvar 1.0", "q_from_kvar 1.0"),
     "datapoint_repeated_option": (
@@ -175,7 +181,28 @@ def _truncated_record(path):
     path.write_bytes(data[:-3])
 
 
-@pytest.mark.parametrize("corrupt", [_bad_magic, _truncated_record], ids=["bad_magic", "truncated"])
+# byte offsets into a one-record capture: 24-octet global header, 16-octet
+# record header, 14-octet Ethernet header, then IPv4 and TCP
+_IP_AT = 24 + 16 + 14
+_TCP_AT = _IP_AT + 20
+
+
+def _patch(offset, data):
+    def corrupt(path):
+        raw = bytearray(path.read_bytes())
+        raw[offset : offset + len(data)] = data
+        path.write_bytes(bytes(raw))
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _bad_magic,
+    _truncated_record,
+    _patch(_IP_AT + 2, b"\x00\x14"),  # total length 20: no room for a TCP header
+    _patch(_IP_AT, b"\x4f"),  # IHL 15: a 60-octet IPv4 header
+    _patch(_TCP_AT + 12, b"\xf0"),  # data offset 60 in a 26-octet segment
+], ids=["bad_magic", "truncated", "ip_total_length_short", "ihl_over_frame",
+        "tcp_data_offset_beyond_segment"])
 def test_pcap_dump_corrupt_file_exits_1(corrupt, tmp_path, capsys):
     path = _capture(tmp_path / "bad.pcap", [STARTDT_ACT])
     corrupt(path)

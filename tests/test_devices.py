@@ -1,6 +1,6 @@
 import pytest
 
-from gridcosim import devices, netsim
+from gridcosim import devices, iec104, netsim
 from gridcosim.devices import (
     DataPoint,
     DataPointMap,
@@ -127,7 +127,7 @@ class TestPollAndCommand:
         rows = mtu.poll("r1", 60)
         assert len(rows) == 2
         assert len(mtu.archive) == before + 2
-        assert mtu._rtus["r1"]["pending_poll"] is None  # act-con arrived
+        assert mtu._poll_deadline["r1"] is None  # act-con arrived
 
     def test_poll_timeout_after_three_steps(self, rig):
         network, rtu, mtu = rig
@@ -140,7 +140,10 @@ class TestPollAndCommand:
             mtu.step(t, {})
         assert (240, "timeout", "r1") in mtu.events
 
-    def test_non_network_error_in_poll_is_a_fault(self, rig, monkeypatch):
+    # an error in the RTU's own reply faults the run; only what the RTU
+    # received can make it hang up instead
+    @pytest.mark.parametrize("error", [RuntimeError, iec104.Oversize])
+    def test_non_network_error_in_poll_is_a_fault(self, error, rig, monkeypatch):
         from gridcosim.kernel import Kernel, SimulatorDescriptor, SimulatorFault
 
         network, rtu, _ = rig
@@ -149,7 +152,7 @@ class TestPollAndCommand:
         mtu.start(0)
 
         def broken_reply(_request):
-            raise RuntimeError("interrogation bug")
+            raise error("interrogation bug")
 
         monkeypatch.setattr(rtu, "_interrogation_reply", broken_reply)
         kernel = Kernel(60)
@@ -157,7 +160,7 @@ class TestPollAndCommand:
         with pytest.raises(SimulatorFault) as err:
             kernel.run(120)
         assert err.value.sim_id == "mtu" and err.value.step_time == 60
-        assert isinstance(err.value.cause, RuntimeError)
+        assert isinstance(err.value.cause, error)
 
     def test_setpoint_command_actuates_next_step(self, rig):
         network, rtu, mtu = rig
@@ -203,9 +206,9 @@ class TestSessionConnection:
     def test_malformed_apdu_closes_the_session_connection(self, rig):
         network, rtu, mtu = rig
         mtu.start(0)
-        conn = mtu._rtus["r1"]["conn"]
+        conn = mtu._sessions["r1"].conn
         conn.send(b"\x68\x04\x07\x01\x00\x00", at_s=30)  # U-frame with a stray bit
-        assert conn.closed and not rtu.session.started
+        assert conn.closed and rtu.session is None
         rtu.step(60, MEAS)
         assert mtu.archive == [] and len(rtu.buffer) == 2
 
