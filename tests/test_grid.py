@@ -1,6 +1,10 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
+from conftest import ATTACK_DEMO, FEEDER7, FLEX_DEMO, SCADA_BURST
 from gridcosim.configfile import ConfigError
 from gridcosim.grid import (
     ProfileSet,
@@ -14,8 +18,16 @@ from gridcosim.grid import (
     parse_profiles,
     run_power_flow,
 )
+from gridcosim.grid import powerflow
 from gridcosim.grid.model import Bus, GridModel, Line, Trafo, validate
-from gridcosim.grid.powerflow import UnconvergedSolution, UnknownElement, _jacobian, _plan
+from gridcosim.grid.powerflow import (
+    Measurement,
+    UnconvergedSolution,
+    UnknownElement,
+    _jacobian,
+    _plan,
+    _solve,
+)
 
 TWO_BUS = """
 [grid]
@@ -212,6 +224,13 @@ class TestPowerFlow:
         with pytest.raises(UnknownElement):
             measurements_at(model, solution, "bus", "zz")
 
+    def test_measurement_value_by_field(self):
+        m = Measurement(p_kw=1.0, q_kvar=2.0, v_pu=3.0, i_ka=4.0, loading_percent=5.0)
+        assert [m.value(f) for f in ("p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu",
+                                     "i_ka", "loading_percent")] == [1, 2, 1, 2, 3, 4, 5]
+        with pytest.raises(UnknownElement, match="no measurable field 'p_to_kw'"):
+            m.value("p_to_kw")
+
     def test_trafo_loading_definition(self):
         kv_hv, kv_lv = 20.0, 0.4
         model = GridModel(
@@ -370,6 +389,200 @@ class TestNewtonJacobian:
         assert solution.losses_kw > 0.0
         residual_kw = solution.slack_p_kw - (loads_kw + solution.losses_kw)
         assert abs(residual_kw) < 1e-6 * model.base_mva * 1000  # 1e-6 pu
+
+
+def sweep_oracle(model: GridModel, injections, tol=1e-14, max_iter=200):
+    """Independent N-bus oracle for a radial grid: the backward/forward sweep
+    (Kersting's ladder method; Shirmohammadi et al., IEEE Trans. PWRS 3(2),
+    1988). It walks the tree from the slack, with every branch's from (HV)
+    bus upstream, and models a trafo as an ideal t:1 ratio on its HV side
+    followed by its series impedance. Returns |V| by bus and the branch
+    current magnitude in kA at the from bus, by (kind, id)."""
+    base_kw = model.base_mva * 1000.0
+    branches = {}  # downstream bus -> (key, upstream bus, z_pu, tap, from-bus kA base)
+    for line in model.lines:
+        kv = model.bus(line.from_bus).nominal_kv
+        z = complex(line.r_ohm, line.x_ohm) * model.base_mva / kv**2
+        branches[line.to_bus] = (("line", line.id), line.from_bus, z, 1.0, kv)
+    for trafo in model.trafos:
+        xk = math.sqrt(trafo.vk_percent**2 - trafo.vkr_percent**2)
+        z = complex(trafo.vkr_percent, xk) / 100.0 * model.base_mva * 1000.0 / trafo.s_rated_kva
+        branches[trafo.lv_bus] = (("trafo", trafo.id), trafo.hv_bus, z, trafo.tap_ratio,
+                                  model.bus(trafo.hv_bus).nominal_kv)
+    slack = model.slack_bus
+    order, children = [slack.id], {}
+    for bus, (_key, up, _z, _tap, _kv) in branches.items():
+        children.setdefault(up, []).append(bus)
+    for bus in order:  # breadth first: every bus after its upstream bus
+        order.extend(children.get(bus, []))
+    assert len(order) == len(model.buses)
+    load = {bus: -complex(p, q) / base_kw for bus, (p, q) in injections.items()}
+    v = dict.fromkeys(order, complex(slack.vm_setpoint_pu))
+    for _ in range(max_iter):
+        current = {}  # into each branch's impedance, on its downstream side
+        for bus in reversed(order[1:]):
+            current[bus] = np.conj(load.get(bus, 0j) / v[bus]) + sum(
+                current[child] / branches[child][3] for child in children.get(bus, []))
+        step = 0.0
+        for bus in order[1:]:
+            _key, up, z, tap, _kv = branches[bus]
+            new = v[up] / tap - z * current[bus]
+            step, v[bus] = max(step, abs(new - v[bus])), new
+        if step < tol:
+            break
+    else:
+        raise AssertionError("sweep did not converge")
+    i_ka = {key: abs(current[bus] / tap) * model.base_mva / (math.sqrt(3.0) * kv)
+            for bus, (key, _up, _z, tap, kv) in branches.items()}
+    return {bus: abs(v[bus]) for bus in order}, i_ka
+
+
+def _grid_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _bundle_grid_text(scenario_path):
+    return _grid_text(os.path.join(os.path.dirname(scenario_path), "grid.txt"))
+
+
+TAPPED_7 = _bundle_grid_text(ATTACK_DEMO).replace("tap_position=0", "tap_position=-2")
+
+
+class TestSweepOracle:
+    @pytest.mark.parametrize("grid_text", [
+        _grid_text(FEEDER7),
+        TAPPED_7,
+        binary_tree_feeder(127, seed=7),
+        binary_tree_feeder(511, seed=11),
+        binary_tree_feeder(1023, seed=13),
+    ], ids=["feeder7", "tapped_7", "radial_127", "radial_511", "radial_1023"])
+    def test_newton_matches_backward_forward_sweep(self, grid_text):
+        model = parse_grid(grid_text)
+        injections = bus_injections(model, element_values_at(model, None, 0))
+        solution = run_power_flow(model, injections)
+        assert solution.converged
+        vm, i_ka = sweep_oracle(model, injections)
+        assert vm.keys() == solution.vm_pu.keys()
+        np.testing.assert_allclose([solution.vm_pu[b] for b in vm], list(vm.values()),
+                                   rtol=0, atol=1e-9)
+        assert np.ptp(list(vm.values())) > 1e-3  # a loaded grid, not the flat start
+        flows = solution.branch_flows
+        np.testing.assert_allclose([flows[key].i_ka for key in i_ka], list(i_ka.values()),
+                                   rtol=1e-7, atol=0)
+
+    def test_tap_moves_the_lv_voltage(self):
+        untapped = parse_grid(TAPPED_7.replace("tap_position=-2", "tap_position=0"))
+        tapped = parse_grid(TAPPED_7)
+        lv = [run_power_flow(m, bus_injections(m, element_values_at(m, None, 0))).vm_pu["lv4"]
+              for m in (untapped, tapped)]
+        assert lv[1] - lv[0] > 0.04  # a -5 % ratio raises the LV side by about 5 %
+
+
+def meshed_tree_feeder(n_buses: int, seed: int) -> str:
+    """`binary_tree_feeder` with one more line, closing a loop of nine buses
+    through b7 (b130 and b140 hang off b7's two subtrees)."""
+    text = binary_tree_feeder(n_buses, seed)
+    text = text.replace("base_mva = 1.0", "base_mva = 1.0\nmeshed = true")
+    return text.replace("[load]", "loop  from=b130 to=b140 r_ohm=0.2 x_ohm=0.15 max_i_ka=0.4\n[load]")
+
+
+def tree_with_slack_leaves(n_buses: int, seed: int, n_leaves: int) -> str:
+    """`binary_tree_feeder` with `n_leaves` more loaded buses hung straight
+    off the slack, so that a leaf layer mixes slack and PQ parents."""
+    out = [binary_tree_feeder(n_buses, seed)]
+    for k in range(n_leaves):
+        out.append(f"[bus]\ns{k}  nominal_kv=20.0 type=pq\n"
+                   f"[line]\nls{k}  from=b0 to=s{k} r_ohm=0.3 x_ohm=0.2 max_i_ka=0.4\n"
+                   f"[load]\nds{k}  bus=s{k} p_kw=30.0 q_kvar=9.0\n")
+    return "".join(out)
+
+
+def jacobian_at(plan, vm, va):
+    v = vm * np.exp(1j * va)
+    npq = len(plan.order) - 1
+    jac = np.zeros((2 * npq, 2 * npq))
+    _jacobian(plan, vm, v, plan.ybus @ v, jac)
+    return jac
+
+
+def solved_state(model, line_status):
+    solution = run_power_flow(model, bus_injections(model, element_values_at(model, None, 0)),
+                              line_status)
+    assert solution.converged
+    plan = _plan(model, line_status)
+    return (plan, np.array([solution.vm_pu[b] for b in plan.order]),
+            np.array([solution.va_rad[b] for b in plan.order]))
+
+
+class TestPeeledSolve:
+    @pytest.mark.parametrize("grid_text, line_status", [
+        (binary_tree_feeder(127, seed=7), {}),
+        (binary_tree_feeder(255, seed=3), {}),
+        (meshed_tree_feeder(255, seed=3), {}),
+        (meshed_tree_feeder(255, seed=3), {"l64": False}),
+        (meshed_tree_feeder(255, seed=3), {"loop": False}),
+        (tree_with_slack_leaves(127, seed=7, n_leaves=8), {}),
+    ], ids=["radial_127", "radial_255", "meshed_255", "meshed_255_l64_open",
+            "meshed_255_loop_open", "radial_127_slack_leaves"])
+    def test_matches_dense_solve(self, grid_text, line_status):
+        model = parse_grid(grid_text)
+        plan, vm, va = solved_state(model, line_status)
+        assert plan.layers and not plan.islanded
+        rng = np.random.default_rng(5)
+        flat_vm = np.full_like(vm, 1.0)
+        for state in ((flat_vm, np.zeros_like(va)), (vm, va)):
+            jac = jacobian_at(plan, *state)
+            rhs = rng.standard_normal(len(jac))
+            dense = np.linalg.solve(jac, rhs)
+            peeled = _solve(plan, jac.copy(), rhs.copy())
+            np.testing.assert_allclose(peeled, dense, rtol=1e-10, atol=1e-12 * np.abs(dense).max())
+
+    def test_meshed_loop_stays_in_the_core(self):
+        plan = _plan(parse_grid(meshed_tree_feeder(255, seed=3)), {})
+        core = {plan.order[k + 1] for k in plan.core_rhs[: len(plan.core_rhs) // 2]}
+        assert {"b7", "b15", "b16", "b31", "b34", "b64", "b69", "b130", "b140"} <= core
+
+    @pytest.mark.parametrize("grid_text", [
+        _grid_text(FEEDER7),
+        _bundle_grid_text(ATTACK_DEMO),
+        _bundle_grid_text(FLEX_DEMO),
+        _bundle_grid_text(SCADA_BURST),
+        binary_tree_feeder(40, seed=7),
+    ], ids=["feeder7", "attack_demo", "flex_demo", "scada_burst", "radial_40"])
+    def test_pinned_grids_get_no_layer_and_the_dense_solve(self, grid_text):
+        model = parse_grid(grid_text)
+        plan, vm, va = solved_state(model, {})
+        assert plan.layers == ()
+        jac = jacobian_at(plan, vm, va)
+        rhs = np.random.default_rng(5).standard_normal(len(jac))
+        dense = np.linalg.solve(jac, rhs)
+        assert np.array_equal(_solve(plan, jac, rhs).view(np.int64), dense.view(np.int64))
+
+    # a zero block, or a non-finite dP/dθ entry (leaf_block lists it last)
+    @pytest.mark.parametrize("bad, entries", [(0.0, slice(None)), (math.nan, 3), (math.inf, 3)],
+                             ids=["zero", "nan", "inf"])
+    def test_singular_leaf_block_raises(self, bad, entries):
+        model = parse_grid(binary_tree_feeder(127, seed=7))
+        plan, vm, va = solved_state(model, {})
+        jac = jacobian_at(plan, vm, va)
+        jac.flat[plan.layers[0].leaf_block[3, entries]] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve(plan, jac, np.ones(len(jac)))
+
+    def test_singular_leaf_block_ends_the_solve_unconverged(self, monkeypatch):
+        model = parse_grid(binary_tree_feeder(127, seed=7))
+        injections = bus_injections(model, element_values_at(model, None, 0))
+        jacobian = powerflow._jacobian
+
+        def singular_leaf(plan, vm, v, i_bus, out):
+            jacobian(plan, vm, v, i_bus, out)
+            out.flat[plan.layers[0].leaf_block[0]] = 0.0
+
+        monkeypatch.setattr(powerflow, "_jacobian", singular_leaf)
+        solution = run_power_flow(model, injections)
+        assert not solution.converged
+        assert solution.iterations == 1 and solution.max_mismatch_pu > 1e-8
 
 
 STEP_PROFILE = "t_seconds,element_id,field,value\n0,ld,p_kw,5.0\n3600,ld,p_kw,8.0\n"
