@@ -6,9 +6,17 @@ Global header: magic 0xa1b2c3d4, version 2.4, linktype 1 (Ethernet).
 
 A run sends many segments over few flows, so the per-direction part of a
 frame is built once: `_flow` caches, per (source, destination) address pair,
-the Ethernet header (MACs derived from the addresses) and the 8 address
-bytes that the IPv4 header and the TCP pseudo-header share. The cache is a
-bounded `functools.lru_cache`; an evicted flow is simply built again.
+the Ethernet header (MACs derived from the addresses), the 8 address bytes
+that the IPv4 header and the TCP pseudo-header share, and the sums of the
+words of both checksums that do not change from frame to frame. The cache is
+a bounded `functools.lru_cache`; an evicted flow is simply built again.
+
+Each checksum is the Internet checksum (RFC 1071), the complement of the
+ones'-complement sum of the big-endian 16-bit words. As 2**16 = 1 (mod
+0xFFFF), that sum is congruent to the plain sum of the fields, a 32-bit field
+or the payload read as one big-endian integer included (RFC 1624). Both headers
+hold a non-zero word, whose sum folds to 0xFFFF, never to 0, so the checksum is
+the negated sum modulo 0xFFFF.
 """
 
 from __future__ import annotations
@@ -37,14 +45,17 @@ FLAG_NAMES = (("FIN", FIN), ("SYN", SYN), ("RST", RST), ("PSH", PSH), ("ACK", AC
 
 FLOW_CACHE_SIZE = 4096
 
+WRITE_BATCH = 1024  # records per write to the capture file
+
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
-# src port, dst port, seq, ack, data offset (5 words), flags, window, checksum, urgent
-_TCP_HEADER = struct.Struct(">HHIIBBHHH")
-# version/IHL, DSCP/ECN, total length, id, flags (DF), TTL, protocol, checksum,
-# source and destination addresses
-_IP_HEADER = struct.Struct(">BBHHHBBH8s")
-_PSEUDO_TAIL = struct.Struct(">BBH")  # zero, protocol, TCP length
+# Ethernet header; IPv4: version/IHL, DSCP/ECN, total length, id, flags (DF),
+# TTL, protocol, checksum, source and destination addresses; TCP: source
+# port, destination port, seq, ack, data offset (5 words), flags, window,
+# checksum, urgent pointer
+_FRAME_HEADER = struct.Struct(">14sBBHHHBBH8sHHIIBBHHH")
+_IP_CONSTANT_WORDS = 0x4500 + 0x4000 + (IP_TTL << 8 | IP_PROTO_TCP)  # version/IHL, DF, TTL/proto
+_TCP_CONSTANT_WORDS = IP_PROTO_TCP + 0x5000 + 0xFFFF  # pseudo-header protocol, offset, window
 
 
 def flags_text(flags: int) -> str:
@@ -79,60 +90,43 @@ def _ip_bytes(ip: str) -> bytes:
 
 
 @functools.lru_cache(maxsize=FLOW_CACHE_SIZE)
-def _flow(src_ip: str, dst_ip: str) -> tuple[bytes, bytes]:
-    """Ethernet header and source+destination address bytes of one direction."""
+def _flow(src_ip: str, dst_ip: str) -> tuple[bytes, bytes, int, int]:
+    """Ethernet header, source+destination address bytes, and the constant
+    word sums of the IPv4 header and of the TCP pseudo-header and header,
+    for one direction."""
     src = _ip_bytes(src_ip)
     dst = _ip_bytes(dst_ip)
     # locally administered MACs derived from the IPs: stable and collision-free
     eth = b"\x02\x00" + dst + b"\x02\x00" + src + ETHERTYPE_IPV4.to_bytes(2, "big")
-    return eth, src + dst
-
-
-def _checksum(data: bytes) -> int:
-    """Internet checksum (RFC 1071) of `data`, zero-padded to even length.
-
-    The ones'-complement sum of the big-endian 16-bit words is congruent to
-    the whole buffer read as one big-endian integer modulo 0xFFFF, because
-    2**16 = 1 (mod 0xFFFF); the folded sum is that residue, except that a
-    non-zero sum folds to 0xFFFF, never to 0.
-    """
-    if len(data) % 2:
-        data += b"\x00"
-    folded = int.from_bytes(data, "big") % 0xFFFF
-    if not folded and any(data):
-        folded = 0xFFFF
-    return 0xFFFF - folded
+    addrs = src + dst
+    addr_sum = int.from_bytes(addrs, "big")
+    return eth, addrs, _IP_CONSTANT_WORDS + addr_sum, _TCP_CONSTANT_WORDS + addr_sum
 
 
 def build_frame(record: PacketRecord, ip_id: int) -> bytes:
     """Synthesize the Ethernet/IPv4/TCP frame for one record."""
-    eth, addrs = _flow(record.src_ip, record.dst_ip)
+    eth, addrs, ip_sum, tcp_sum = _flow(record.src_ip, record.dst_ip)
     payload = record.payload
     tcp_len = 20 + len(payload)
-    tcp_fields = (
-        record.src_port,
-        record.dst_port,
-        record.seq & 0xFFFFFFFF,
-        record.ack & 0xFFFFFFFF,
-        5 << 4,
-        record.tcp_flags & 0x3F,
-        65535,
-    )
-    tcp_csum = _checksum(
-        addrs + _PSEUDO_TAIL.pack(0, IP_PROTO_TCP, tcp_len)
-        + _TCP_HEADER.pack(*tcp_fields, 0, 0) + payload
-    )
-    ip_fields = ((4 << 4) | 5, 0, 20 + tcp_len, ip_id & 0xFFFF, 0x4000, IP_TTL, IP_PROTO_TCP)
-    ip_csum = _checksum(_IP_HEADER.pack(*ip_fields, 0, addrs))
-    return (eth + _IP_HEADER.pack(*ip_fields, ip_csum, addrs)
-            + _TCP_HEADER.pack(*tcp_fields, tcp_csum, 0) + payload)
+    ip_id &= 0xFFFF
+    sport, dport = record.src_port, record.dst_port
+    seq, ack = record.seq & 0xFFFFFFFF, record.ack & 0xFFFFFFFF
+    flags = record.tcp_flags & 0x3F
+    # an odd-length payload is padded with one zero byte
+    tcp_sum += (tcp_len + sport + dport + seq + ack + flags
+                + (int.from_bytes(payload, "big") << (len(payload) & 1) * 8))
+    ip_sum += 20 + tcp_len + ip_id
+    return _FRAME_HEADER.pack(
+        eth, 0x45, 0, 20 + tcp_len, ip_id, 0x4000, IP_TTL, IP_PROTO_TCP, -ip_sum % 0xFFFF,
+        addrs, sport, dport, seq, ack, 5 << 4, flags, 65535, -tcp_sum % 0xFFFF, 0,
+    ) + payload
 
 
 def write_pcap(path, records) -> int:
     """Write records to `path` in classic pcap format; returns the record count.
 
-    Each record is built and written on its own, so memory does not grow
-    with the capture."""
+    Records are built and written WRITE_BATCH at a time, so memory does not
+    grow with the capture."""
     count = 0
     with open(path, "wb") as fh:
         fh.write(
@@ -146,6 +140,7 @@ def write_pcap(path, records) -> int:
                 LINKTYPE_ETHERNET,
             )
         )
+        batch = []
         last_t = -1
         for record in records:
             t_us = record.t_us
@@ -153,9 +148,13 @@ def write_pcap(path, records) -> int:
                 raise PcapError("packet timestamps must be non-decreasing")
             last_t = t_us
             count += 1
-            frame = build_frame(record, ip_id=count)
+            frame = build_frame(record, count)
             size = len(frame)
-            fh.write(_RECORD_HEADER.pack(t_us // 1_000_000, t_us % 1_000_000, size, size) + frame)
+            batch += (_RECORD_HEADER.pack(t_us // 1_000_000, t_us % 1_000_000, size, size), frame)
+            if not count % WRITE_BATCH:
+                fh.write(b"".join(batch))
+                batch.clear()
+        fh.write(b"".join(batch))
     return count
 
 

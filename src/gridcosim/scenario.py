@@ -57,8 +57,9 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 
 from . import attacker as attacker_mod
@@ -109,16 +110,43 @@ BATTERY_OPTIONS = frozenset(
     ("capacity_kwh", "p_max_kw", "eta_charge", "eta_discharge", "soc_kwh")
 )
 
-# run_report.txt carries wall-clock timing, so it is listed but never hashed
-HASHED_OUTPUTS = (
-    PCAP_FILE,
-    GROUND_TRUTH_CSV,
-    ARCHIVE_CSV,
-    COMMANDS_CSV,
-    ATTACK_TRACE_CSV,
-    ATTACK_TRANSCRIPT,
-    EMS_DECISIONS_CSV,
-)
+WRITE_BATCH = 1024  # lines per write to a text artifact
+
+# One entry per file a run writes but the manifest, in writing order: a CSV's
+# header line ("" for plain text), the format of one row as a line (None for
+# the capture, which netsim.write_pcap writes), and whether the manifest
+# hashes the file. A float column is written as repr(float(value)), exact and
+# plain for a numpy scalar too; run_report.txt carries wall-clock timing, so
+# the manifest lists it but never hashes it.
+Artifact = namedtuple("Artifact", "header line hashed", defaults=(True,))
+ARTIFACTS = {
+    PCAP_FILE: Artifact("", None),
+    GROUND_TRUTH_CSV: Artifact(
+        "t,element,field,value\n",
+        lambda r: f"{r[0]},{r[1]},{r[2]},{float(r[3])!r}\n",
+    ),
+    ARCHIVE_CSV: Artifact(
+        "t,rtu,ioa,value,quality\n",
+        lambda r: f"{r.t},{r.rtu},{r.ioa},{float(r.value)!r},{r.quality}\n",
+    ),
+    COMMANDS_CSV: Artifact(
+        "t,rtu,ioa,value,confirmed\n",
+        lambda r: f"{r.t},{r.rtu},{r.ioa},{float(r.value)!r},{r.confirmed}\n",
+    ),
+    ATTACK_TRACE_CSV: Artifact(
+        "t,stage,action,target,outcome\n",
+        lambda e: f"{e.t},{e.stage},{e.action},{e.target},{e.outcome}\n",
+    ),
+    ATTACK_TRANSCRIPT: Artifact("", "{}\n".format),
+    EMS_DECISIONS_CSV: Artifact(  # (ved, decision) pairs
+        "t,ved,battery_kw,grid_kw,mode,binding\n",
+        lambda r: f"{r[1].t},{r[0]},{float(r[1].battery_setpoint_kw)!r},"
+                  f"{float(r[1].grid_exchange_kw)!r},{r[1].active_mode},"
+                  f"{r[1].binding_constraint}\n",
+    ),
+    RUN_REPORT: Artifact("", "{}\n".format, hashed=False),
+}
+HASHED_OUTPUTS = tuple(name for name, artifact in ARTIFACTS.items() if artifact.hashed)
 
 
 @dataclass
@@ -414,7 +442,6 @@ class GridSimulator:
         self.ved_buses = ved_buses
         self.command_overrides: dict[tuple[str, str], float] = {}
         self.line_status: dict[str, bool] = {}
-        self.last_solution = None
         # the inputs of the last step solved, and the outputs it produced
         self._memo_key = None
         self._memo_outputs: dict = {}
@@ -450,7 +477,6 @@ class GridSimulator:
                 f"power flow did not converge at t={t} "
                 f"(mismatch {solution.max_mismatch_pu:.3e} pu)"
             )
-        self.last_solution = solution
         outputs = {}
         for kind, elem_id, fieldname in self.monitored:
             m = measurements_at(self.model, solution, kind, elem_id,
@@ -507,23 +533,36 @@ class RunOutputs:
     kpi_reports: dict[str, ems.KpiReport]
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """One line per row; a float cell is written as its repr (exact
-    round-trip), any other cell as its str."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(
-            ",".join([repr(cell) if isinstance(cell, float) else str(cell) for cell in row])
-            + "\n"
-            for row in rows
-        )
-
-
-def _sha256(path: str) -> str:
+def _write_lines(path: str, lines) -> str:
+    """Write `lines` to `path` as UTF-8, WRITE_BATCH at a time; returns the
+    sha256 of the bytes written. Every line but a "" header ends in a
+    newline, so a batch is empty only once `lines` is exhausted."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
+    lines = iter(lines)
+    with open(path, "wb") as fh:
+        while batch := "".join(islice(lines, WRITE_BATCH)).encode():
+            digest.update(batch)
+            fh.write(batch)
     return digest.hexdigest()
+
+
+def _write_artifacts(outdir: str, rows: dict) -> dict[str, str]:
+    """Write each artifact of ARTIFACTS from `rows[name]`, then the manifest;
+    returns the manifest, artifact name -> sha256."""
+    manifest = {}
+    for name, (header, line, hashed) in ARTIFACTS.items():
+        path = os.path.join(outdir, name)
+        if line is None:
+            netsim.write_pcap(path, rows[name])
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+        else:
+            digest = _write_lines(path, chain((header,), map(line, rows[name])))
+        if hashed:
+            manifest[name] = digest
+    _write_lines(os.path.join(outdir, MANIFEST),
+                 (f"{manifest.get(name, '-')}  {name}\n" for name in sorted(ARTIFACTS)))
+    return manifest
 
 
 def run_scenario(
@@ -645,67 +684,14 @@ def run_scenario(
     network.close_all(horizon)
 
     # -- flush outputs (also on fault: partial artifacts are preserved) -----
-    # the directory is made only now, so a run the kernel refuses (until <= 0)
-    # leaves none behind
-    os.makedirs(outdir, exist_ok=True)
-    paths = {name: os.path.join(outdir, name) for name in HASHED_OUTPUTS}
-    paths[RUN_REPORT] = os.path.join(outdir, RUN_REPORT)
-    paths[MANIFEST] = os.path.join(outdir, MANIFEST)
-
-    netsim.write_pcap(paths[PCAP_FILE], network.packet_log)
-
-    truth_rows = sorted(
-        (row for rtu in rtu_sims.values() for row in rtu.truth_rows),
-        key=itemgetter(0, 1, 2),
-    )
-    _write_csv(paths[GROUND_TRUTH_CSV], ["t", "element", "field", "value"], truth_rows)
-
-    archive_rows = mtu.archive if mtu is not None else []
-    _write_csv(
-        paths[ARCHIVE_CSV],
-        ["t", "rtu", "ioa", "value", "quality"],
-        ((r.t, r.rtu, r.ioa, r.value, r.quality) for r in archive_rows),
-    )
-    command_rows = mtu.command_log if mtu is not None else []
-    _write_csv(
-        paths[COMMANDS_CSV],
-        ["t", "rtu", "ioa", "value", "confirmed"],
-        ((r.t, r.rtu, r.ioa, r.value, r.confirmed) for r in command_rows),
-    )
-
-    trace = attack_agent.trace if attack_agent is not None else []
-    _write_csv(
-        paths[ATTACK_TRACE_CSV],
-        ["t", "stage", "action", "target", "outcome"],
-        ((e.t, e.stage, e.action, e.target, e.outcome) for e in trace),
-    )
-    with open(paths[ATTACK_TRANSCRIPT], "w", encoding="utf-8") as fh:
-        if attack_agent is not None:
-            fh.write("\n".join(attack_agent.transcript))
-            if attack_agent.transcript:
-                fh.write("\n")
-
-    ems_rows = []
-    kpi_reports: dict[str, ems.KpiReport] = {}
-    for name, sim in ems_sims.items():
-        for decision in sim.decisions:
-            ems_rows.append(
-                (decision.t, name, decision.battery_setpoint_kw,
-                 decision.grid_exchange_kw, decision.active_mode,
-                 decision.binding_constraint)
-            )
-        if sim.decisions:
-            kpi_reports[name] = ems.evaluate_run(
-                sim.decisions, sim.baseline, scenario.step_s,
-                dso_limits=sim.ems_config.dso_limits,
-                vpp_schedules=sim.ems_config.vpp_schedules,
-            )
-    ems_rows.sort(key=itemgetter(0, 1))
-    _write_csv(
-        paths[EMS_DECISIONS_CSV],
-        ["t", "ved", "battery_kw", "grid_kw", "mode", "binding"],
-        ems_rows,
-    )
+    kpi_reports = {
+        name: ems.evaluate_run(
+            sim.decisions, sim.baseline, scenario.step_s,
+            dso_limits=sim.ems_config.dso_limits,
+            vpp_schedules=sim.ems_config.vpp_schedules,
+        )
+        for name, sim in ems_sims.items() if sim.decisions
+    }
 
     report_lines = [f"scenario: {scenario.name}"]
     if fault is not None:
@@ -722,15 +708,27 @@ def run_scenario(
             f"kpi.{name}.baseline_import_kwh: {kpi.baseline.import_kwh:.6f}",
             f"kpi.{name}.baseline_peak_import_kw: {kpi.baseline.peak_import_kw:.6f}",
         ]
-    report_text = "\n".join(report_lines) + "\n"
-    with open(paths[RUN_REPORT], "w", encoding="utf-8") as fh:
-        fh.write(report_text)
 
-    manifest = {name: _sha256(paths[name]) for name in HASHED_OUTPUTS}
-    with open(paths[MANIFEST], "w", encoding="utf-8") as fh:
-        for name in sorted(manifest):
-            fh.write(f"{manifest[name]}  {name}\n")
-        fh.write(f"-  {RUN_REPORT}\n")
+    rows = {
+        PCAP_FILE: network.packet_log,
+        GROUND_TRUTH_CSV: sorted(
+            chain.from_iterable(rtu.truth_rows for rtu in rtu_sims.values()),
+            key=itemgetter(0, 1, 2),
+        ),
+        ARCHIVE_CSV: mtu.archive if mtu is not None else (),
+        COMMANDS_CSV: mtu.command_log if mtu is not None else (),
+        ATTACK_TRACE_CSV: attack_agent.trace if attack_agent is not None else (),
+        ATTACK_TRANSCRIPT: attack_agent.transcript if attack_agent is not None else (),
+        EMS_DECISIONS_CSV: sorted(
+            ((name, d) for name, sim in ems_sims.items() for d in sim.decisions),
+            key=lambda pair: (pair[1].t, pair[0]),
+        ),
+        RUN_REPORT: report_lines,
+    }
+    # the directory is made only now, so a run the kernel refuses (until <= 0)
+    # leaves none behind
+    os.makedirs(outdir, exist_ok=True)
+    manifest = _write_artifacts(outdir, rows)
 
     if fault is not None:
         # the fault's traceback holds this frame: drop the local that
@@ -742,8 +740,8 @@ def run_scenario(
 
     return RunOutputs(
         outdir=outdir,
-        paths=paths,
+        paths={name: os.path.join(outdir, name) for name in (*ARTIFACTS, MANIFEST)},
         manifest=manifest,
-        report_text=report_text,
+        report_text="\n".join(report_lines) + "\n",
         kpi_reports=kpi_reports,
     )

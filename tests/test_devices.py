@@ -242,6 +242,7 @@ class TestSwitchIslanding:
     def test_open_feeder_switch_islands_downstream(self):
         # 3-bus fixture: g0 --swline-- g1 --tail-- g2(load); opening swline
         # leaves g1/g2 unserved on the next grid step
+        from gridcosim.grid import run_power_flow
         from gridcosim.grid.model import Bus, GridModel, Line, Load, validate
         from gridcosim.kernel import Kernel, SimulatorDescriptor
         from gridcosim.scenario import GridSimulator
@@ -310,7 +311,8 @@ class TestSwitchIslanding:
         # command at t=60 lands mid-step: the RTU emits the actuation at its
         # t=120 step and the time-shifted link delivers it to the grid at 180
         kernel.run(240)
-        solution = grid_sim.last_solution
+        # the switch state the grid last solved with islands g1 and g2
+        solution = run_power_flow(grid_sim.model, {}, grid_sim.line_status)
         assert solution.islanded_buses == ["g1", "g2"]
         assert solution.vm_pu["g2"] == 0.0
         # command-log precedes the actuation (causality)

@@ -1,14 +1,16 @@
 import struct
+from dataclasses import replace
 
 import pytest
 
 from gridcosim.pcap import (
     ACK,
+    FIN,
     PSH,
+    RST,
     SYN,
     PacketRecord,
     PcapError,
-    _checksum,
     build_frame,
     read_pcap,
     write_pcap,
@@ -32,14 +34,62 @@ def ones_complement_sum(data: bytes) -> int:
     return total
 
 
+def checksum_fields(frame: bytes) -> tuple[int, int]:
+    """The IPv4 and TCP checksums that `frame` carries."""
+    return struct.unpack(">H", frame[24:26])[0], struct.unpack(">H", frame[50:52])[0]
+
+
+def word_sum_checksums(frame: bytes) -> tuple[int, int]:
+    """The IPv4 and TCP checksums of `frame` recomputed as RFC 1071 word
+    sums, over the headers with their checksum fields zeroed."""
+    ip = frame[14:34]
+    total_len = struct.unpack(">H", ip[2:4])[0]
+    tcp = frame[34 : 14 + total_len]
+    pseudo = ip[12:20] + struct.pack(">BBH", 0, 6, len(tcp))
+    ip_csum = ~ones_complement_sum(ip[:10] + b"\x00\x00" + ip[12:]) & 0xFFFF
+    tcp_csum = ~ones_complement_sum(pseudo + tcp[:16] + b"\x00\x00" + tcp[18:]) & 0xFFFF
+    return ip_csum, tcp_csum
+
+
 @pytest.mark.parametrize("data", [
     b"", b"\x01", b"\x00\x00", b"\xff", b"\xff" * 2, b"\xff" * 3, b"\xff" * 64,
     b"\xff" * 65, b"\x80\x00" * 40, bytes(range(256)), bytes(range(255)),
     b"\xff\xfe" + b"\x00\x01",
 ], ids=lambda data: f"{len(data)}B-{data[:2].hex()}")
 def test_checksum_matches_word_sum(data):
-    # all-0xFF data makes the word sum a multiple of 0xFFFF, forcing carries
-    assert _checksum(data) == ~ones_complement_sum(data) & 0xFFFF
+    # all-0xFF payloads make the payload's word sum a multiple of 0xFFFF,
+    # and odd lengths are padded with one zero byte
+    frame = build_frame(record(payload=data, flags=PSH | ACK), ip_id=1)
+    assert frame[54:] == data
+    assert checksum_fields(frame) == word_sum_checksums(frame)
+
+
+@pytest.mark.parametrize("ip_id, seq, ack, flags", [
+    (65535, 0, 0, SYN),
+    (65536, 2**32 - 1, 2**32 - 1, SYN | ACK),
+    (70000, 2**32, 2**32 + 1, FIN),
+    (2, 2**40 + 3, 2**33, FIN | ACK),
+    (3, 2**32 + 2**31, 7, RST),
+    (4, 5, 2**32 - 1, RST | ACK),
+])
+@pytest.mark.parametrize("payload", [b"", b"\x01", b"\x68\x04"])
+def test_frame_checksums_with_wrapped_fields(ip_id, seq, ack, flags, payload):
+    # the frame carries ip_id mod 2**16 and seq/ack mod 2**32
+    rec = replace(record(payload=payload, flags=flags), seq=seq, ack=ack)
+    frame = build_frame(rec, ip_id)
+    assert struct.unpack(">H", frame[18:20])[0] == ip_id % 2**16
+    assert struct.unpack(">II", frame[38:46]) == (seq % 2**32, ack % 2**32)
+    assert frame[47] == flags
+    assert checksum_fields(frame) == word_sum_checksums(frame)
+
+
+def test_word_sum_of_0xffff_gives_checksum_0():
+    # a non-zero ones'-complement sum folds to 0xFFFF, never to 0, so a
+    # header whose words sum to 0xFFFF carries the checksum 0: choose the IP
+    # id and a 2-byte payload that complete each sum to 0xFFFF
+    ip_csum, tcp_csum = checksum_fields(build_frame(record(payload=b"\x00\x00"), ip_id=0))
+    frame = build_frame(record(payload=tcp_csum.to_bytes(2, "big")), ip_id=ip_csum)
+    assert checksum_fields(frame) == word_sum_checksums(frame) == (0, 0)
 
 
 def test_empty_log_is_24_byte_file(tmp_path):

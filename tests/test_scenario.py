@@ -1,15 +1,25 @@
 import csv
 import gc
+import hashlib
 import os
 import shutil
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gridcosim import cli, scenario as scenario_mod
 from gridcosim.configfile import ConfigError
+from gridcosim.devices import ArchiveRow, CommandLogRow
+from gridcosim.ems import EmsDecision
 from gridcosim.kernel import KernelError, SimulatorFault
-from gridcosim.scenario import HASHED_OUTPUTS, GridSimulator, load_scenario, run_scenario
+from gridcosim.scenario import (
+    ARTIFACTS,
+    HASHED_OUTPUTS,
+    GridSimulator,
+    load_scenario,
+    run_scenario,
+)
 
 
 def read_csv(path):
@@ -100,6 +110,49 @@ class TestRun:
         for name, digest in out.manifest.items():
             with open(os.path.join(out.outdir, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest
+
+    @pytest.mark.parametrize("fault_at", [None, 1200])
+    def test_manifest_hashes_the_files_on_disk(self, attack_demo_path, tmp_path,
+                                               monkeypatch, fault_at):
+        # each hash is taken while its file is written: it must be the
+        # sha256 of the file on disk, for the partial artifacts of a run
+        # that faults mid-way too
+        if fault_at is not None:
+            step = GridSimulator.step
+
+            def failing_step(self, t, inputs):
+                if t == fault_at:
+                    raise RuntimeError("injected fault")
+                return step(self, t, inputs)
+
+            monkeypatch.setattr(GridSimulator, "step", failing_step)
+        outdir = tmp_path / "out"
+        try:
+            run_scenario(load_scenario(attack_demo_path), outdir=str(outdir))
+        except SimulatorFault as exc:
+            assert exc.step_time == fault_at
+        else:
+            assert fault_at is None
+        listed = {name: digest for digest, name in
+                  (line.split() for line in (outdir / "manifest.txt").read_text().splitlines())}
+        on_disk = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+                   for name in HASHED_OUTPUTS}
+        assert listed == {**on_disk, "run_report.txt": "-"}
+        truth_times = {int(r["t"]) for r in read_csv(outdir / "ground_truth.csv")}
+        assert max(truth_times) == (fault_at or 3600) - 60
+
+    @pytest.mark.parametrize("name, row, line", [
+        ("ground_truth.csv", (60, "bus:b1", "v_pu", np.float64(0.5)), "60,bus:b1,v_pu,0.5\n"),
+        ("archive.csv", ArchiveRow(60, "rtu1", 101, np.float64(0.5), 0), "60,rtu1,101,0.5,0\n"),
+        ("commands.csv", CommandLogRow(60, "rtu1", 201, np.float64(0.5), True),
+         "60,rtu1,201,0.5,True\n"),
+        ("ems_decisions.csv",
+         ("home1", EmsDecision(60, np.float64(0.5), np.float64(-0.5), "idle", "none")),
+         "60,home1,0.5,-0.5,idle,none\n"),
+    ])
+    def test_float_column_writes_numpy_scalar_as_number(self, name, row, line):
+        # repr(np.float64(0.5)) is 'np.float64(0.5)' under numpy 2
+        assert ARTIFACTS[name].line(row) == line
 
     def test_until_overrides_horizon(self, attack_demo_path, tmp_path):
         scenario = load_scenario(attack_demo_path)
