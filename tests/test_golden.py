@@ -4,7 +4,9 @@ Each `tests/data/golden/<name>.sha256` lists the sha256 of every hashed
 artifact of that scenario, in `sha256sum` format. The two shipped demos send
 few APDUs; `tests/data/scada_burst` pins the heavy IEC 104 path (report
 buffer overflow, STARTDT buffer flush, k/w windowing with S-frames, and a
-general interrogation). A change that moves any byte
+general interrogation). `tests/data/grid_fields` reads every monitored field
+of every element kind, on a grid with a tapped trafo, an open line and a
+closed line cut off behind it. A change that moves any byte
 of a PCAP or CSV fails here; regenerate the file only together with a
 CHANGES.md line that explains the change.
 """
@@ -23,6 +25,7 @@ PINNED = {
     "attack_demo": os.path.join(SCENARIOS_DIR, "attack_demo", "scenario.txt"),
     "flex_demo": os.path.join(SCENARIOS_DIR, "flex_demo", "scenario.txt"),
     "scada_burst": os.path.join(HERE, "data", "scada_burst", "scenario.txt"),
+    "grid_fields": os.path.join(HERE, "data", "grid_fields", "scenario.txt"),
 }
 
 
