@@ -17,6 +17,7 @@ from functools import cached_property
 
 from . import iec104
 from .configfile import ConfigError, Entry
+from .grid import MONITOR_FIELDS
 from .netsim import NetError, Network, TcpConnection
 
 REPORT_BUFFER_LIMIT = 100
@@ -24,17 +25,7 @@ POLL_TIMEOUT_STEPS = 3
 
 IEC104_PORT = 2404
 
-# readable and actuatable fields per grid element kind
-_BRANCH_FIELDS = (
-    "p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu", "i_ka", "loading_percent",
-)
-MONITOR_FIELDS = {
-    "bus": ("p_kw", "q_kvar", "v_pu"),
-    "line": _BRANCH_FIELDS,
-    "trafo": _BRANCH_FIELDS,
-    "load": ("p_kw", "q_kvar", "v_pu"),
-    "sgen": ("p_kw", "q_kvar", "v_pu"),
-}
+# actuatable fields per grid element kind (the readable ones: MONITOR_FIELDS)
 CONTROL_FIELDS = {
     "line": ("status",),
     "load": ("p_kw", "q_kvar"),

@@ -13,7 +13,7 @@ State of charge update: soc' = soc + (eta_c * max(p, 0) - max(-p, 0) / eta_d) * 
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 MODE_IDLE = "idle"
 MODE_SELF_CONSUMPTION = "self_consumption"
@@ -195,12 +195,6 @@ class Kpi:
 class KpiReport:
     run: Kpi
     baseline: Kpi
-    delta_import_kwh: float = field(init=False)
-    delta_peak_import_kw: float = field(init=False)
-
-    def __post_init__(self):
-        self.delta_import_kwh = self.run.import_kwh - self.baseline.import_kwh
-        self.delta_peak_import_kw = self.run.peak_import_kw - self.baseline.peak_import_kw
 
 
 def _kpi(

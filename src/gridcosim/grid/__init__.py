@@ -13,8 +13,7 @@ from .model import (
     validate,
 )
 from .powerflow import (
-    BranchFlow,
-    Measurement,
+    MONITOR_FIELDS,
     PowerFlowSolution,
     UnconvergedSolution,
     UnknownElement,
@@ -41,8 +40,7 @@ __all__ = [
     "load_grid",
     "parse_grid",
     "validate",
-    "BranchFlow",
-    "Measurement",
+    "MONITOR_FIELDS",
     "PowerFlowSolution",
     "UnconvergedSolution",
     "UnknownElement",

@@ -31,41 +31,6 @@ class UnconvergedSolution(PowerFlowError):
     pass
 
 
-@dataclass(frozen=True)
-class BranchFlow:
-    p_from_kw: float
-    q_from_kvar: float
-    i_ka: float
-    loading_percent: float
-
-
-@dataclass(frozen=True)
-class Measurement:
-    p_kw: float
-    q_kvar: float
-    v_pu: float
-    i_ka: float
-    loading_percent: float
-
-    def value(self, fieldname: str) -> float:
-        attribute = _MEASURABLE.get(fieldname)
-        if attribute is None:
-            raise UnknownElement(f"no measurable field '{fieldname}'")
-        return getattr(self, attribute)
-
-
-# measurable field name -> Measurement attribute
-_MEASURABLE = {
-    "p_kw": "p_kw",
-    "q_kvar": "q_kvar",
-    "p_from_kw": "p_kw",
-    "q_from_kvar": "q_kvar",
-    "v_pu": "v_pu",
-    "i_ka": "i_ka",
-    "loading_percent": "loading_percent",
-}
-
-
 @dataclass
 class PowerFlowSolution:
     converged: bool
@@ -73,15 +38,15 @@ class PowerFlowSolution:
     max_mismatch_pu: float
     vm_pu: dict[str, float]
     va_rad: dict[str, float]
-    branch_flows: dict[tuple[str, str], BranchFlow]  # (kind, id) -> flow
+    # per branch row: p_from_kw, q_from_kvar, i_ka, loading_percent; the
+    # last row, all zeros, is every dead (open or cut off) branch's
+    branch_flows: np.ndarray
+    branch_rows: Mapping[tuple[str, str], int]       # (kind, id) -> row
     injections_kw: dict[str, tuple[float, float]]    # applied per-bus (p_kw, q_kvar)
     slack_p_kw: float
     slack_q_kvar: float
     islanded_buses: list[str] = field(default_factory=list)
     losses_kw: float = 0.0
-
-
-_NO_FLOW = BranchFlow(0.0, 0.0, 0.0, 0.0)
 
 
 # A layer is eliminated only if it holds at least this many buses. A layer
@@ -125,7 +90,8 @@ class _Plan:
     entries' [dP/dθ, dP/d|V|, dQ/dθ, dQ/d|V|]. `layers` are the leaf layers
     `_solve` eliminates, leaves first, and `core_block` / `core_rhs` the flat
     positions in the Jacobian / the Newton step of what is left. The branch
-    arrays hold one entry per conducting branch, in `keys` order.
+    arrays hold one entry per conducting branch, in row order;
+    `branch_rows` gives each branch its row, -1 for a dead one.
     """
 
     open_lines: frozenset[str]
@@ -141,7 +107,7 @@ class _Plan:
     layers: tuple[_Layer, ...]
     core_block: np.ndarray
     core_rhs: np.ndarray
-    keys: list[tuple[str, str]]
+    branch_rows: dict[tuple[str, str], int]
     f: np.ndarray         # from (HV) bus number
     t: np.ndarray         # to (LV) bus number
     y: np.ndarray         # series admittance, per unit
@@ -150,7 +116,6 @@ class _Plan:
     i_base_ka: np.ndarray  # current base at the from bus
     limit: np.ndarray     # max_i_ka of a line (inf if none), rated MVA of a trafo
     is_line: np.ndarray
-    dead_flows: dict[tuple[str, str], BranchFlow]
 
 
 def _plan(model: GridModel, line_status: Mapping[str, bool]) -> _Plan:
@@ -175,14 +140,13 @@ def _build_plan(model: GridModel, open_lines: frozenset[str]) -> _Plan:
     order = [slack_id] + [b.id for b in model.buses if b.id in energized and b.id != slack_id]
     index = {bus_id: i for i, bus_id in enumerate(order)}
 
-    keys, ends, ys, y_taps, taps, i_base_ka, limits = [], [], [], [], [], [], []
-    dead_flows = {}
+    branch_rows, ends, ys, y_taps, taps, i_base_ka, limits = {}, [], [], [], [], [], []
 
     def add(kind, elem_id, from_bus, to_bus, z, tap, limit):
         if from_bus not in energized or to_bus not in energized:
-            dead_flows[(kind, elem_id)] = _NO_FLOW
+            branch_rows[(kind, elem_id)] = -1
             return
-        keys.append((kind, elem_id))
+        branch_rows[(kind, elem_id)] = len(ends)
         ends.append((index[from_bus], index[to_bus]))
         ys.append(1.0 / z)
         y_taps.append(ys[-1] / tap)
@@ -192,13 +156,14 @@ def _build_plan(model: GridModel, open_lines: frozenset[str]) -> _Plan:
 
     for line in model.lines:
         if line.id in open_lines:
-            dead_flows[("line", line.id)] = _NO_FLOW
+            branch_rows[("line", line.id)] = -1
             continue
         kv = model.bus(line.from_bus).nominal_kv
         z_base = kv * kv / model.base_mva
         add("line", line.id, line.from_bus, line.to_bus,
             complex(line.r_ohm, line.x_ohm) / z_base, 1.0,
             line.max_i_ka if line.max_i_ka > 0 else math.inf)
+    live_lines = len(ends)
     for trafo in model.trafos:
         s_rated_mva = trafo.s_rated_kva / 1000.0
         xk = math.sqrt(trafo.vk_percent**2 - trafo.vkr_percent**2)
@@ -234,7 +199,7 @@ def _build_plan(model: GridModel, open_lines: frozenset[str]) -> _Plan:
         layers=layers,
         core_block=(core_rhs[:, None] * 2 * npq + core_rhs).ravel(),
         core_rhs=core_rhs,
-        keys=keys,
+        branch_rows=branch_rows,
         f=ends_arr[:, 0],
         t=ends_arr[:, 1],
         y=np.array(ys, dtype=complex),
@@ -242,8 +207,7 @@ def _build_plan(model: GridModel, open_lines: frozenset[str]) -> _Plan:
         tap=np.array(taps, dtype=float),
         i_base_ka=np.array(i_base_ka, dtype=float),
         limit=np.array(limits, dtype=float),
-        is_line=np.array([kind == "line" for kind, _id in keys], dtype=bool),
-        dead_flows=dead_flows,
+        is_line=np.arange(len(ends)) < live_lines,
     )
 
 
@@ -432,15 +396,10 @@ def run_power_flow(
     loss = np.cumsum(np.concatenate([[0j], s_from + s_to]))[-1]  # summed in branch order
     i_ka = np.hypot(i_from.real, i_from.imag) * plan.i_base_ka
     s_from_mva = np.hypot(s_from.real, s_from.imag) * model.base_mva
-    loading = 100.0 * np.where(plan.is_line, i_ka, s_from_mva) / plan.limit
-    branch_flows = dict(zip(plan.keys, map(
-        BranchFlow,
-        (s_from.real * base_kw).tolist(),
-        (s_from.imag * base_kw).tolist(),
-        i_ka.tolist(),
-        loading.tolist(),
-    )))
-    branch_flows.update(plan.dead_flows)
+    flows = np.zeros((len(plan.f) + 1, 4))  # the last row is the dead branches'
+    flows[:-1] = np.stack([s_from.real * base_kw, s_from.imag * base_kw, i_ka,
+                           100.0 * np.where(plan.is_line, i_ka, s_from_mva) / plan.limit],
+                          axis=1)
 
     s_slack = v[0] * np.conj(ybus[0] @ v)
     applied = {bus_id: injections.get(bus_id, (0.0, 0.0)) for bus_id in plan.order[1:]}
@@ -450,7 +409,8 @@ def run_power_flow(
         max_mismatch_pu=float(max_mismatch),
         vm_pu=vm_pu,
         va_rad=va_rad,
-        branch_flows=branch_flows,
+        branch_flows=flows,
+        branch_rows=plan.branch_rows,
         injections_kw=applied,
         slack_p_kw=float(np.real(s_slack)) * base_kw,
         slack_q_kvar=float(np.imag(s_slack)) * base_kw,
@@ -459,47 +419,59 @@ def run_power_flow(
     )
 
 
+# the fields a monitor datapoint may read, per element kind; a branch's
+# p_kw and q_kvar are its from-end flow
+_BRANCH_FIELDS = (
+    "p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu", "i_ka", "loading_percent",
+)
+MONITOR_FIELDS = {
+    "bus": ("p_kw", "q_kvar", "v_pu"),
+    "line": _BRANCH_FIELDS,
+    "trafo": _BRANCH_FIELDS,
+    "load": ("p_kw", "q_kvar", "v_pu"),
+    "sgen": ("p_kw", "q_kvar", "v_pu"),
+}
+# branch field -> column of PowerFlowSolution.branch_flows
+_FLOW_COLUMN = {"p_kw": 0, "p_from_kw": 0, "q_kvar": 1, "q_from_kvar": 1,
+                "i_ka": 2, "loading_percent": 3}
+
+
 def measurements_at(
     model: GridModel,
     solution: PowerFlowSolution,
     kind: str,
     elem_id: str,
+    fieldname: str,
     element_values: Mapping[tuple[str, str], tuple[float, float]] | None = None,
-) -> Measurement:
-    """Engineering-unit measurement for one element of a converged solution."""
+) -> float:
+    """One field of MONITOR_FIELDS of one element of a converged solution,
+    in engineering units. `v_pu` is the voltage at the element's bus; a
+    line's from bus, a trafo's HV bus. A bus's `p_kw`/`q_kvar` are the slack
+    power for the slack bus, else the applied injection; a load's or sgen's
+    are its applied value (`element_values`, else the model's), 0.0 on an
+    islanded bus."""
     if not solution.converged:
         raise UnconvergedSolution("cannot take measurements from a non-converged solution")
     element = model.element(kind, elem_id)
     if element is None:
         raise UnknownElement(f"no {kind} '{elem_id}' in the model")
+    if fieldname not in MONITOR_FIELDS[kind]:
+        raise UnknownElement(f"no measurable field '{fieldname}' of a {kind}")
+    if kind in ("line", "trafo"):
+        if fieldname == "v_pu":
+            return solution.vm_pu[element.from_bus if kind == "line" else element.hv_bus]
+        row = solution.branch_rows[(kind, elem_id)]
+        return float(solution.branch_flows[row, _FLOW_COLUMN[fieldname]])
+    bus = elem_id if kind == "bus" else element.bus
+    if fieldname == "v_pu":
+        return solution.vm_pu[bus]
     if kind == "bus":
         if elem_id == model.slack_bus.id:
             p, q = solution.slack_p_kw, solution.slack_q_kvar
         else:
             p, q = solution.injections_kw.get(elem_id, (0.0, 0.0))
-        return Measurement(
-            p_kw=p,
-            q_kvar=q,
-            v_pu=solution.vm_pu[elem_id],
-            i_ka=0.0,
-            loading_percent=0.0,
-        )
-    if kind in ("line", "trafo"):
-        flow = solution.branch_flows[(kind, elem_id)]
-        from_bus = element.from_bus if kind == "line" else element.hv_bus
-        return Measurement(
-            p_kw=flow.p_from_kw,
-            q_kvar=flow.q_from_kvar,
-            v_pu=solution.vm_pu[from_bus],
-            i_ka=flow.i_ka,
-            loading_percent=flow.loading_percent,
-        )
-    # load / sgen: element-level applied values, bus voltage
-    p, q = (element_values or {}).get((kind, elem_id), (element.p_kw, element.q_kvar))
-    return Measurement(
-        p_kw=p,
-        q_kvar=q,
-        v_pu=solution.vm_pu[element.bus],
-        i_ka=0.0,
-        loading_percent=0.0,
-    )
+    elif bus in solution.islanded_buses:
+        p, q = 0.0, 0.0
+    else:
+        p, q = (element_values or {}).get((kind, elem_id), (element.p_kw, element.q_kvar))
+    return float(p if fieldname == "p_kw" else q)

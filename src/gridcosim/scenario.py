@@ -28,8 +28,8 @@ the removed `seed`):
   common_address = <int>          # 0..65535
   report_period_s = <int>         # a positive multiple of step_s
   datapoint = <ioa> <monitor|control> <kind>:<element>:<field> [scale=<f>] [unit=<text>]
-                                  # repeatable; fields per kind: devices.MONITOR_FIELDS /
-                                  # CONTROL_FIELDS; an element field has one controller
+                                  # repeatable; fields per kind: grid.MONITOR_FIELDS /
+                                  # devices.CONTROL_FIELDS; an element field has one controller
 
   [ved <name>]
   host = <topology host>
@@ -37,8 +37,8 @@ the removed `seed`):
   battery = capacity_kwh=<f> p_max_kw=<f> [eta_charge=<f>] [eta_discharge=<f>] [soc_kwh=<f>]
 
   [ems <ved-name>]
-  dso = import=<kW> export=<kW> [from=<s>] [to=<s>]      # repeatable
-  vpp = target=<kW> [from=<s>] [to=<s>]                  # repeatable
+  dso = import=<kW> export=<kW> [from=<s>] [to=<s>]      # repeatable; to > from
+  vpp = target=<kW> [from=<s>] [to=<s>]                  # repeatable; to > from
 
   [attack]
   foothold = <topology host>
@@ -146,7 +146,6 @@ ARTIFACTS = {
     ),
     RUN_REPORT: Artifact("", "{}\n".format, hashed=False),
 }
-HASHED_OUTPUTS = tuple(name for name, artifact in ARTIFACTS.items() if artifact.hashed)
 
 
 @dataclass
@@ -242,10 +241,14 @@ def _parse_stage(entry: Entry) -> attacker_mod.Stage:
 
 
 def _parse_window(entry: Entry, keys: tuple[str, ...]) -> tuple:
-    """The required `keys` as floats, then the from/to window."""
+    """The required `keys` as floats, then the from/to window, which must
+    hold at least one second."""
     _, opts = entry.split(options={*keys, "from", "to"})
     values = [opts.get_float(key) for key in keys]
-    return (*values, opts.get_int("from", 0), opts.get_int("to", None))
+    start, end = opts.get_int("from", 0), opts.get_int("to", None)
+    if end is not None and end <= start:
+        raise entry.error(f"window to={end} is not after from={start}")
+    return (*values, start, end)
 
 
 def load_scenario(path) -> Scenario:
@@ -477,11 +480,11 @@ class GridSimulator:
                 f"power flow did not converge at t={t} "
                 f"(mismatch {solution.max_mismatch_pu:.3e} pu)"
             )
-        outputs = {}
-        for kind, elem_id, fieldname in self.monitored:
-            m = measurements_at(self.model, solution, kind, elem_id,
-                                element_values=element_values)
-            outputs[(f"{kind}:{elem_id}", fieldname)] = m.value(fieldname)
+        outputs = {
+            (f"{kind}:{elem_id}", fieldname):
+                measurements_at(self.model, solution, kind, elem_id, fieldname, element_values)
+            for kind, elem_id, fieldname in self.monitored
+        }
         self._memo_key, self._memo_outputs = key, outputs
         return outputs
 
@@ -527,7 +530,6 @@ class EmsSimulator:
 @dataclass
 class RunOutputs:
     outdir: str
-    paths: dict[str, str]  # artifact file name -> path
     manifest: dict[str, str]
     report_text: str
     kpi_reports: dict[str, ems.KpiReport]
@@ -740,7 +742,6 @@ def run_scenario(
 
     return RunOutputs(
         outdir=outdir,
-        paths={name: os.path.join(outdir, name) for name in (*ARTIFACTS, MANIFEST)},
         manifest=manifest,
         report_text="\n".join(report_lines) + "\n",
         kpi_reports=kpi_reports,

@@ -2,6 +2,8 @@ import os
 
 import pytest
 
+from gridcosim.scenario import ARTIFACTS
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(HERE)
 
@@ -13,6 +15,9 @@ FLEX_DEMO = os.path.join(SCENARIOS_DIR, "flex_demo", "scenario.txt")
 SCADA_BURST = os.path.join(DATA_DIR, "scada_burst", "scenario.txt")
 FEEDER7 = os.path.join(DATA_DIR, "feeder7.grid")
 FEEDER7_PROFILES = os.path.join(DATA_DIR, "feeder7_profiles.csv")
+
+# the files a run writes whose sha256 its manifest lists
+HASHED_OUTPUTS = [name for name, artifact in ARTIFACTS.items() if artifact.hashed]
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ own decoders.
 
 import csv
 import itertools
+import os
 import struct
 import time
 from dataclasses import replace
@@ -372,7 +373,7 @@ def test_criterion_4_attack_replication(attack_run):
     started = time.perf_counter()
     scenario, out = attack_run
 
-    trace = rows_of(out.paths["attack_trace.csv"])
+    trace = rows_of(os.path.join(out.outdir, "attack_trace.csv"))
     assert [r["stage"] for r in trace] == ["S1", "S2", "S3", "S4"]
     assert all(r["outcome"] == "success" for r in trace)
     s4_time = int(trace[-1]["t"])
@@ -380,12 +381,12 @@ def test_criterion_4_attack_replication(attack_run):
 
     truth = {
         (int(r["t"]), r["element"], r["field"]): float(r["value"])
-        for r in rows_of(out.paths["ground_truth.csv"])
+        for r in rows_of(os.path.join(out.outdir, "ground_truth.csv"))
     }
     index = datapoint_index(scenario)
     attacked_rtu = "rtu1"
     checked_pre = checked_post = 0
-    for row in rows_of(out.paths["archive.csv"]):
+    for row in rows_of(os.path.join(out.outdir, "archive.csv")):
         t, rtu, ioa = int(row["t"]), row["rtu"], int(row["ioa"])
         value = float(row["value"])
         entity, fieldname = index[(rtu, ioa)]
@@ -398,7 +399,7 @@ def test_criterion_4_attack_replication(attack_run):
             checked_post += 1
     assert checked_pre > 0 and checked_post > 0
 
-    packets, warnings = dissect_capture(out.paths["capture.pcap"])
+    packets, warnings = dissect_capture(os.path.join(out.outdir, "capture.pcap"))
     assert not warnings
     kali_ip = "10.0.2.99"
     syn_probes = [
@@ -420,9 +421,9 @@ def test_criterion_5_ground_truth_immunity(attack_run, tmp_path):
     started = time.perf_counter()
     scenario, out = attack_run
     clean = run_scenario(replace(scenario, attack_plan=None), outdir=str(tmp_path / "clean"))
-    with open(out.paths["ground_truth.csv"], "rb") as fh:
+    with open(os.path.join(out.outdir, "ground_truth.csv"), "rb") as fh:
         attacked_bytes = fh.read()
-    with open(clean.paths["ground_truth.csv"], "rb") as fh:
+    with open(os.path.join(clean.outdir, "ground_truth.csv"), "rb") as fh:
         clean_bytes = fh.read()
     assert attacked_bytes == clean_bytes
     elapsed = time.perf_counter() - started
@@ -505,7 +506,7 @@ def test_criterion_7_ems_properties(flex_run):
 def test_criterion_8_pcap_external_validity(attack_run):
     started = time.perf_counter()
     _scenario, out = attack_run
-    packets, warnings = dissect_capture(out.paths["capture.pcap"])
+    packets, warnings = dissect_capture(os.path.join(out.outdir, "capture.pcap"))
     assert warnings == []
     assert packets
 
@@ -537,7 +538,8 @@ def test_criterion_8_pcap_external_validity(attack_run):
                 for ioa, value in frame[6]:
                     wire_values[(ioa, value)] += 1
     archive_values = Counter(
-        (int(r["ioa"]), float(r["value"])) for r in rows_of(out.paths["archive.csv"])
+        (int(r["ioa"]), float(r["value"]))
+        for r in rows_of(os.path.join(out.outdir, "archive.csv"))
     )
     assert archive_values == wire_values
     elapsed = time.perf_counter() - started

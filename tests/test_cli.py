@@ -96,6 +96,13 @@ MALFORMED = {
         "attack_demo", "stage = rce http", "stage = rce http port=80", "port=80"),
     "unknown_battery_option": (
         "flex_demo", "soc_kwh=2", "soc_kwh=2 soc=3", "soc=3"),
+    "dso_window_ends_before_it_starts": (
+        "flex_demo", "dso = import=5 export=5", "dso = import=5 export=5 from=7200 to=3600",
+        "from=7200 to=3600"),
+    "vpp_window_is_empty": (
+        "flex_demo", "dso = import=5 export=5",
+        "dso = import=5 export=5\nvpp = target=2 from=600 to=600",
+        "vpp = target=2"),
     "unknown_dso_option": (
         "flex_demo", "dso = import=5 export=5", "dso = import=5 export=5 form=0", "form=0"),
 }

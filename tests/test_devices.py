@@ -320,3 +320,30 @@ class TestSwitchIslanding:
         g2_voltages = [r.value for r in mtu.archive if r.ioa == 101]
         assert g2_voltages[-1] == 0.0 and g2_voltages[0] > 0.9
 
+    def test_load_and_sgen_on_an_islanded_bus_read_zero(self):
+        # the same 3-bus feeder with a PV unit beside the load on g2: once
+        # swline opens, g2 is dead, and so is what its elements exchange
+        from gridcosim.grid.model import Bus, GridModel, Line, Load, Sgen, validate
+        from gridcosim.scenario import GridSimulator
+
+        model = GridModel(
+            buses=[Bus("g0", 20.0, "slack"), Bus("g1", 20.0, "pq"), Bus("g2", 20.0, "pq")],
+            lines=[
+                Line("swline", "g0", "g1", 0.5, 0.8, 0.4),
+                Line("tail", "g1", "g2", 0.5, 0.8, 0.4),
+            ],
+            trafos=[], loads=[Load("ld", "g2", 100.0, 30.0)],
+            sgens=[Sgen("pv", "g2", 20.0, 5.0)], base_mva=1.0,
+        )
+        validate(model)
+        monitored = [("load", "ld", "p_kw"), ("load", "ld", "q_kvar"),
+                     ("sgen", "pv", "p_kw"), ("sgen", "pv", "q_kvar"),
+                     ("bus", "g2", "p_kw"), ("bus", "g2", "v_pu"), ("bus", "g0", "p_kw")]
+        grid_sim = GridSimulator(model, None, monitored=monitored,
+                                 controllable=[("line", "swline", "status")], ved_buses={})
+        closed = grid_sim.step(0, {})
+        assert [closed[(f"{kind}:{elem_id}", f)] for kind, elem_id, f in monitored[:4]] == [
+            100.0, 30.0, 20.0, 5.0]
+        assert closed[("bus:g0", "p_kw")] > 80.0
+        opened = grid_sim.step(60, {("line:swline", "status"): 0.0})
+        assert all(opened[(f"{kind}:{elem_id}", f)] == 0.0 for kind, elem_id, f in monitored)

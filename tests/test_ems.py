@@ -175,8 +175,7 @@ class TestEvaluate:
         series = [(2.0, 0.0)] * 8
         decisions, _ = simulate(None, series)
         report = evaluate_run(decisions, decisions, 900)
-        assert report.delta_import_kwh == 0.0
-        assert report.delta_peak_import_kw == 0.0
+        assert report.run == report.baseline
 
     def test_energy_integration(self):
         series = [(1.0, 0.0)] * 4  # constant 1 kW over 1 h at 900 s steps

@@ -16,7 +16,8 @@ import os
 
 import pytest
 
-from gridcosim.scenario import HASHED_OUTPUTS, load_scenario, run_scenario
+from conftest import HASHED_OUTPUTS
+from gridcosim.scenario import load_scenario, run_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "data", "golden")

@@ -7,6 +7,7 @@ import pytest
 from conftest import ATTACK_DEMO, FEEDER7, FLEX_DEMO, SCADA_BURST
 from gridcosim.configfile import ConfigError
 from gridcosim.grid import (
+    MONITOR_FIELDS,
     ProfileSet,
     ValidationError,
     bus_injections,
@@ -21,7 +22,6 @@ from gridcosim.grid import (
 from gridcosim.grid import powerflow
 from gridcosim.grid.model import Bus, GridModel, Line, Trafo, validate
 from gridcosim.grid.powerflow import (
-    Measurement,
     UnconvergedSolution,
     UnknownElement,
     _jacobian,
@@ -107,6 +107,13 @@ class TestModel:
         assert model.branch_count == len(model.buses) - 1
 
 
+def branch_readings(model, solution) -> dict:
+    """Every field of every line and trafo, through the reader."""
+    return {(kind, e.id, f): measurements_at(model, solution, kind, e.id, f)
+            for kind, elements in (("line", model.lines), ("trafo", model.trafos))
+            for e in elements for f in MONITOR_FIELDS[kind]}
+
+
 class TestPowerFlow:
     def test_flat_no_load_exact_one_iteration(self):
         model = two_bus_model(0.1 + 0.2j)
@@ -115,8 +122,8 @@ class TestPowerFlow:
         assert solution.iterations == 1
         assert solution.vm_pu == {"a": 1.0, "b": 1.0}
         assert solution.va_rad == {"a": 0.0, "b": 0.0}
-        flow = solution.branch_flows[("line", "l1")]
-        assert flow.p_from_kw == 0.0 and flow.i_ka == 0.0
+        assert measurements_at(model, solution, "line", "l1", "p_from_kw") == 0.0
+        assert measurements_at(model, solution, "line", "l1", "i_ka") == 0.0
 
     def test_two_bus_matches_fixed_point_oracle(self):
         z, s = 0.1 + 0.2j, 0.1 + 0.05j
@@ -134,8 +141,8 @@ class TestPowerFlow:
         v2 = fixed_point_v2(z, s)
         i_from = np.conj(s / v2)
         s_from_kw = (1.0 * np.conj(i_from)).real * 1000.0
-        m = measurements_at(model, solution, "line", "l1")
-        assert m.p_kw == pytest.approx(s_from_kw, rel=1e-3)
+        p_kw = measurements_at(model, solution, "line", "l1", "p_kw")
+        assert p_kw == pytest.approx(s_from_kw, rel=1e-3)
 
     def test_conservation_identity(self, feeder7_path):
         model = load_grid(feeder7_path)
@@ -186,7 +193,7 @@ class TestPowerFlow:
         assert solution.converged
         assert solution.islanded_buses == ["b4", "b5", "b6"]
         assert solution.vm_pu["b5"] == 0.0
-        assert solution.branch_flows[("line", "ln5")].p_from_kw == 0.0
+        assert measurements_at(model, solution, "line", "ln5", "p_from_kw") == 0.0
 
     def test_switching_back_and_forth_matches_fresh_models(self, feeder7_path):
         # one model keeps the plan of its last switching state; each solve
@@ -195,10 +202,11 @@ class TestPowerFlow:
         injections = bus_injections(model, element_values_at(model, None, 0))
         for line_status in ({"ln4": False}, {}, {"ln4": False}):
             solution = run_power_flow(model, injections, line_status)
-            fresh = run_power_flow(load_grid(feeder7_path), injections, line_status)
+            fresh_model = load_grid(feeder7_path)
+            fresh = run_power_flow(fresh_model, injections, line_status)
             assert solution.converged and fresh.converged
             assert solution.vm_pu == fresh.vm_pu
-            assert solution.branch_flows == fresh.branch_flows
+            assert branch_readings(model, solution) == branch_readings(fresh_model, fresh)
             assert solution.islanded_buses == fresh.islanded_buses
             assert bool(solution.islanded_buses) == ("ln4" in line_status)
 
@@ -213,23 +221,27 @@ class TestPowerFlow:
         assert not solution.converged
         assert solution.max_mismatch_pu > 1e-8
         with pytest.raises(UnconvergedSolution):
-            measurements_at(model, solution, "bus", "b")
+            measurements_at(model, solution, "bus", "b", "v_pu")
 
     def test_measurements(self):
         model = two_bus_model(0.1 + 0.2j)
         solution = run_power_flow(model, {})
-        m = measurements_at(model, solution, "bus", "a")
-        assert m.p_kw == pytest.approx(0.0, abs=1e-9)
-        assert m.v_pu == 1.0
+        assert measurements_at(model, solution, "bus", "a", "p_kw") == pytest.approx(0.0, abs=1e-9)
+        assert measurements_at(model, solution, "bus", "a", "v_pu") == 1.0
         with pytest.raises(UnknownElement):
-            measurements_at(model, solution, "bus", "zz")
+            measurements_at(model, solution, "bus", "zz", "v_pu")
 
     def test_measurement_value_by_field(self):
-        m = Measurement(p_kw=1.0, q_kvar=2.0, v_pu=3.0, i_ka=4.0, loading_percent=5.0)
-        assert [m.value(f) for f in ("p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu",
-                                     "i_ka", "loading_percent")] == [1, 2, 1, 2, 3, 4, 5]
+        model = two_bus_model(0.1 + 0.2j)
+        solution = run_power_flow(model, {"b": (-100.0, -50.0)})
+        p, q, i_ka, loading = solution.branch_flows[solution.branch_rows[("line", "l1")]]
+        values = [measurements_at(model, solution, "line", "l1", f)
+                  for f in ("p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu",
+                            "i_ka", "loading_percent")]
+        assert values == [p, q, p, q, solution.vm_pu["a"], i_ka, loading]
+        assert len(set(values)) == 5 and all(type(v) is float for v in values)
         with pytest.raises(UnknownElement, match="no measurable field 'p_to_kw'"):
-            m.value("p_to_kw")
+            measurements_at(model, solution, "line", "l1", "p_to_kw")
 
     def test_trafo_loading_definition(self):
         kv_hv, kv_lv = 20.0, 0.4
@@ -242,9 +254,10 @@ class TestPowerFlow:
         validate(model)
         solution = run_power_flow(model, {"l": (-300.0, -100.0)})
         assert solution.converged
-        flow = solution.branch_flows[("trafo", "t1")]
-        s_flow_kva = (flow.p_from_kw**2 + flow.q_from_kvar**2) ** 0.5
-        assert flow.loading_percent == pytest.approx(100.0 * s_flow_kva / 630.0, rel=1e-9)
+        p, q, loading = (measurements_at(model, solution, "trafo", "t1", f)
+                         for f in ("p_from_kw", "q_from_kvar", "loading_percent"))
+        s_flow_kva = (p**2 + q**2) ** 0.5
+        assert loading == pytest.approx(100.0 * s_flow_kva / 630.0, rel=1e-9)
 
 
 # A 20 kV ring feeding a 0.4 kV street through an off-nominal-tap transformer.
@@ -467,9 +480,9 @@ class TestSweepOracle:
         np.testing.assert_allclose([solution.vm_pu[b] for b in vm], list(vm.values()),
                                    rtol=0, atol=1e-9)
         assert np.ptp(list(vm.values())) > 1e-3  # a loaded grid, not the flat start
-        flows = solution.branch_flows
-        np.testing.assert_allclose([flows[key].i_ka for key in i_ka], list(i_ka.values()),
-                                   rtol=1e-7, atol=0)
+        np.testing.assert_allclose(
+            [measurements_at(model, solution, *key, "i_ka") for key in i_ka],
+            list(i_ka.values()), rtol=1e-7, atol=0)
 
     def test_tap_moves_the_lv_voltage(self):
         untapped = parse_grid(TAPPED_7.replace("tap_position=-2", "tap_position=0"))

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import HASHED_OUTPUTS
 from gridcosim import cli, scenario as scenario_mod
 from gridcosim.configfile import ConfigError
 from gridcosim.devices import ArchiveRow, CommandLogRow
@@ -15,7 +16,6 @@ from gridcosim.ems import EmsDecision
 from gridcosim.kernel import KernelError, SimulatorFault
 from gridcosim.scenario import (
     ARTIFACTS,
-    HASHED_OUTPUTS,
     GridSimulator,
     load_scenario,
     run_scenario,
@@ -104,9 +104,8 @@ class TestRun:
 
         scenario = load_scenario(attack_demo_path)
         out = run_scenario(scenario, outdir=str(tmp_path / "out"))
-        assert sorted(out.paths) == sorted([*HASHED_OUTPUTS, "run_report.txt", "manifest.txt"])
-        for path in out.paths.values():
-            assert os.path.exists(path)
+        assert sorted(os.listdir(out.outdir)) == sorted(
+            [*HASHED_OUTPUTS, "run_report.txt", "manifest.txt"])
         for name, digest in out.manifest.items():
             with open(os.path.join(out.outdir, name), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest
@@ -157,7 +156,7 @@ class TestRun:
     def test_until_overrides_horizon(self, attack_demo_path, tmp_path):
         scenario = load_scenario(attack_demo_path)
         out = run_scenario(scenario, outdir=str(tmp_path / "out"), until=300)
-        truth = read_csv(out.paths["ground_truth.csv"])
+        truth = read_csv(os.path.join(out.outdir, "ground_truth.csv"))
         assert max(int(r["t"]) for r in truth) == 240
 
     @pytest.mark.parametrize("until", [0, -60])
@@ -172,7 +171,7 @@ class TestRun:
         scenario = replace(load_scenario(attack_demo_path), attack_plan=None)
         out = run_scenario(scenario, outdir=str(tmp_path / "clean"))
         assert_archive_equals_truth(scenario, out.outdir)
-        trace = read_csv(out.paths["attack_trace.csv"])
+        trace = read_csv(os.path.join(out.outdir, "attack_trace.csv"))
         assert trace == []
 
     def test_failed_override_fails_stage_s4_not_the_run(self, attack_demo_path, tmp_path):
@@ -239,10 +238,10 @@ class TestRun:
 
         truth = {
             (int(r["t"]), r["element"], r["field"]): float(r["value"])
-            for r in read_csv(out.paths["ground_truth.csv"])
+            for r in read_csv(os.path.join(out.outdir, "ground_truth.csv"))
         }
         archive = {}
-        for row in read_csv(out.paths["archive.csv"]):
+        for row in read_csv(os.path.join(out.outdir, "archive.csv")):
             archive.setdefault((int(row["t"]), row["rtu"]), {})[int(row["ioa"])] = float(
                 row["value"]
             )
@@ -266,24 +265,25 @@ class TestRun:
         assert "kpi.home1.import_kwh" in out.report_text
         report = out.kpi_reports["home1"]
         assert report.run.import_kwh < report.baseline.import_kwh
-        records = read_pcap(out.paths["capture.pcap"])
+        records = read_pcap(os.path.join(out.outdir, "capture.pcap"))
         iec_ports = {2404}
         for record in records:
             assert record.src_port in iec_ports or record.dst_port in iec_ports
-        decisions = read_csv(out.paths["ems_decisions.csv"])
+        decisions = read_csv(os.path.join(out.outdir, "ems_decisions.csv"))
         assert len(decisions) == 96  # 24 h at 900 s
 
     def test_ved_exchange_visible_at_feeder_head(self, flex_demo_path, tmp_path):
         # the smart home's exchange is part of the physical feeder load
         scenario = load_scenario(flex_demo_path)
         out = run_scenario(scenario, outdir=str(tmp_path / "flex2"))
-        truth = read_csv(out.paths["ground_truth.csv"])
+        truth = read_csv(os.path.join(out.outdir, "ground_truth.csv"))
         head_p = {
             int(r["t"]): float(r["value"])
             for r in truth
             if r["element"] == "bus:fb0" and r["field"] == "p_kw"
         }
-        decisions = {int(r["t"]): float(r["grid_kw"]) for r in read_csv(out.paths["ems_decisions.csv"])}
+        decisions = {int(r["t"]): float(r["grid_kw"])
+                     for r in read_csv(os.path.join(out.outdir, "ems_decisions.csv"))}
         # feeder head power moves with the household exchange (same sign drift)
         ts = sorted(set(head_p) & set(decisions))
         assert len(ts) == 96
@@ -326,7 +326,7 @@ class TestGridMemo:
                                                          solves):
         # profiles change every 900 s and the kernel steps every 60 s
         out = run_scenario(load_scenario(attack_demo_path), outdir=str(tmp_path / "out"))
-        assert len({r["t"] for r in read_csv(out.paths["ground_truth.csv"])}) == 60
+        assert len({r["t"] for r in read_csv(os.path.join(out.outdir, "ground_truth.csv"))}) == 60
         assert len(solves) == 4
 
     def test_line_that_opens_and_closes_resolves_each_time(self, attack_demo_path, solves):
