@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,13 @@ from gridcosim.iec104 import (
     BadStartByte,
     ConnectionState,
     InfoObject,
+    InvalidSequence,
+    Iec104Error,
+    LengthOutOfRange,
     NeedMoreBytes,
+    Oversize,
     ProtocolViolation,
+    TruncatedAsdu,
     UnknownTypeId,
     decode,
     decode_stream,
@@ -132,6 +139,169 @@ class TestCodec:
         assert decoded == apdus and buffer == b""
 
 
+def _raw_i_frame(asdu: bytes) -> bytes:
+    """An I-frame with N(S) = N(R) = 0 around the given ASDU octets."""
+    return bytes((0x68, 4 + len(asdu), 0, 0, 0, 0)) + asdu
+
+
+# one M_ME_NC_1 object: IOA 100, value 1.5, quality 0
+_FLOAT_OBJECT_BYTES = bytes.fromhex("640000" "0000c03f" "00")
+
+
+def _objects(type_id, count):
+    value = 1.5 if type_id in (iec104.M_ME_NC_1, iec104.C_SE_NC_1) else 1
+    return tuple(InfoObject(ioa=n, value=value) for n in range(count))
+
+
+class TestCodecErrors:
+    @pytest.mark.parametrize("asdu", [
+        bytes((13, 1, 3, 0, 1)),                                 # 5-octet ASDU
+        bytes((13, 0x81, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES,     # SQ=1
+        bytes((13, 0x00, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES,     # zero count
+        bytes((13, 0x02, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES,     # 2 declared, 1 present
+        bytes((13, 0x01, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES[:-1],  # short body
+    ], ids=["under_6_octets", "sq_bit", "zero_count", "count_above_body", "body_short"])
+    def test_truncated_asdu(self, asdu):
+        with pytest.raises(TruncatedAsdu):
+            decode(_raw_i_frame(asdu))
+
+    @pytest.mark.parametrize("type_id,count", [
+        (iec104.M_ME_NC_1, 31), (iec104.C_SE_NC_1, 31),
+        (iec104.M_SP_NA_1, 61), (iec104.C_SC_NA_1, 61), (iec104.C_IC_NA_1, 61),
+    ])
+    def test_oversize(self, type_id, count):
+        asdu = Asdu(type_id, iec104.COT_SPONTANEOUS, 1, _objects(type_id, count))
+        with pytest.raises(Oversize):
+            encode(i_frame(0, 0, asdu))
+
+    @pytest.mark.parametrize("type_id,count", [
+        (iec104.M_ME_NC_1, 30), (iec104.C_SE_NC_1, 30),
+        (iec104.M_SP_NA_1, 60), (iec104.C_SC_NA_1, 60), (iec104.C_IC_NA_1, 60),
+    ])
+    def test_largest_asdu_fits(self, type_id, count):
+        apdu = i_frame(0, 0, Asdu(type_id, iec104.COT_SPONTANEOUS, 1, _objects(type_id, count)))
+        raw = encode(apdu)
+        assert len(raw) == 252 and raw[1] == 250
+        assert decode(raw) == (apdu, 252)
+
+    @pytest.mark.parametrize("apdu", [
+        i_frame(32768, 0, meas_asdu()), i_frame(0, 32768, meas_asdu()),
+        i_frame(-1, 0, meas_asdu()), s_frame(32768),
+    ], ids=["ns_32768", "nr_32768", "ns_negative", "s_frame_nr_32768"])
+    def test_sequence_number_out_of_range(self, apdu):
+        with pytest.raises(InvalidSequence):
+            encode(apdu)
+
+    @pytest.mark.parametrize("ca", [65536, -1])
+    def test_common_address_out_of_range(self, ca):
+        with pytest.raises(Iec104Error, match="common address"):
+            encode(i_frame(0, 0, meas_asdu(ca=ca)))
+
+    def test_ioa_below_zero_rejected(self):
+        with pytest.raises(Iec104Error, match="outside 3-octet range"):
+            encode(i_frame(0, 0, meas_asdu(ioa=-1)))
+
+    def test_type_id_changed_after_construction_rejected(self):
+        asdu = meas_asdu()
+        asdu.type_id = 2
+        with pytest.raises(UnknownTypeId):
+            encode(i_frame(0, 0, asdu))
+
+    def test_i_frame_without_asdu_rejected(self):
+        with pytest.raises(Iec104Error, match="needs an ASDU"):
+            encode(iec104.Apdu("I"))
+
+    @pytest.mark.parametrize("raw", [
+        bytes((0x68, 3, 7, 0, 0)),
+        bytes((0x68, 254)) + bytes(254),
+        bytes((0x68, 5, 1, 0, 0, 0, 0)),    # S-frame
+        bytes((0x68, 5, 7, 0, 0, 0, 0)),    # U-frame
+    ], ids=["length_3", "length_254", "s_frame_length_5", "u_frame_length_5"])
+    def test_length_out_of_range(self, raw):
+        with pytest.raises(LengthOutOfRange):
+            decode(raw)
+
+    @pytest.mark.parametrize("control", [
+        "0f000000",  # no such U function
+        "07010000",  # second control octet set
+        "07000100",  # third control octet set
+    ])
+    def test_malformed_u_frame(self, control):
+        with pytest.raises(ProtocolViolation, match="malformed U-frame"):
+            decode(bytes.fromhex("6804" + control))
+
+    @pytest.mark.parametrize("objects,error", [
+        ((), Iec104Error),
+        (tuple(InfoObject(n) for n in range(128)), Iec104Error),
+    ], ids=["no_object", "128_objects"])
+    def test_asdu_object_count(self, objects, error):
+        with pytest.raises(error, match="between 1 and 127"):
+            Asdu(iec104.C_IC_NA_1, iec104.COT_ACTIVATION, 0, objects)
+
+    def test_asdu_unknown_type(self):
+        with pytest.raises(UnknownTypeId):
+            Asdu(2, iec104.COT_SPONTANEOUS, 0, (InfoObject(1),))
+
+
+# Reference I-frame builder, octet by octet from the field layout of
+# IEC 60870-5-104 and IEC 60870-5-101 (SQ=0, 2-octet COT, 2-octet common
+# address, 3-octet IOA); it shares no code with the codec.
+def _f32_octets(value: float) -> bytes:
+    """IEEE 754 binary32, little-endian, of a normal value that binary32 holds exactly."""
+    if value == 0:
+        return bytes(3) + bytes((0x80 if math.copysign(1.0, value) < 0 else 0,))
+    mantissa, exponent = math.frexp(abs(value))  # abs(value) = mantissa * 2**exponent
+    fraction = (mantissa * 2 - 1) * 2**23
+    assert fraction.is_integer() and 1 <= exponent + 126 <= 254
+    bits = (value < 0) << 31 | (exponent + 126) << 23 | int(fraction)
+    return bits.to_bytes(4, "little")
+
+
+def _reference_i_frame(ns, nr, type_id, cot, originator, ca, objects) -> bytes:
+    body = bytearray()
+    for ioa, value, quality in objects:
+        body += ioa.to_bytes(3, "little")
+        if type_id in (iec104.M_ME_NC_1, iec104.C_SE_NC_1):
+            body += _f32_octets(value) + (quality & 0xFF).to_bytes(1, "little")
+        elif type_id == iec104.M_SP_NA_1:
+            body += ((quality & 0xF0) | (value & 0x01)).to_bytes(1, "little")
+        else:
+            body += (value & 0xFF).to_bytes(1, "little")
+    asdu = (type_id.to_bytes(1, "little") + len(objects).to_bytes(1, "little")
+            + cot.to_bytes(1, "little") + originator.to_bytes(1, "little")
+            + ca.to_bytes(2, "little") + bytes(body))
+    return (b"\x68" + (4 + len(asdu)).to_bytes(1, "little")
+            + (ns << 1).to_bytes(2, "little") + (nr << 1).to_bytes(2, "little") + asdu)
+
+
+LAYOUT_CASES = {
+    iec104.M_SP_NA_1: [(1, 1, 0x10), (0x0203, 0, 0x80), (0xFFFFFF, 3, 0x9F), (7, 2, 0x0F)],
+    iec104.M_ME_NC_1: [(100, 1.5, 0), (0x010203, -2.25, 0x80), (0xFFFFFF, 1000.0, 0x01)],
+    iec104.C_SC_NA_1: [(9, 1, 0), (0x123456, 0x81, 0)],
+    iec104.C_SE_NC_1: [(0, 0.15625, 0), (65536, -65504.0, 0x80), (3, -0.0, 0x7F)],
+    iec104.C_IC_NA_1: [(0, iec104.QOI_STATION, 0), (5, 0xFF, 0)],
+}
+
+
+@pytest.mark.parametrize("type_id", sorted(LAYOUT_CASES), ids=iec104.TYPE_NAMES.get)
+def test_multi_object_i_frame_layout(type_id):
+    objects = LAYOUT_CASES[type_id]
+    asdu = Asdu(type_id, iec104.COT_INTERROGATED, 0xBEEF,
+                tuple(InfoObject(*obj) for obj in objects), originator=0x42)
+    raw = encode(i_frame(0x1234, 0x7FFF, asdu))
+    assert raw == _reference_i_frame(0x1234, 0x7FFF, type_id, iec104.COT_INTERROGATED,
+                                     0x42, 0xBEEF, objects)
+    if type_id == iec104.M_SP_NA_1:
+        # value & 1 and quality & 0xF0 share the one SIQ octet
+        assert [raw[15 + 4 * n] for n in range(len(objects))] == [0x11, 0x80, 0x91, 0x00]
+
+
+def _max_objects(type_id):
+    """The most objects of one type an I-frame carries within 253 octets."""
+    return (iec104.MAX_LENGTH - 10) // (3 + (5 if type_id in (iec104.M_ME_NC_1,
+                                                               iec104.C_SE_NC_1) else 1))
+
+
 OBJECT_VALUES = {
     iec104.M_SP_NA_1: st.integers(0, 1),
     iec104.M_ME_NC_1: st.floats(width=32, allow_nan=False, allow_infinity=False),
@@ -161,7 +331,7 @@ def apdus(draw):
             value=draw(OBJECT_VALUES[type_id]),
             quality=quality,
         )
-        for _ in range(draw(st.integers(1, 5)))
+        for _ in range(draw(st.integers(1, _max_objects(type_id))))
     )
     asdu = Asdu(
         type_id=type_id,

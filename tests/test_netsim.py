@@ -11,7 +11,7 @@ from gridcosim.netsim import (
     UnknownCommand,
     parse_topology,
 )
-from gridcosim.pcap import ACK, RST, SYN
+from gridcosim.pcap import ACK, PSH, RST, SYN
 
 STAR = """
 [host h1]
@@ -153,6 +153,45 @@ class TestTransport:
         conn.send(b"up again")
         assert star.packet_log[-1].payload == b"up again"
         assert star.path_latency_us("h1", "h3") == 2000
+
+    def test_send_clock_and_sequence_bookkeeping(self, star):
+        class Quiet:
+            def on_connect(self, conn):
+                pass
+
+            def on_client_data(self, conn, data):
+                pass
+
+        star.register_handler("h3", 23, Quiet())
+        conn = star.open_connection("h1", "10.0.0.3", 23, at_s=5)
+        latency = star.path_latency_us("h1", "h3")
+        handshake_ack = star.packet_log[-1]
+        assert handshake_ack.t_us == 5_000_000 + 3 * latency  # the clock after connecting
+        client_seq, server_seq = handshake_ack.seq, handshake_ack.ack
+        sends = [
+            (b"abc", 1, False, 5_000_000 + 4 * latency),  # an earlier at_s keeps the clock
+            (b"de", None, False, 5_000_000 + 5 * latency),
+            (b"fghi", 9, False, 9_000_000 + latency),     # a later at_s moves it forward
+            (b"reply", None, True, 9_000_000 + 2 * latency),
+            (b"j", 9, False, 9_000_000 + 3 * latency),
+        ]
+        for payload, at_s, from_server, t_us in sends:
+            conn.send(payload, at_s=at_s, from_server=from_server)
+            record = star.packet_log[-1]
+            assert record.t_us == t_us  # clock + path latency
+            assert record.payload == payload and record.tcp_flags == PSH | ACK
+            if from_server:
+                assert (record.src_ip, record.src_port) == ("10.0.0.3", 23)
+                assert (record.seq, record.ack) == (server_seq, client_seq)
+                server_seq += len(payload)
+            else:
+                assert (record.dst_ip, record.dst_port) == ("10.0.0.3", 23)
+                assert (record.seq, record.ack) == (client_seq, server_seq)
+                client_seq += len(payload)
+        assert star.now_s == 9
+        conn.close()
+        fin = star.packet_log[-4]
+        assert (fin.t_us, fin.seq, fin.ack) == (9_000_000 + 4 * latency, client_seq, server_seq)
 
 
 class TestScan:
