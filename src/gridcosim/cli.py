@@ -10,6 +10,7 @@ import sys
 
 from . import iec104
 from .configfile import ConfigError
+from .devices import IEC104_PORT
 from .kernel import KernelError
 from .netsim import NetError
 from .pcap import PcapError, flags_text, read_pcap
@@ -94,13 +95,12 @@ def _dump_capture(path) -> None:
         print(line)
         if not record.payload:
             continue
-        if iec104.START_BYTE in (record.payload[0],) and 2404 in (
-            record.src_port, record.dst_port,
-        ):
+        if IEC104_PORT in (record.src_port, record.dst_port):
+            # one stream per direction: an APDU may span segments
             key = (record.src_ip, record.src_port, record.dst_ip, record.dst_port)
-            streams[key] = streams.get(key, b"") + record.payload
-            apdus, used = iec104.decode_stream(streams[key])
-            streams[key] = streams[key][used:]
+            stream = streams.get(key, b"") + record.payload
+            apdus, used = iec104.decode_stream(stream)
+            streams[key] = stream[used:]
             for apdu in apdus:
                 print(f"      iec104: {_describe_apdu(apdu)}")
         else:

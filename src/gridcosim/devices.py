@@ -10,6 +10,7 @@ in-memory, never on the wire.
 
 from __future__ import annotations
 
+import functools
 import struct
 from collections import deque
 from dataclasses import dataclass, field
@@ -180,15 +181,15 @@ class _SessionEnd:
     def receive(self, payload: bytes):
         """Yield each APDU that `payload` completes, once the session's
         replies to it are on the wire; a hang-up yields nothing more."""
-        self.rx += payload
+        rx = self.rx + payload if self.rx else payload
         try:
-            apdus, used = iec104.decode_stream(self.rx)
+            apdus, used = iec104.decode_stream(rx)
         except iec104.Iec104Error:
             if not self.server:
                 raise
             self.conn.close(from_server=True)
             return
-        self.rx = self.rx[used:]
+        self.rx = rx[used:]
         for apdu in apdus:
             try:
                 replies = self.state.received(apdu)
@@ -235,19 +236,20 @@ class Rtu:
     def _points(self, t: int, cot: int):
         """Yield one M_ME_NC_1 ASDU per acquired monitor point, logging its
         truth row and wire value as it goes."""
+        current, overrides, last_sent = self.current, self.overrides, self.last_sent
+        log_truth = self.truth_rows.append
+        common_address = self.config.common_address
+        Asdu, InfoObject, M_ME_NC_1 = iec104.Asdu, iec104.InfoObject, iec104.M_ME_NC_1
         for dp in self.config.datapoints.monitor:
-            truth = self.current.get(dp.ioa)
+            ioa = dp.ioa
+            truth = current.get(ioa)
             if truth is None:
                 continue
-            rule = self.overrides.get(dp.ioa)
-            wire = truth if rule is None else rule.apply(dp.ioa, truth)
-            self.truth_rows.append((t, dp.entity, dp.fieldname, truth))
-            self.last_sent[dp.ioa] = wire
-            yield iec104.Asdu(
-                type_id=iec104.M_ME_NC_1, cot=cot,
-                common_address=self.config.common_address,
-                objects=(iec104.InfoObject(ioa=dp.ioa, value=wire, quality=0),),
-            )
+            rule = overrides.get(ioa)
+            wire = truth if rule is None else rule.apply(ioa, truth)
+            log_truth((t, dp.entity, dp.fieldname, truth))
+            last_sent[ioa] = wire
+            yield Asdu(M_ME_NC_1, cot, common_address, (InfoObject(ioa, wire, 0),))
 
     def report(self, t: int):
         """Spontaneous transmission of every monitor point (buffered when down)."""
@@ -392,7 +394,7 @@ class Mtu:
                 self.events.append((t, "connect-failed", name))
                 continue
             session = self._sessions[name] = _SessionEnd(conn, server=False)
-            conn.on_data = lambda data, _n=name: self._on_data(_n, data)
+            conn.on_data = functools.partial(self._on_data, name)
             session.put(session.state.start(), at_s=t)
 
     def _on_data(self, name: str, payload: bytes):

@@ -181,72 +181,29 @@ def u_frame(function: int) -> Apdu:
 
 # start byte, length octet, control octets 1-2 and 3-4 (little-endian words)
 _APCI = struct.Struct("<BBHH")
-# type id, VSQ, cause, originator, common address
-_ASDU_HEADER = struct.Struct("<BBBBH")
-# objects: IOA as its low 16 bits and high octet, then the information element
-_FLOAT_OBJECT = struct.Struct("<HBfB")  # short float value, quality octet
-_OCTET_OBJECT = struct.Struct("<HBB")   # one octet (SPI+quality, SCO or QOI)
 _FLOAT_TYPES = (M_ME_NC_1, C_SE_NC_1)
 
 
-def _pack_object(type_id: int, obj: InfoObject) -> bytes:
-    ioa = obj.ioa
-    if not 0 <= ioa <= IOA_MAX:
-        raise Iec104Error(f"IOA {ioa} outside 3-octet range")
-    if type_id in _FLOAT_TYPES:
-        return _FLOAT_OBJECT.pack(ioa & 0xFFFF, ioa >> 16, float(obj.value), obj.quality & 0xFF)
-    if type_id == M_SP_NA_1:
-        octet = (obj.quality & 0xF0) | (int(obj.value) & 0x01)
-    elif type_id in (C_SC_NA_1, C_IC_NA_1):
-        octet = int(obj.value) & 0xFF
-    else:
-        raise UnknownTypeId(type_id)
-    return _OCTET_OBJECT.pack(ioa & 0xFFFF, ioa >> 16, octet)
+class _IFrameStructs(dict):
+    """(type id, object count) -> the Struct of the whole I-frame: the APCI;
+    type id, VSQ, cause, originator, common address; then per object the IOA
+    as its low 16 bits and high octet and the information element (a short
+    float and a quality octet, or one octet: SIQ, SCO or QOI). Built on first
+    use; only frames within MAX_LENGTH are kept."""
+
+    def __missing__(self, key: tuple[int, int]) -> struct.Struct:
+        type_id, count = key
+        if type_id not in _ELEMENT_SIZE:
+            raise UnknownTypeId(type_id)
+        length = 10 + count * (3 + _ELEMENT_SIZE[type_id])
+        if length > MAX_LENGTH:
+            raise Oversize(f"APDU length {length} exceeds {MAX_LENGTH}")
+        obj = "HBfB" if type_id in _FLOAT_TYPES else "HBB"
+        frame = self[key] = struct.Struct("<BBHHBBBBH" + obj * count)
+        return frame
 
 
-def encode_asdu(asdu: Asdu) -> bytes:
-    type_id = asdu.type_id
-    if not 0 <= asdu.common_address <= COMMON_ADDRESS_MAX:
-        raise Iec104Error(f"common address {asdu.common_address} outside 2-octet range")
-    header = _ASDU_HEADER.pack(
-        type_id,
-        len(asdu.objects) & 0x7F,  # VSQ: SQ=0, object count
-        asdu.cot & 0xFF,
-        asdu.originator & 0xFF,
-        asdu.common_address,
-    )
-    return header + b"".join([_pack_object(type_id, o) for o in asdu.objects])
-
-
-def decode_asdu(buf: bytes, start: int, end: int) -> Asdu:
-    """Decode the ASDU in `buf[start:end]`."""
-    if end - start < 6:
-        raise TruncatedAsdu("ASDU header needs 6 octets")
-    type_id, vsq, cot, originator, common_address = _ASDU_HEADER.unpack_from(buf, start)
-    if type_id not in _ELEMENT_SIZE:
-        raise UnknownTypeId(type_id)
-    if vsq & 0x80:
-        raise TruncatedAsdu("sequence-of-elements VSQ not supported")
-    count = vsq & 0x7F
-    if count < 1:
-        raise TruncatedAsdu("VSQ object count must be >= 1")
-    obj_size = 3 + _ELEMENT_SIZE[type_id]
-    body = end - start - 6
-    if body != count * obj_size:
-        raise TruncatedAsdu(f"expected {count * obj_size} object octets, got {body}")
-    offsets = range(start + 6, end, obj_size)
-    if type_id in _FLOAT_TYPES:
-        unpacked = (_FLOAT_OBJECT.unpack_from(buf, pos) for pos in offsets)
-        objects = tuple(InfoObject(lo | hi << 16, value, quality)
-                        for lo, hi, value, quality in unpacked)
-    else:
-        unpacked = (_OCTET_OBJECT.unpack_from(buf, pos) for pos in offsets)
-        if type_id == M_SP_NA_1:
-            objects = tuple(InfoObject(lo | hi << 16, octet & 0x01, octet & 0xF0)
-                            for lo, hi, octet in unpacked)
-        else:
-            objects = tuple(InfoObject(lo | hi << 16, octet) for lo, hi, octet in unpacked)
-    return Asdu(type_id, cot, common_address, objects, originator)
+_I_FRAMES = _IFrameStructs()
 
 
 def _check_seq(seq: int) -> int:
@@ -259,15 +216,28 @@ def encode(apdu: Apdu) -> bytes:
     """Encode one APDU: start byte, length octet, 4 control octets, ASDU."""
     kind = apdu.kind
     if kind == "I":
-        if apdu.asdu is None:
+        asdu = apdu.asdu
+        if asdu is None:
             raise Iec104Error("I-frame needs an ASDU")
-        send_seq = _check_seq(apdu.send_seq) << 1
-        recv_seq = _check_seq(apdu.recv_seq) << 1
-        asdu = encode_asdu(apdu.asdu)
-        length = 4 + len(asdu)
-        if length > MAX_LENGTH:
-            raise Oversize(f"APDU length {length} exceeds {MAX_LENGTH}")
-        return _APCI.pack(START_BYTE, length, send_seq, recv_seq) + asdu
+        type_id, objects, common_address = asdu.type_id, asdu.objects, asdu.common_address
+        fields = [START_BYTE, 0, _check_seq(apdu.send_seq) << 1, _check_seq(apdu.recv_seq) << 1,
+                  type_id, len(objects) & 0x7F, asdu.cot & 0xFF, asdu.originator & 0xFF,
+                  common_address]  # VSQ: SQ=0, object count
+        if not 0 <= common_address <= COMMON_ADDRESS_MAX:
+            raise Iec104Error(f"common address {common_address} outside 2-octet range")
+        for obj in objects:
+            ioa = obj.ioa
+            if not 0 <= ioa <= IOA_MAX:
+                raise Iec104Error(f"IOA {ioa} outside 3-octet range")
+            if type_id in _FLOAT_TYPES:
+                fields += (ioa & 0xFFFF, ioa >> 16, float(obj.value), obj.quality & 0xFF)
+            elif type_id == M_SP_NA_1:
+                fields += (ioa & 0xFFFF, ioa >> 16, obj.quality & 0xF0 | int(obj.value) & 0x01)
+            else:
+                fields += (ioa & 0xFFFF, ioa >> 16, int(obj.value) & 0xFF)
+        frame = _I_FRAMES[type_id, len(objects)]
+        fields[1] = frame.size - 2
+        return frame.pack(*fields)
     if kind == "S":
         return _APCI.pack(START_BYTE, 4, 0x0001, _check_seq(apdu.recv_seq) << 1)
     if kind == "U":
@@ -294,10 +264,32 @@ def decode(buf: bytes, offset: int = 0) -> tuple[Apdu, int]:
     total = 2 + length
     if available < total:
         raise NeedMoreBytes(total - available)
+    if buf[offset + 2] & 0x01 == 0:
+        if length < 10:
+            raise TruncatedAsdu("ASDU header needs 6 octets")
+        type_id, vsq = buf[offset + 6], buf[offset + 7]
+        if type_id not in _ELEMENT_SIZE:
+            raise UnknownTypeId(type_id)
+        if vsq & 0x80:
+            raise TruncatedAsdu("sequence-of-elements VSQ not supported")
+        if vsq < 1:
+            raise TruncatedAsdu("VSQ object count must be >= 1")
+        body = vsq * (3 + _ELEMENT_SIZE[type_id])
+        if length - 10 != body:
+            raise TruncatedAsdu(f"expected {body} object octets, got {length - 10}")
+        values = _I_FRAMES[type_id, vsq].unpack_from(buf, offset)
+        if type_id in _FLOAT_TYPES:
+            objects = [InfoObject(values[i] | values[i + 1] << 16, values[i + 2], values[i + 3])
+                       for i in range(9, len(values), 4)]
+        elif type_id == M_SP_NA_1:
+            objects = [InfoObject(values[i] | values[i + 1] << 16, values[i + 2] & 0x01,
+                                  values[i + 2] & 0xF0) for i in range(9, len(values), 3)]
+        else:
+            objects = [InfoObject(values[i] | values[i + 1] << 16, values[i + 2])
+                       for i in range(9, len(values), 3)]
+        asdu = Asdu(type_id, values[6], values[8], tuple(objects), values[7])
+        return Apdu("I", values[2] >> 1, values[3] >> 1, 0, asdu), total
     _, _, control_1, control_2 = _APCI.unpack_from(buf, offset)
-    if control_1 & 0x01 == 0:
-        asdu = decode_asdu(buf, offset + 6, offset + total)
-        return Apdu("I", control_1 >> 1, control_2 >> 1, 0, asdu), total
     if length != 4:
         kind = "S" if control_1 & 0x03 == 0x01 else "U"
         raise LengthOutOfRange(f"{kind}-frame length must be 4")
@@ -357,6 +349,8 @@ class ConnectionState:
 
     def send(self, asdu: Asdu) -> list[Apdu]:
         """Queue an ASDU for transmission; returns the APDUs to put on the wire."""
+        if self.started and not self.pending and self.unacked_sent < K_UNACKED_LIMIT:
+            return [self._emit_i(asdu)]
         self.pending.append(asdu)
         return self._flush() if self.started else []
 

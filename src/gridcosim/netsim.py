@@ -206,35 +206,34 @@ class TcpConnection:
         self.on_data: Callable[[bytes], None] | None = None
 
     def _record(self, from_client: bool, flags: int, payload: bytes, t_us: int):
+        size = len(payload) + (1 if flags & (SYN | FIN) else 0)
         if from_client:
-            record = PacketRecord(
-                t_us=t_us, src_ip=self.client_ip, dst_ip=self.server_ip,
-                src_port=self.client_port, dst_port=self.server_port,
-                tcp_flags=flags, payload=payload,
-                seq=self.client_seq, ack=self.server_seq if flags & ACK else 0,
-            )
-            self.client_seq += len(payload) + (1 if flags & (SYN | FIN) else 0)
+            record = PacketRecord(t_us, self.client_ip, self.server_ip, self.client_port,
+                                  self.server_port, flags, payload, self.client_seq,
+                                  self.server_seq if flags & ACK else 0)
+            self.client_seq += size
         else:
-            record = PacketRecord(
-                t_us=t_us, src_ip=self.server_ip, dst_ip=self.client_ip,
-                src_port=self.server_port, dst_port=self.client_port,
-                tcp_flags=flags, payload=payload,
-                seq=self.server_seq, ack=self.client_seq if flags & ACK else 0,
-            )
-            self.server_seq += len(payload) + (1 if flags & (SYN | FIN) else 0)
-        self.network._log(record)
+            record = PacketRecord(t_us, self.server_ip, self.client_ip, self.server_port,
+                                  self.client_port, flags, payload, self.server_seq,
+                                  self.client_seq if flags & ACK else 0)
+            self.server_seq += size
+        self.network.packet_log.append(record)
 
     def send(self, payload: bytes, at_s: int | None = None, from_server: bool = False):
         """Send bytes on the stream; the peer handler sees them after one path latency."""
         if self.closed:
             raise NetError("connection is closed")
-        if self.network.path_latency_us(self.client_host, self.server_host) is None:
+        network = self.network
+        if network.path_latency_us(self.client_host, self.server_host) is None:
             raise Unreachable(
                 f"path between {self.client_host} and {self.server_host} is down"
             )
-        deliver_us = self.network._clock(at_s) + self.latency_us
+        now_us = network._now_us
+        if at_s is not None and at_s * US_PER_S > now_us:
+            now_us = at_s * US_PER_S
+        # latency is never negative, so delivery never moves the clock back
+        network._now_us = deliver_us = now_us + self.latency_us
         self._record(not from_server, PSH | ACK, payload, deliver_us)
-        self.network._advance(deliver_us)
         if from_server:
             if self.on_data is not None:
                 self.on_data(payload)
@@ -371,7 +370,7 @@ class Network:
             raise Unreachable(f"firewall denies {src_ip} -> {dst_ip}:{port}")
         return dst, latency
 
-    # -- clock and log -----------------------------------------------------
+    # -- clock -------------------------------------------------------------
 
     def _clock(self, at_s: int | None) -> int:
         if at_s is not None:
@@ -385,9 +384,6 @@ class Network:
 
     def _advance(self, t_us: int):
         self._now_us = max(self._now_us, t_us)
-
-    def _log(self, record: PacketRecord):
-        self.packet_log.append(record)
 
     def _next_conn_index(self) -> int:
         self._conn_count += 1
@@ -487,11 +483,11 @@ class Network:
                     src_port=self._next_ephemeral(), dst_port=port,
                     tcp_flags=SYN, payload=b"", seq=0, ack=0,
                 )
-                self._log(probe)
+                self.packet_log.append(probe)
                 service = host.service_on(port)
                 allowed = self._firewall_allows(src_ip, ip, port)
                 flags = SYN | ACK if (service is not None and allowed) else RST | ACK
-                self._log(
+                self.packet_log.append(
                     PacketRecord(
                         t_us=t + 2 * latency, src_ip=ip, dst_ip=src_ip,
                         src_port=port, dst_port=probe.src_port,

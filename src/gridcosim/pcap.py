@@ -142,6 +142,7 @@ def write_pcap(path, records) -> int:
         )
         batch = []
         last_t = -1
+        pack_header = _RECORD_HEADER.pack
         for record in records:
             t_us = record.t_us
             if t_us < last_t:
@@ -150,7 +151,7 @@ def write_pcap(path, records) -> int:
             count += 1
             frame = build_frame(record, count)
             size = len(frame)
-            batch += (_RECORD_HEADER.pack(t_us // 1_000_000, t_us % 1_000_000, size, size), frame)
+            batch += (pack_header(t_us // 1_000_000, t_us % 1_000_000, size, size), frame)
             if not count % WRITE_BATCH:
                 fh.write(b"".join(batch))
                 batch.clear()

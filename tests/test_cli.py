@@ -178,6 +178,17 @@ def test_pcap_dump_ok(tmp_path, capsys):
     assert "STARTDT_act" in capsys.readouterr().out
 
 
+def test_pcap_dump_decodes_an_apdu_split_across_segments(tmp_path, capsys):
+    # a 20-octet M_ME_NC_1 I-frame (IOA 100, value 1.5) in a 7- and a 13-octet segment
+    frame = bytes.fromhex("681200000000" "0d0103000100" "640000" "0000c03f" "00")
+    path = _capture(tmp_path / "split.pcap", [STARTDT_ACT, frame[:7], frame[7:]])
+    assert cli.main(["pcap-dump", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "data:" not in out
+    assert out.count("iec104: ") == 2
+    assert "iec104: I n(s)=0 n(r)=0 M_ME_NC_1 cot=3 ca=1 ioa=100 value=1.5" in out
+
+
 def _bad_magic(path):
     data = path.read_bytes()
     path.write_bytes(b"\x00\x00\x00\x00" + data[4:])
