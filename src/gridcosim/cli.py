@@ -95,10 +95,13 @@ def _dump_capture(path) -> None:
         print(line)
         if not record.payload:
             continue
-        if IEC104_PORT in (record.src_port, record.dst_port):
+        key = (record.src_ip, record.src_port, record.dst_ip, record.dst_port)
+        stream = streams.get(key, b"")
+        if IEC104_PORT in (record.src_port, record.dst_port) and (
+            stream or record.payload[0] == iec104.START_BYTE
+        ):
             # one stream per direction: an APDU may span segments
-            key = (record.src_ip, record.src_port, record.dst_ip, record.dst_port)
-            stream = streams.get(key, b"") + record.payload
+            stream += record.payload
             apdus, used = iec104.decode_stream(stream)
             streams[key] = stream[used:]
             for apdu in apdus:

@@ -204,6 +204,24 @@ class TestRun:
         assert len(read_csv(outdir / "archive.csv")) == len(truth) == 315
         assert_archive_equals_truth(load_scenario(scenario_file), outdir)
 
+    def test_pcap_dump_shows_non_iec104_payload_on_port_2404_as_data(
+            self, attack_demo_path, tmp_path, capsys):
+        scenario_file = edited_copy(
+            attack_demo_path, tmp_path / "rce_iec104", "scenario.txt",
+            lambda text: text.replace("stage = rce http", "stage = rce port:2404"),
+        )
+        outdir = tmp_path / "rce_iec104_out"
+        assert cli.main(["run", str(scenario_file), "--out", str(outdir)]) == 0
+        capsys.readouterr()
+        assert cli.main(["pcap-dump", str(outdir / "capture.pcap")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("      data: 'GET /cgi-bin/exec?cmd=whoami HTTP/1.1\\r\\n"
+                         "Host: 10.0.2.11\\r\\nUser'")
+        assert lines[at - 1].endswith(" -> 10.0.2.11:2404 [PSH|ACK] len=79")
+        # every record after the exploit's request is still listed and decoded
+        assert any(" M_ME_NC_1 " in line for line in lines[at:])
+        assert lines[-1] == "446 records"
+
     def test_ved_power_beyond_16_bits_runs_to_horizon(self, flex_demo_path, tmp_path):
         # pv_kw x80 peaks at 360 kW, beyond the +-327.67 kW of a 16-bit
         # register in units of 10 W
