@@ -349,8 +349,6 @@ class ConnectionState:
 
     def send(self, asdu: Asdu) -> list[Apdu]:
         """Queue an ASDU for transmission; returns the APDUs to put on the wire."""
-        if self.started and not self.pending and self.unacked_sent < K_UNACKED_LIMIT:
-            return [self._emit_i(asdu)]
         self.pending.append(asdu)
         return self._flush() if self.started else []
 

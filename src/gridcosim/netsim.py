@@ -228,11 +228,8 @@ class TcpConnection:
             raise Unreachable(
                 f"path between {self.client_host} and {self.server_host} is down"
             )
-        now_us = network._now_us
-        if at_s is not None and at_s * US_PER_S > now_us:
-            now_us = at_s * US_PER_S
         # latency is never negative, so delivery never moves the clock back
-        network._now_us = deliver_us = now_us + self.latency_us
+        network._now_us = deliver_us = network._clock(at_s) + self.latency_us
         self._record(not from_server, PSH | ACK, payload, deliver_us)
         if from_server:
             if self.on_data is not None:
@@ -373,9 +370,10 @@ class Network:
     # -- clock -------------------------------------------------------------
 
     def _clock(self, at_s: int | None) -> int:
-        if at_s is not None:
-            self._now_us = max(self._now_us, at_s * US_PER_S)
-        return self._now_us
+        now_us = self._now_us
+        if at_s is not None and at_s * US_PER_S > now_us:
+            self._now_us = now_us = at_s * US_PER_S
+        return now_us
 
     @property
     def now_s(self) -> int:
