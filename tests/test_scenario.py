@@ -153,6 +153,35 @@ class TestRun:
         # repr(np.float64(0.5)) is 'np.float64(0.5)' under numpy 2
         assert ARTIFACTS[name].line(row) == line
 
+    @pytest.mark.parametrize("name, row, line", [
+        ("ground_truth.csv", lambda v: (60, "bus:b1", "v_pu", v), "60,bus:b1,v_pu,{0}\n"),
+        ("archive.csv", lambda v: ArchiveRow(60, "rtu1", 101, v, 0), "60,rtu1,101,{0},0\n"),
+        ("commands.csv", lambda v: CommandLogRow(60, "rtu1", 201, v, True),
+         "60,rtu1,201,{0},True\n"),
+        ("ems_decisions.csv", lambda v: ("home1", EmsDecision(60, v, v, "idle", "none")),
+         "60,home1,{0},{0},idle,none\n"),
+    ])
+    def test_float_column_keeps_the_sign_of_zero_and_writes_nan(self, name, row, line):
+        # -0.0 == 0.0, so a table of texts keyed by value must not merge them
+        values = [-0.0, 0.0, -0.0, float("nan"), float("nan"), np.float64(0.5), 0.5,
+                  np.float64(-0.0), 0.0]
+        texts = ["-0.0", "0.0", "-0.0", "nan", "nan", "0.5", "0.5", "-0.0", "0.0"]
+        assert [ARTIFACTS[name].line(row(v)) for v in values] == [line.format(t) for t in texts]
+
+    def test_flush_of_many_distinct_values_writes_each_exactly(self, tmp_path):
+        values = [float(np.float32(i * 0.001 - 3.0)) for i in range(6000)]
+        values += [-0.0, 0.0, float("nan"), *values[:50], -0.0]
+        rows = {name: () for name in ARTIFACTS}
+        rows["capture.pcap"] = []
+        rows["ground_truth.csv"] = [(60, "bus:b1", "v_pu", v) for v in values]
+        rows["archive.csv"] = [ArchiveRow(60, "rtu1", 101, np.float64(v), 0) for v in values]
+        scenario_mod._write_artifacts(str(tmp_path), rows)
+        expected = [repr(float(v)) for v in values]
+        truth = (tmp_path / "ground_truth.csv").read_text().splitlines()[1:]
+        archive = (tmp_path / "archive.csv").read_text().splitlines()[1:]
+        assert [line.rsplit(",", 1)[1] for line in truth] == expected
+        assert [line.split(",")[3] for line in archive] == expected
+
     def test_until_overrides_horizon(self, attack_demo_path, tmp_path):
         scenario = load_scenario(attack_demo_path)
         out = run_scenario(scenario, outdir=str(tmp_path / "out"), until=300)
@@ -437,6 +466,60 @@ class TestFaultHandling:
             ["run", str(broken_bundle), "--out", str(tmp_path / "cli_fault")]
         ) == 2
         assert "runtime fault" in capsys.readouterr().err
+
+    def test_value_beyond_float32_faults_the_rtu_step(self, attack_demo_path, tmp_path,
+                                                      capsys):
+        scenario_file = edited_copy(
+            attack_demo_path, tmp_path / "big_scale", "scenario.txt",
+            lambda text: text.replace("103 monitor bus:lv1:v_pu scale=1.0",
+                                      "103 monitor bus:lv1:v_pu scale=1e39"),
+        )
+        outdir = tmp_path / "big_scale_out"
+        assert cli.main(["run", str(scenario_file), "--out", str(outdir)]) == 2
+        assert ("simulator 'rtu_rtu1' failed at t=0: "
+                "OverflowError('float too large to pack with f format')"
+                in capsys.readouterr().err)
+        # the RTU's step fails before any point is reported: the partial
+        # artifacts hold the connection set-up and the CSV headers only
+        listed = dict(reversed(line.split("  ")) for line in
+                      (outdir / "manifest.txt").read_text().splitlines())
+        assert listed == {
+            "archive.csv": "de29ffdb91e26e54530765c842308777b7238e5e76c2de9183d1311fd8acf312",
+            "attack_trace.csv":
+                "cae3037c828165ee042e775c8b5edd1cad3b9d93053b2056d1644202ec2f8b88",
+            "attack_transcript.log":
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "capture.pcap": "acc530668c8bc60b2d229281130b1899bfc81d70fdada5c34b3236c628f739c8",
+            "commands.csv": "423c1bf4e8f0bb08bf2040c7e70541d89e9162959a11f34c316db6d6f99a2a3b",
+            "ems_decisions.csv":
+                "bfb71dbbef8804dfd7be73d96e25a47aafc43f9b4cc6847d04c33b67e792edaf",
+            "ground_truth.csv":
+                "7dbfebfcde67c777ecfc571d67d92e959575453cde3d3e119b450460156785ae",
+            "run_report.txt": "-",
+        }
+
+
+def test_truth_rows_of_one_field_keep_rtu_order(attack_demo_path, tmp_path):
+    # rtu2 monitors rtu1's bus:lv1:v_pu at a thousandth of its scale: at each
+    # time its rows follow rtu1's, though their values are smaller
+    scenario_file = edited_copy(
+        attack_demo_path, tmp_path / "shared_field", "scenario.txt",
+        lambda text: text.replace(
+            "datapoint = 201 control",
+            "datapoint = 104 monitor bus:lv1:v_pu scale=0.001\ndatapoint = 201 control"),
+    )
+    outdir = tmp_path / "shared_field_out"
+    run_scenario(load_scenario(scenario_file), outdir=str(outdir))
+    by_time = {}
+    for r in read_csv(outdir / "ground_truth.csv"):
+        if (r["element"], r["field"]) == ("bus:lv1", "v_pu"):
+            by_time.setdefault(int(r["t"]), []).append(float(r["value"]))
+    assert sorted(by_time) == list(range(0, 3600, 60))
+    for t, values in by_time.items():
+        polls = 2 if t and t % 900 == 0 else 1  # a general interrogation repeats each point
+        assert len(values) == 2 * polls
+        assert all(v > 0.5 for v in values[:polls]), t
+        assert all(v < 0.002 for v in values[polls:]), t
 
 
 @pytest.mark.parametrize(
