@@ -60,7 +60,6 @@ import struct
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import chain, islice
-from operator import itemgetter
 
 from . import attacker as attacker_mod
 from . import devices, ems, iec104, netsim
@@ -111,27 +110,45 @@ BATTERY_OPTIONS = frozenset(
 )
 
 WRITE_BATCH = 1024  # lines per write to a text artifact
+FLOAT_TEXTS_LIMIT = 4096  # distinct values whose text one flush keeps
+
+
+class _FloatTexts(dict):
+    """value -> repr(float(value)), the text of a float column: exact, and
+    plain for a numpy scalar too. A run's values repeat, and repr costs about
+    a microsecond, so each text is made once and kept, up to
+    FLOAT_TEXTS_LIMIT of them, until _write_artifacts clears the table. Zero
+    is never kept: -0.0 == 0.0, so one key would serve both signs. NaN is
+    kept by identity, as a NaN equals no other value."""
+
+    def __missing__(self, value) -> str:
+        text = repr(float(value))
+        if value and len(self) < FLOAT_TEXTS_LIMIT:
+            self[value] = text
+        return text
+
+
+_float_text = _FloatTexts()
 
 # One entry per file a run writes but the manifest, in writing order: a CSV's
 # header line ("" for plain text), the format of one row as a line (None for
 # the capture, which netsim.write_pcap writes), and whether the manifest
-# hashes the file. A float column is written as repr(float(value)), exact and
-# plain for a numpy scalar too; run_report.txt carries wall-clock timing, so
-# the manifest lists it but never hashes it.
+# hashes the file. A float column is written by _float_text; run_report.txt
+# carries wall-clock timing, so the manifest lists it but never hashes it.
 Artifact = namedtuple("Artifact", "header line hashed", defaults=(True,))
 ARTIFACTS = {
     PCAP_FILE: Artifact("", None),
     GROUND_TRUTH_CSV: Artifact(
         "t,element,field,value\n",
-        lambda r: f"{r[0]},{r[1]},{r[2]},{float(r[3])!r}\n",
+        lambda r: f"{r[0]},{r[1]},{r[2]},{_float_text[r[3]]}\n",
     ),
     ARCHIVE_CSV: Artifact(
         "t,rtu,ioa,value,quality\n",
-        lambda r: f"{r.t},{r.rtu},{r.ioa},{float(r.value)!r},{r.quality}\n",
+        lambda r: f"{r.t},{r.rtu},{r.ioa},{_float_text[r.value]},{r.quality}\n",
     ),
     COMMANDS_CSV: Artifact(
         "t,rtu,ioa,value,confirmed\n",
-        lambda r: f"{r.t},{r.rtu},{r.ioa},{float(r.value)!r},{r.confirmed}\n",
+        lambda r: f"{r.t},{r.rtu},{r.ioa},{_float_text[r.value]},{r.confirmed}\n",
     ),
     ATTACK_TRACE_CSV: Artifact(
         "t,stage,action,target,outcome\n",
@@ -140,8 +157,8 @@ ARTIFACTS = {
     ATTACK_TRANSCRIPT: Artifact("", "{}\n".format),
     EMS_DECISIONS_CSV: Artifact(  # (ved, decision) pairs
         "t,ved,battery_kw,grid_kw,mode,binding\n",
-        lambda r: f"{r[1].t},{r[0]},{float(r[1].battery_setpoint_kw)!r},"
-                  f"{float(r[1].grid_exchange_kw)!r},{r[1].active_mode},"
+        lambda r: f"{r[1].t},{r[0]},{_float_text[r[1].battery_setpoint_kw]},"
+                  f"{_float_text[r[1].grid_exchange_kw]},{r[1].active_mode},"
                   f"{r[1].binding_constraint}\n",
     ),
     RUN_REPORT: Artifact("", "{}\n".format, hashed=False),
@@ -552,16 +569,19 @@ def _write_artifacts(outdir: str, rows: dict) -> dict[str, str]:
     """Write each artifact of ARTIFACTS from `rows[name]`, then the manifest;
     returns the manifest, artifact name -> sha256."""
     manifest = {}
-    for name, (header, line, hashed) in ARTIFACTS.items():
-        path = os.path.join(outdir, name)
-        if line is None:
-            netsim.write_pcap(path, rows[name])
-            with open(path, "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-        else:
-            digest = _write_lines(path, chain((header,), map(line, rows[name])))
-        if hashed:
-            manifest[name] = digest
+    try:
+        for name, (header, line, hashed) in ARTIFACTS.items():
+            path = os.path.join(outdir, name)
+            if line is None:
+                netsim.write_pcap(path, rows[name])
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+            else:
+                digest = _write_lines(path, chain((header,), map(line, rows[name])))
+            if hashed:
+                manifest[name] = digest
+    finally:
+        _float_text.clear()
     _write_lines(os.path.join(outdir, MANIFEST),
                  (f"{manifest.get(name, '-')}  {name}\n" for name in sorted(ARTIFACTS)))
     return manifest
@@ -711,11 +731,18 @@ def run_scenario(
             f"kpi.{name}.baseline_peak_import_kw: {kpi.baseline.peak_import_kw:.6f}",
         ]
 
+    # truth rows sort by (t, element, field), stable, so the rows of one
+    # point at one time keep their RTU order; each (element, field) is given
+    # its place in that order once, and the sort compares ints
+    places = {key: i for i, key in enumerate(sorted(
+        {(dp.entity, dp.fieldname) for config in scenario.rtus for dp in config.datapoints.monitor}
+    ))}
+    n_places = len(places)
     rows = {
         PCAP_FILE: network.packet_log,
         GROUND_TRUTH_CSV: sorted(
             chain.from_iterable(rtu.truth_rows for rtu in rtu_sims.values()),
-            key=itemgetter(0, 1, 2),
+            key=lambda r: r[0] * n_places + places[r[1], r[2]],
         ),
         ARCHIVE_CSV: mtu.archive if mtu is not None else (),
         COMMANDS_CSV: mtu.command_log if mtu is not None else (),

@@ -171,6 +171,7 @@ class TestRun:
     def test_flush_of_many_distinct_values_writes_each_exactly(self, tmp_path):
         values = [float(np.float32(i * 0.001 - 3.0)) for i in range(6000)]
         values += [-0.0, 0.0, float("nan"), *values[:50], -0.0]
+        assert len(set(values)) > scenario_mod.FLOAT_TEXTS_LIMIT  # more than the memo keeps
         rows = {name: () for name in ARTIFACTS}
         rows["capture.pcap"] = []
         rows["ground_truth.csv"] = [(60, "bus:b1", "v_pu", v) for v in values]
