@@ -176,7 +176,7 @@ class _SessionEnd:
 
     def put(self, apdus, at_s: int | None = None):
         for apdu in apdus:
-            self.conn.send(iec104.encode(apdu), at_s=at_s, from_server=self.server)
+            self.conn.send(iec104.encode(apdu), at_s, self.server)
 
     def receive(self, payload: bytes):
         """Yield each APDU that `payload` completes, once the session's
@@ -189,7 +189,7 @@ class _SessionEnd:
                 raise
             self.conn.close(from_server=True)
             return
-        self.rx = rx[used:]
+        self.rx = rx[used:] if used < len(rx) else b""
         for apdu in apdus:
             try:
                 replies = self.state.received(apdu)
@@ -198,7 +198,8 @@ class _SessionEnd:
                     raise
                 self.conn.close(from_server=True)
                 return
-            self.put(replies)
+            if replies:
+                self.put(replies)
             yield apdu
 
 
@@ -215,16 +216,24 @@ class Rtu:
         self.buffer: deque = deque(maxlen=REPORT_BUFFER_LIMIT)
         self.truth_rows: list[tuple[int, str, str, float]] = []
         self._pending_outputs: dict[tuple[str, str], float] = {}
+        # ((entity, field), IOA, scale) per monitor point, in map order
+        self._monitor = [((dp.entity, dp.fieldname), dp.ioa, dp.scale)
+                         for dp in config.datapoints.monitor]
         network.register_handler(config.host, IEC104_PORT, self)
         network.register_command(config.host, "rtu-override", self._override_hook)
 
     # -- kernel simulator --------------------------------------------------
 
     def step(self, t: int, inputs: dict) -> dict:
-        for dp in self.config.datapoints.monitor:
-            raw = inputs.get((dp.entity, dp.fieldname))
+        ioas, values = [], []
+        for key, ioa, scale in self._monitor:
+            raw = inputs.get(key)
             if raw is not None:
-                self.current[dp.ioa] = to_f32(raw * dp.scale)
+                ioas.append(ioa)
+                values.append(raw * scale)
+        # one float32 round trip for all of them, as to_f32 does for one
+        f32 = f"<{len(values)}f"
+        self.current.update(zip(ioas, struct.unpack(f32, struct.pack(f32, *values))))
         if t % self.config.report_period == 0:
             self.report(t)
         outputs = self._pending_outputs
@@ -240,14 +249,13 @@ class Rtu:
         log_truth = self.truth_rows.append
         common_address = self.config.common_address
         Asdu, InfoObject, M_ME_NC_1 = iec104.Asdu, iec104.InfoObject, iec104.M_ME_NC_1
-        for dp in self.config.datapoints.monitor:
-            ioa = dp.ioa
+        for (entity, fieldname), ioa, _ in self._monitor:
             truth = current.get(ioa)
             if truth is None:
                 continue
             rule = overrides.get(ioa)
             wire = truth if rule is None else rule.apply(ioa, truth)
-            log_truth((t, dp.entity, dp.fieldname, truth))
+            log_truth((t, entity, fieldname, truth))
             last_sent[ioa] = wire
             yield Asdu(M_ME_NC_1, cot, common_address, (InfoObject(ioa, wire, 0),))
 
@@ -255,7 +263,7 @@ class Rtu:
         """Spontaneous transmission of every monitor point (buffered when down)."""
         for asdu in self._points(t, iec104.COT_SPONTANEOUS):
             if self.session is not None and self.session.state.started:
-                self.session.send(asdu, at_s=t)
+                self.session.send(asdu, t)
             else:
                 self.buffer.append(asdu)
 

@@ -279,15 +279,18 @@ def decode(buf: bytes, offset: int = 0) -> tuple[Apdu, int]:
             raise TruncatedAsdu(f"expected {body} object octets, got {length - 10}")
         values = _I_FRAMES[type_id, vsq].unpack_from(buf, offset)
         if type_id in _FLOAT_TYPES:
-            objects = [InfoObject(values[i] | values[i + 1] << 16, values[i + 2], values[i + 3])
-                       for i in range(9, len(values), 4)]
+            if vsq == 1:  # a report's one object: no list to build
+                objects = (InfoObject(values[9] | values[10] << 16, values[11], values[12]),)
+            else:
+                objects = tuple([InfoObject(values[i] | values[i + 1] << 16, values[i + 2],
+                                            values[i + 3]) for i in range(9, len(values), 4)])
         elif type_id == M_SP_NA_1:
-            objects = [InfoObject(values[i] | values[i + 1] << 16, values[i + 2] & 0x01,
-                                  values[i + 2] & 0xF0) for i in range(9, len(values), 3)]
+            objects = tuple([InfoObject(values[i] | values[i + 1] << 16, values[i + 2] & 0x01,
+                                        values[i + 2] & 0xF0) for i in range(9, len(values), 3)])
         else:
-            objects = [InfoObject(values[i] | values[i + 1] << 16, values[i + 2])
-                       for i in range(9, len(values), 3)]
-        asdu = Asdu(type_id, values[6], values[8], tuple(objects), values[7])
+            objects = tuple([InfoObject(values[i] | values[i + 1] << 16, values[i + 2])
+                             for i in range(9, len(values), 3)])
+        asdu = Asdu(type_id, values[6], values[8], objects, values[7])
         return Apdu("I", values[2] >> 1, values[3] >> 1, 0, asdu), total
     _, _, control_1, control_2 = _APCI.unpack_from(buf, offset)
     if length != 4:
@@ -334,17 +337,16 @@ class ConnectionState:
     start_pending: bool = False
     pending: deque = field(default_factory=deque)  # ASDUs waiting for start/window
 
-    def _emit_i(self, asdu: Asdu) -> Apdu:
-        apdu = i_frame(self.vs, self.vr, asdu)
-        self.vs = (self.vs + 1) % SEQ_MODULO
-        self.unacked_sent += 1
-        self.unacked_recv = 0  # N(R) piggybacks the ack
-        return apdu
-
     def _flush(self) -> list[Apdu]:
+        """I-frames for the pending ASDUs that the k window admits."""
         out = []
-        while self.pending and self.unacked_sent < K_UNACKED_LIMIT:
-            out.append(self._emit_i(self.pending.popleft()))
+        pending = self.pending
+        while pending and self.unacked_sent < K_UNACKED_LIMIT:
+            out.append(i_frame(self.vs, self.vr, pending.popleft()))
+            self.vs = (self.vs + 1) % SEQ_MODULO
+            self.unacked_sent += 1
+        if out:
+            self.unacked_recv = 0  # N(R) piggybacks the ack
         return out
 
     def send(self, asdu: Asdu) -> list[Apdu]:
@@ -396,7 +398,7 @@ class ConnectionState:
         self.vr = (self.vr + 1) % SEQ_MODULO
         self._apply_ack(apdu.recv_seq)
         self.unacked_recv += 1
-        out = self._flush()  # an emitted I-frame piggybacks the ack
+        out = self._flush() if self.pending else []  # an emitted I-frame piggybacks the ack
         if self.unacked_recv >= W_ACK_THRESHOLD:
             self.unacked_recv = 0
             out.append(s_frame(self.vr))
