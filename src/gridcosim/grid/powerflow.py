@@ -342,18 +342,15 @@ def run_power_flow(
         if bus_id not in model.bus_index:
             raise UnknownElement(f"injection references unknown bus '{bus_id}'")
     plan = _plan(model, line_status or {})
-    index, ybus = plan.index, plan.ybus
-    slack_id = model.slack_bus.id
-    n = len(index)
+    ybus = plan.ybus
+    n = len(plan.index)
 
     base_kw = model.base_mva * 1000.0
     npq = n - 1
-    spec = np.zeros(2 * npq)  # [P; Q] specified at the PQ buses, per unit
-    for bus_id, (p_kw, q_kvar) in injections.items():
-        if bus_id in index and bus_id != slack_id:
-            k = index[bus_id] - 1
-            spec[k] = p_kw / base_kw
-            spec[npq + k] = q_kvar / base_kw
+    applied = {bus_id: injections.get(bus_id, (0.0, 0.0)) for bus_id in plan.order[1:]}
+    pq = list(applied.values())
+    # [P; Q] specified at the PQ buses, in solve order, per unit
+    spec = np.array([p for p, _ in pq] + [q for _, q in pq], dtype=float) / base_kw
 
     vm = np.ones(n)
     vm[0] = model.slack_bus.vm_setpoint_pu
@@ -402,7 +399,6 @@ def run_power_flow(
                           axis=1)
 
     s_slack = v[0] * np.conj(ybus[0] @ v)
-    applied = {bus_id: injections.get(bus_id, (0.0, 0.0)) for bus_id in plan.order[1:]}
     return PowerFlowSolution(
         converged=converged,
         iterations=iterations,
