@@ -115,11 +115,12 @@ FLOAT_TEXTS_LIMIT = 4096  # distinct values whose text one flush keeps
 
 class _FloatTexts(dict):
     """value -> repr(float(value)), the text of a float column: exact, and
-    plain for a numpy scalar too. A run's values repeat, and repr costs about
-    a microsecond, so each text is made once and kept, up to
-    FLOAT_TEXTS_LIMIT of them, until _write_artifacts clears the table. Zero
-    is never kept: -0.0 == 0.0, so one key would serve both signs. NaN is
-    kept by identity, as a NaN equals no other value."""
+    plain for a numpy scalar too. A run's CSV values repeat, and repr costs
+    far more than a dict lookup, so each text is made once and kept, up to
+    FLOAT_TEXTS_LIMIT of them, until _write_artifacts clears the table; the
+    text of a value does not depend on the run, so a kept one is never
+    stale. Zero is never kept: -0.0 == 0.0, so one key would serve both
+    signs. A NaN is kept under its own object, which no other NaN equals."""
 
     def __missing__(self, value) -> str:
         text = repr(float(value))
