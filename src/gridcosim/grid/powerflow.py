@@ -348,9 +348,9 @@ def run_power_flow(
     base_kw = model.base_mva * 1000.0
     npq = n - 1
     applied = {bus_id: injections.get(bus_id, (0.0, 0.0)) for bus_id in plan.order[1:]}
-    pq = list(applied.values())
     # [P; Q] specified at the PQ buses, in solve order, per unit
-    spec = np.array([p for p, _ in pq] + [q for _, q in pq], dtype=float) / base_kw
+    spec = np.array([p for p, _ in applied.values()] + [q for _, q in applied.values()],
+                    dtype=float) / base_kw
 
     vm = np.ones(n)
     vm[0] = model.slack_bus.vm_setpoint_pu
