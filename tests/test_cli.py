@@ -70,6 +70,11 @@ MALFORMED = {
         "attack_demo", "103 monitor bus:lv1:v_pu scale=1.0 unit=pu",
         "103 monitor bus:lv1:v_pu scale=1.0 unit=pu\ndatapoint = 301 control sgen:pv1:p_kw",
         "201 control sgen:pv1:p_kw"),
+    "second_rtu_section": (  # the extra space only makes the anchor line unique
+        "attack_demo", "[rtu rtu2]", "[rtu  rtu1]", "[rtu  rtu1]"),
+    "second_ved_section": (
+        "flex_demo", "[ems home1]", "[ved  home1]\nhost = home1\nbus = fb2\n\n[ems home1]",
+        "[ved  home1]"),
     "report_period_zero": (
         "flex_demo", "report_period_s = 900", "report_period_s = 0", "report_period_s = 0"),
     "poll_period_not_multiple": (
@@ -108,6 +113,16 @@ MALFORMED = {
 }
 
 
+# what the message of a MALFORMED case says, where a run would otherwise
+# break a rule that only load_scenario checks
+MESSAGES = {
+    "field_controlled_by_two_rtus":
+        "sgen:pv1:p_kw is already controlled by rtu 'rtu1'",
+    "second_rtu_section": "second [rtu rtu1] section",
+    "second_ved_section": "second [ved home1] section",
+}
+
+
 def _edit_bundle(tmp_path, demo, filename, old, new):
     bundle = tmp_path / demo
     shutil.copytree(os.path.join(SCENARIOS_DIR, demo), bundle)
@@ -133,6 +148,7 @@ def test_validate_rejects_malformed_scenario_with_file_and_line(case, tmp_path, 
     assert cli.main(["validate", str(scenario_file)]) == 1
     err = capsys.readouterr().err
     assert f"{scenario_file}:{lineno}: " in err
+    assert MESSAGES.get(case, "") in err
     assert "Traceback" not in err
 
 

@@ -9,6 +9,10 @@ of every element kind, on a grid with a tapped trafo, an open line and a
 closed line cut off behind it. A change that moves any byte
 of a PCAP or CSV fails here; regenerate the file only together with a
 CHANGES.md line that explains the change.
+
+`run_report.txt` is not hashed, since its `wall_seconds` line differs on
+every run. Each `tests/data/golden/<name>.run_report.txt` pins every other
+line of it: the simulator ids, their order, their step counts and the KPIs.
 """
 
 import hashlib
@@ -50,3 +54,15 @@ def test_demo_artifacts_match_golden_manifest(tmp_path, name):
     actual = {artifact: _sha256(os.path.join(outputs.outdir, artifact))
               for artifact in HASHED_OUTPUTS}
     assert actual == golden
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_run_report_matches_pin_but_wall_seconds(tmp_path, name):
+    with open(os.path.join(GOLDEN_DIR, f"{name}.run_report.txt"), encoding="utf-8") as fh:
+        pinned = fh.read().splitlines()
+    outputs = run_scenario(load_scenario(PINNED[name]), outdir=str(tmp_path))
+    with open(os.path.join(outputs.outdir, "run_report.txt"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    timed = [line for line in lines if line.startswith("wall_seconds: ")]
+    assert len(timed) == 1
+    assert [line for line in lines if line not in timed] == pinned

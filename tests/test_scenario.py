@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import HASHED_OUTPUTS
-from gridcosim import cli, scenario as scenario_mod
+from gridcosim import cli, devices, scenario as scenario_mod
 from gridcosim.configfile import ConfigError
 from gridcosim.devices import ArchiveRow, CommandLogRow
 from gridcosim.ems import EmsDecision
@@ -498,6 +498,92 @@ class TestFaultHandling:
                 "7dbfebfcde67c777ecfc571d67d92e959575453cde3d3e119b450460156785ae",
             "run_report.txt": "-",
         }
+
+
+SWITCHED_GRID = """
+[grid]
+base_mva = 1.0
+[bus]
+b0  nominal_kv=20.0 type=slack
+b1  nominal_kv=20.0 type=pq
+b2  nominal_kv=20.0 type=pq
+[line]
+swline  from=b0 to=b1 r_ohm=0.5 x_ohm=0.8 max_i_ka=0.4
+tail    from=b1 to=b2 r_ohm=0.5 x_ohm=0.8 max_i_ka=0.4
+[load]
+ld  bus=b2 p_kw=100.0 q_kvar=30.0
+"""
+
+SWITCHED_SCENARIO = """
+[scenario]
+name = switched
+horizon_s = 360
+step_s = 60
+grid_file = grid.txt
+topology_file = topology.txt
+
+[mtu]
+host = mtu
+
+[rtu r1]
+host = field1
+common_address = 1
+report_period_s = 60
+datapoint = 101 monitor bus:b2:v_pu
+datapoint = 201 control line:swline:status
+"""
+
+
+def test_switch_command_reaches_the_grid_one_step_after_the_rtu_emits_it(
+        tmp_path, monkeypatch):
+    # The MTU opens swline at its t=120 step, which runs after the RTU's:
+    # the RTU actuates at once and emits the switch state at its next step,
+    # and the grid, which steps before the RTUs, solves with it one step
+    # later, so b2 goes dark in the ground truth then and not before
+    (tmp_path / "grid.txt").write_text(SWITCHED_GRID)
+    (tmp_path / "topology.txt").write_text(BROKEN_TOPOLOGY)
+    (tmp_path / "scenario.txt").write_text(SWITCHED_SCENARIO)
+    scenario = load_scenario(tmp_path / "scenario.txt")
+    control_map = scenario.rtus[0].datapoints
+    switch = ("line:swline", "status")
+
+    mtu_step = devices.Mtu.step
+
+    def commanding_step(self, t, inputs):
+        outputs = mtu_step(self, t, inputs)
+        if t == 120:
+            assert self.command("r1", 201, 0.0, t, control_map=control_map)
+        return outputs
+
+    rtu_step, emitted = devices.Rtu.step, {}
+
+    def recording_rtu_step(self, t, inputs):
+        outputs = rtu_step(self, t, inputs)
+        if outputs:
+            emitted[t] = dict(outputs)
+        return outputs
+
+    grid_step, read = GridSimulator.step, {}
+
+    def recording_grid_step(self, t, inputs):
+        read[t] = inputs.get(switch)
+        return grid_step(self, t, inputs)
+
+    monkeypatch.setattr(devices.Mtu, "step", commanding_step)
+    monkeypatch.setattr(devices.Rtu, "step", recording_rtu_step)
+    monkeypatch.setattr(GridSimulator, "step", recording_grid_step)
+    outdir = tmp_path / "out"
+    run_scenario(scenario, outdir=str(outdir))
+
+    assert emitted == {180: {switch: 0.0}}
+    # nothing is read at t=0 or before the RTU emits; then the last value stays
+    assert read == {0: None, 60: None, 120: None, 180: None, 240: 0.0, 300: 0.0}
+    voltage = {int(r["t"]): float(r["value"]) for r in read_csv(outdir / "ground_truth.csv")}
+    assert sorted(voltage) == [0, 60, 120, 180, 240, 300]
+    assert all(voltage[t] > 0.9 for t in (0, 60, 120, 180))
+    assert voltage[240] == voltage[300] == 0.0
+    assert [(r["t"], r["confirmed"]) for r in read_csv(outdir / "commands.csv")] == [
+        ("120", "True")]
 
 
 def test_truth_rows_of_one_field_keep_rtu_order(attack_demo_path, tmp_path):
