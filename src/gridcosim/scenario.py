@@ -1,7 +1,7 @@
 """Scenario loading and end-to-end runs: one declarative file wires the grid,
 the emulated network, field devices, the attacker and EMS units into the
-kernel, and every run flushes a reproducible artifact set (PCAP, CSVs,
-transcript, report, manifest).
+kernel in step order, and every run flushes a reproducible artifact set
+(PCAP, CSVs, transcript, report, manifest).
 
 Scenario file schema (see configfile for the line and `k=v` option grammar:
 options in [brackets] follow the leading values, any other token is an
@@ -446,8 +446,9 @@ def load_scenario(path) -> Scenario:
 
 
 class GridSimulator:
-    """Kernel adapter around the power-flow core; applies profiles, command
-    overrides and VED exchanges, then publishes the monitored measurements.
+    """Kernel simulator around the power-flow core. `step` takes one dict of
+    the VED exchanges and the RTU controls; it applies profiles, command
+    overrides and exchanges, then returns the monitored measurements.
     A step whose inputs equal, bit for bit, those of the last step solved
     returns that step's outputs: every solve starts flat, so a second solve
     would repeat it exactly."""
@@ -508,8 +509,9 @@ class GridSimulator:
 
 
 class EmsSimulator:
-    """Kernel adapter for one VED: profile-driven load/pv, battery dispatch,
-    and a parallel battery-disabled baseline trace."""
+    """Kernel simulator for one VED: profile-driven load/pv, battery
+    dispatch, and a parallel battery-disabled baseline trace. It reads no
+    inputs and returns the VED's grid exchange."""
 
     def __init__(self, config: VedConfig, ems_config: EmsConfig | None,
                  profiles: ProfileSet | None, step_s: int):
@@ -616,6 +618,8 @@ def run_scenario(
     )
     ved_buses = {v.name: v.bus for v in scenario.veds}
 
+    # registration order is step order: the grid reads the EMS exchanges of
+    # this step and the RTU controls of the step before, each RTU the grid
     kernel = Kernel(scenario.step_s)
 
     ems_sims: dict[str, EmsSimulator] = {}
@@ -625,56 +629,26 @@ def run_scenario(
             scenario.step_s,
         )
         ems_sims[ved_config.name] = sim
-        kernel.register_simulator(
-            SimulatorDescriptor(
-                id=f"ems_{ved_config.name}",
-                provides=((f"ved:{ved_config.name}", "grid_kw"),),
-            ),
-            sim.step,
-        )
+        kernel.register_simulator(SimulatorDescriptor(id=f"ems_{ved_config.name}"), sim.step)
 
     grid_sim = GridSimulator(grid_model, profiles, monitored, controllable, ved_buses)
-    grid_consumes = [(f"ved:{name}", "grid_kw") for name in ved_buses]
-    grid_consumes += [(f"{k}:{e}", f) for k, e, f in controllable]
-    kernel.register_simulator(
-        SimulatorDescriptor(
-            id="grid",
-            provides=tuple((f"{k}:{e}", f) for k, e, f in monitored),
-            consumes=tuple(grid_consumes),
-        ),
-        grid_sim.step,
-    )
-    for name in ved_buses:
-        kernel.connect(
-            (f"ems_{name}", f"ved:{name}", "grid_kw"),
-            ("grid", f"ved:{name}", "grid_kw"),
-        )
+    grid_sources = [f"ems_{name}" for name in ved_buses]
+    grid_sources += [f"rtu_{config.name}" for config in scenario.rtus]
+
+    def grid_step(t: int, values: dict) -> dict:
+        return grid_sim.step(t, {attr: value for sim_id in grid_sources
+                                 for attr, value in values[sim_id].items()})
+
+    kernel.register_simulator(SimulatorDescriptor(id="grid"), grid_step)
 
     rtu_sims: dict[str, devices.Rtu] = {}
     for config in scenario.rtus:
         rtu = devices.Rtu(config, network)
         rtu_sims[config.name] = rtu
-        consumes = tuple((dp.entity, dp.fieldname) for dp in config.datapoints.monitor)
-        provides = tuple((dp.entity, dp.fieldname) for dp in config.datapoints.control)
         kernel.register_simulator(
-            SimulatorDescriptor(
-                id=f"rtu_{config.name}",
-                provides=provides,
-                consumes=consumes,
-            ),
-            rtu.step,
+            SimulatorDescriptor(id=f"rtu_{config.name}"),
+            lambda t, values, rtu=rtu: rtu.step(t, values["grid"]),
         )
-        for dp in config.datapoints.monitor:
-            kernel.connect(
-                ("grid", dp.entity, dp.fieldname),
-                (f"rtu_{config.name}", dp.entity, dp.fieldname),
-            )
-        for dp in config.datapoints.control:
-            kernel.connect(
-                (f"rtu_{config.name}", dp.entity, dp.fieldname),
-                ("grid", dp.entity, dp.fieldname),
-                time_shifted=True,
-            )
 
     mtu = None
     if scenario.mtu is not None:
@@ -684,18 +658,12 @@ def run_scenario(
         )
         for config in scenario.rtus:
             mtu.attach_rtu(config.name, network.hosts[config.host].primary_ip())
-        kernel.register_simulator(
-            SimulatorDescriptor(id="mtu"),
-            mtu.step,
-        )
+        kernel.register_simulator(SimulatorDescriptor(id="mtu"), mtu.step)
 
     attack_agent = None
     if scenario.attack_plan is not None:
         attack_agent = attacker_mod.Attacker(network, scenario.attack_plan)
-        kernel.register_simulator(
-            SimulatorDescriptor(id="attacker"),
-            attack_agent.step,
-        )
+        kernel.register_simulator(SimulatorDescriptor(id="attacker"), attack_agent.step)
 
     fault: SimulatorFault | None = None
     try:

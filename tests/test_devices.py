@@ -275,29 +275,14 @@ class TestSwitchIslanding:
             ved_buses={},
         )
         kernel = Kernel(60)
+        # registered after the grid, the RTU reads the grid's outputs of the
+        # same step, and the grid the RTU's of the step before: none until
+        # the RTU first actuates the switch, which leaves it as it is
         kernel.register_simulator(
-            SimulatorDescriptor(
-                id="grid",
-                provides=(("bus:g2", "v_pu"),),
-                consumes=(("line:swline", "status"),),
-            ),
-            grid_sim.step,
+            SimulatorDescriptor(id="grid"), lambda t, values: grid_sim.step(t, values["rtu"])
         )
         kernel.register_simulator(
-            SimulatorDescriptor(
-                id="rtu",
-                provides=(("line:swline", "status"),),
-                consumes=(("bus:g2", "v_pu"),),
-            ),
-            rtu.step,
-        )
-        kernel.connect(("grid", "bus:g2", "v_pu"), ("rtu", "bus:g2", "v_pu"))
-        # the grid reads None for the switch until the RTU first actuates it,
-        # and a None command leaves the switch as it is
-        kernel.connect(
-            ("rtu", "line:swline", "status"),
-            ("grid", "line:swline", "status"),
-            time_shifted=True,
+            SimulatorDescriptor(id="rtu"), lambda t, values: rtu.step(t, values["grid"])
         )
 
         def mtu_step(t, _inputs):
@@ -309,7 +294,7 @@ class TestSwitchIslanding:
 
         kernel.register_simulator(SimulatorDescriptor(id="mtu"), mtu_step)
         # command at t=60 lands mid-step: the RTU emits the actuation at its
-        # t=120 step and the time-shifted link delivers it to the grid at 180
+        # t=120 step, and the grid, registered before it, reads it at 180
         kernel.run(240)
         # the switch state the grid last solved with islands g1 and g2
         solution = run_power_flow(grid_sim.model, {}, grid_sim.line_status)

@@ -1,30 +1,33 @@
 import pytest
 
 from gridcosim.kernel import (
-    CycleWithoutTimeShift,
-    DuplicateId,
     Kernel,
     KernelError,
+    RunReport,
     SimulatorDescriptor,
     SimulatorFault,
-    UnknownEndpoint,
 )
 
 
-def null_sim(t, inputs):
+def null_sim(t, values):
     return {}
 
 
-def recorder(steps, sid):
-    """A step function that appends (t, sid) to `steps` on every call."""
-    def step(t, _inputs):
-        steps.append((t, sid))
-        return {}
-    return step
+def make(sid="sim"):
+    return SimulatorDescriptor(id=sid)
 
 
-def make(sid="sim", provides=(), consumes=()):
-    return SimulatorDescriptor(id=sid, provides=tuple(provides), consumes=tuple(consumes))
+def seen_by(kernel, sid, sources, step=null_sim):
+    """Register `sid` with `step`, recording per step what it reads of each
+    simulator in `sources`; returns the list of records."""
+    seen = []
+
+    def recording(t, values):
+        seen.append({src: dict(values[src]) for src in sources})
+        return step(t, values)
+
+    kernel.register_simulator(make(sid), recording)
+    return seen
 
 
 class TestRegistration:
@@ -32,163 +35,106 @@ class TestRegistration:
         kernel = Kernel(60)
         assert kernel.register_simulator(make(sid="grid"), null_sim) == "grid"
 
-    def test_duplicate_id_rejected(self):
-        kernel = Kernel(60)
-        kernel.register_simulator(make(sid="grid"), null_sim)
-        with pytest.raises(DuplicateId):
-            kernel.register_simulator(make(sid="grid"), null_sim)
-
-    def test_non_positive_step_rejected(self):
-        # with a step of 0 the clock would never advance
-        with pytest.raises(KernelError):
-            Kernel(0)
-
 
 class TestScheduling:
     def test_single_sim_step_times(self):
         kernel = Kernel(60)
         times = []
         kernel.register_simulator(
-            make(sid="a"), lambda t, _i: times.append(t) or {}
+            make(sid="a"), lambda t, _values: times.append(t) or {}
         )
         report = kernel.run(300)
         assert times == [0, 60, 120, 180, 240]
         assert report.step_counts["a"] == 5
 
-    def test_chain_topological_order(self):
+    def test_every_sim_steps_once_per_step_in_registration_order(self):
         kernel = Kernel(60)
         steps = []
-        for sid in ("c", "b", "a"):  # registered backwards on purpose
+        for sid in ("c", "a", "b"):
             kernel.register_simulator(
-                make(sid=sid, provides=[("e", "v")], consumes=[("e", "v")]),
-                recorder(steps, sid),
+                make(sid), lambda t, _values, sid=sid: steps.append((t, sid)) or {}
             )
-        kernel.connect(("a", "e", "v"), ("b", "e", "v"))
-        kernel.connect(("b", "e", "v"), ("c", "e", "v"))
-        kernel.run(120)
-        per_step = [sid for (_t, sid) in steps]
-        assert per_step == ["a", "b", "c", "a", "b", "c"]
+        report = kernel.run(150)  # a partial last step is still a step
+        assert steps == [(t, sid) for t in (0, 60, 120) for sid in ("c", "a", "b")]
+        assert report.until == 150
+        assert list(report.step_counts.items()) == [("c", 3), ("a", 3), ("b", 3)]
 
-    def test_diamond_ties_broken_by_registration(self):
+    @pytest.mark.parametrize("until", [0, -60])
+    def test_non_positive_until_rejected(self, until):
         kernel = Kernel(60)
-        steps = []
-        for sid in ("a", "b", "c", "d"):
-            kernel.register_simulator(
-                make(sid=sid, provides=[("e", "v")], consumes=[("e", "v")]),
-                recorder(steps, sid),
-            )
-        kernel.connect(("a", "e", "v"), ("b", "e", "v"))
-        # c gets its input from a as well, via a second attribute name
-        with pytest.raises(Exception):
-            kernel.connect(("a", "e", "v"), ("b", "e", "v"))  # dst already wired
-        kernel.connect(("a", "e", "v"), ("c", "e", "v"))
-        kernel.connect(("b", "e", "v"), ("d", "e", "v"))
-        kernel.run(60)
-        assert [sid for (_t, sid) in steps] == ["a", "b", "c", "d"]
+        kernel.register_simulator(make(), null_sim)
+        with pytest.raises(KernelError, match="until must be > 0"):
+            kernel.run(until)
 
     def test_simulator_fault_aborts(self):
         kernel = Kernel(60)
+        after = []
 
-        def boom(t, _i):
+        def boom(t, _values):
             if t == 120:
                 raise ValueError("broken")
             return {}
 
         kernel.register_simulator(make(sid="f"), boom)
+        kernel.register_simulator(make(sid="g"), lambda t, _v: after.append(t) or {})
         with pytest.raises(SimulatorFault) as err:
             kernel.run(300)
         assert err.value.sim_id == "f"
         assert err.value.step_time == 120
+        assert isinstance(err.value.cause, ValueError)
+        assert err.value.__cause__ is err.value.cause
+        assert str(err.value) == "simulator 'f' failed at t=120: ValueError('broken')"
+        assert after == [0, 60]  # the rest of the faulted step does not run
 
 
-class TestLinks:
-    def test_unknown_endpoint(self):
+class TestValues:
+    def test_earlier_sim_read_at_this_step_later_one_a_step_before(self):
+        # a emits its step time; b, registered after it, echoes what it saw
+        # of a: b reads a's value of this step, a reads b's of the step before
         kernel = Kernel(60)
-        kernel.register_simulator(make(sid="a", provides=[("e", "v")]), null_sim)
-        kernel.register_simulator(make(sid="b", consumes=[("e", "v")]), null_sim)
-        with pytest.raises(UnknownEndpoint):
-            kernel.connect(("a", "e", "nope"), ("b", "e", "v"))
-        with pytest.raises(UnknownEndpoint):
-            kernel.connect(("zz", "e", "v"), ("b", "e", "v"))
-
-    def test_cycle_without_time_shift_rejected(self):
-        kernel = Kernel(60)
-        for sid in ("a", "b"):
-            kernel.register_simulator(
-                make(sid=sid, provides=[("e", "v")], consumes=[("e", "v")]), null_sim
-            )
-        kernel.connect(("a", "e", "v"), ("b", "e", "v"))
-        with pytest.raises(CycleWithoutTimeShift):
-            kernel.connect(("b", "e", "v"), ("a", "e", "v"))
-
-    def test_time_shifted_cycle_offsets(self):
-        # a counts its own steps; b echoes what it saw from a.
-        # a -> b unshifted (same step), b -> a shifted (previous step).
-        kernel = Kernel(60)
-        a_inputs, b_inputs = [], []
-
-        def sim_a(t, inputs):
-            a_inputs.append(inputs[("e", "fromb")])
-            return {("e", "v"): t}
-
-        def sim_b(t, inputs):
-            b_inputs.append(inputs[("e", "froma")])
-            return {("e", "v"): inputs[("e", "froma")]}
-
-        kernel.register_simulator(
-            make(sid="a", provides=[("e", "v")], consumes=[("e", "fromb")]), sim_a
-        )
-        kernel.register_simulator(
-            make(sid="b", provides=[("e", "v")], consumes=[("e", "froma")]), sim_b
-        )
-        kernel.connect(("a", "e", "v"), ("b", "e", "froma"))
-        kernel.connect(("b", "e", "v"), ("a", "e", "fromb"), time_shifted=True)
+        a_seen = seen_by(kernel, "a", ["b"], lambda t, _values: {("e", "v"): t})
+        b_seen = seen_by(kernel, "b", ["a"], lambda t, values: dict(values["a"]))
         kernel.run(180)
-        # b sees a's value of the same step
-        assert b_inputs == [0, 60, 120]
-        # a sees b's value of the previous step; nothing yet at t=0
-        assert a_inputs == [None, 0, 60]
+        assert b_seen == [{"a": {("e", "v"): t}} for t in (0, 60, 120)]
+        assert a_seen == [{"b": {}}, {"b": {("e", "v"): 0}}, {"b": {("e", "v"): 60}}]
 
-    def test_time_shifted_input_keeps_last_earlier_value(self):
-        # p emits only at t=0; over a time-shifted link c reads nothing at
-        # t=0, then the value p last emitted at an earlier step
+    def test_own_outputs_read_a_step_late(self):
         kernel = Kernel(60)
-        seen = []
-        kernel.register_simulator(
-            make(sid="p", provides=[("e", "v")]),
-            lambda t, _i: {("e", "v"): t} if t == 0 else {},
-        )
-        kernel.register_simulator(
-            make(sid="c", consumes=[("e", "v")]),
-            lambda t, inputs: seen.append(inputs[("e", "v")]) or {},
-        )
-        kernel.connect(("p", "e", "v"), ("c", "e", "v"), time_shifted=True)
+        seen = seen_by(kernel, "s", ["s"], lambda t, _values: {("e", "v"): t})
         kernel.run(180)
-        assert seen == [None, 0, 0]
+        assert seen == [{"s": {}}, {"s": {("e", "v"): 0}}, {"s": {("e", "v"): 60}}]
 
-    def test_wired_input_never_emitted_reads_default(self):
-        # an input with no value yet reads None, the one default
+    def test_last_emitted_value_kept_per_attribute(self):
+        # p emits x at t=0 only and y at every step: x keeps its value, y
+        # moves on, and each of p's emissions updates only what it names
         kernel = Kernel(60)
-        seen = []
-        kernel.register_simulator(make(sid="p", provides=[("e", "v")]), null_sim)
         kernel.register_simulator(
-            make(sid="c", consumes=[("e", "v")]),
-            lambda t, inputs: seen.append(inputs[("e", "v")]) or {},
+            make("p"),
+            lambda t, _values: {("e", "y"): t} if t else {("e", "x"): -1, ("e", "y"): t},
         )
-        kernel.connect(("p", "e", "v"), ("c", "e", "v"))
+        seen = seen_by(kernel, "c", ["p"])
         kernel.run(180)
-        assert seen == [None, None, None]
+        assert seen == [
+            {"p": {("e", "x"): -1, ("e", "y"): t}} for t in (0, 60, 120)
+        ]
 
-    def test_second_link_into_one_input_rejected(self):
+    def test_no_entry_before_first_emission(self):
+        # an attribute has no entry until its simulator first emits it, and a
+        # simulator that never emits reads as empty
         kernel = Kernel(60)
-        for sid in ("a", "b", "c"):
-            kernel.register_simulator(
-                make(sid=sid, provides=[("e", "v")], consumes=[("e", "v")]), null_sim
-            )
-        kernel.connect(("a", "e", "v"), ("c", "e", "v"))
-        for src, shifted in ((("a", "e", "v"), False), (("b", "e", "v"), True)):
-            with pytest.raises(KernelError, match="already wired"):
-                kernel.connect(src, ("c", "e", "v"), time_shifted=shifted)
+        kernel.register_simulator(
+            make("p"), lambda t, _values: {("e", "v"): t} if t >= 120 else None
+        )
+        kernel.register_simulator(make("quiet"), null_sim)
+        seen = seen_by(kernel, "c", ["p", "quiet"])
+        kernel.run(240)
+        assert seen == [
+            {"p": {}, "quiet": {}},
+            {"p": {}, "quiet": {}},
+            {"p": {("e", "v"): 120}, "quiet": {}},
+            {"p": {("e", "v"): 180}, "quiet": {}},
+        ]
+
 
 def test_report_text_format():
     kernel = Kernel(60)
@@ -198,3 +144,7 @@ def test_report_text_format():
     assert "until_s: 120" in text
     assert "steps.only: 2" in text
     assert "wall_seconds:" in text
+    report = RunReport(until=180, step_counts={"grid": 3, "mtu": 3}, wall_seconds=0.0123)
+    assert report.to_text() == (
+        "until_s: 180\nsimulators: 2\nsteps.grid: 3\nsteps.mtu: 3\nwall_seconds: 0.012\n"
+    )
