@@ -658,12 +658,18 @@ def run_scenario(
         )
         for config in scenario.rtus:
             mtu.attach_rtu(config.name, network.hosts[config.host].primary_ip())
-        kernel.register_simulator(SimulatorDescriptor(id="mtu"), mtu.step)
+        kernel.register_simulator(
+            SimulatorDescriptor(id="mtu"),
+            mtu.step,
+        )
 
     attack_agent = None
     if scenario.attack_plan is not None:
         attack_agent = attacker_mod.Attacker(network, scenario.attack_plan)
-        kernel.register_simulator(SimulatorDescriptor(id="attacker"), attack_agent.step)
+        kernel.register_simulator(
+            SimulatorDescriptor(id="attacker"),
+            attack_agent.step,
+        )
 
     fault: SimulatorFault | None = None
     try:
