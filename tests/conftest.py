@@ -13,6 +13,7 @@ SCENARIOS_DIR = os.path.join(REPO, "scenarios")
 ATTACK_DEMO = os.path.join(SCENARIOS_DIR, "attack_demo", "scenario.txt")
 FLEX_DEMO = os.path.join(SCENARIOS_DIR, "flex_demo", "scenario.txt")
 SCADA_BURST = os.path.join(DATA_DIR, "scada_burst", "scenario.txt")
+TREE_FEEDER = os.path.join(DATA_DIR, "tree_feeder", "scenario.txt")
 FEEDER7 = os.path.join(DATA_DIR, "feeder7.grid")
 FEEDER7_PROFILES = os.path.join(DATA_DIR, "feeder7_profiles.csv")
 

@@ -6,9 +6,10 @@ few APDUs; `tests/data/scada_burst` pins the heavy IEC 104 path (report
 buffer overflow, STARTDT buffer flush, k/w windowing with S-frames, and a
 general interrogation). `tests/data/grid_fields` reads every monitored field
 of every element kind, on a grid with a tapped trafo, an open line and a
-closed line cut off behind it. A change that moves any byte
-of a PCAP or CSV fails here; regenerate the file only together with a
-CHANGES.md line that explains the change.
+closed line cut off behind it. `tests/data/tree_feeder` runs a 127-bus tree
+feeder whose power flow eliminates leaf layers before the dense solve. A
+change that moves any byte of a PCAP or CSV fails here; regenerate the file
+only together with a CHANGES.md line that explains the change.
 
 `run_report.txt` is not hashed, since its `wall_seconds` line differs on
 every run. Each `tests/data/golden/<name>.run_report.txt` pins every other
@@ -31,6 +32,7 @@ PINNED = {
     "flex_demo": os.path.join(SCENARIOS_DIR, "flex_demo", "scenario.txt"),
     "scada_burst": os.path.join(HERE, "data", "scada_burst", "scenario.txt"),
     "grid_fields": os.path.join(HERE, "data", "grid_fields", "scenario.txt"),
+    "tree_feeder": os.path.join(HERE, "data", "tree_feeder", "scenario.txt"),
 }
 
 

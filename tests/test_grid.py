@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import ATTACK_DEMO, FEEDER7, FLEX_DEMO, SCADA_BURST
+from conftest import ATTACK_DEMO, FEEDER7, FLEX_DEMO, SCADA_BURST, TREE_FEEDER
 from gridcosim.configfile import ConfigError
 from gridcosim.grid import (
     MONITOR_FIELDS,
@@ -555,6 +555,11 @@ class TestPeeledSolve:
         plan = _plan(parse_grid(meshed_tree_feeder(255, seed=3)), {})
         core = {plan.order[k + 1] for k in plan.core_rhs[: len(plan.core_rhs) // 2]}
         assert {"b7", "b15", "b16", "b31", "b34", "b64", "b69", "b130", "b140"} <= core
+
+    def test_pinned_tree_feeder_gets_leaf_layers(self):
+        """The one golden-pinned bundle whose solves take the layer path."""
+        plan, _vm, _va = solved_state(parse_grid(_bundle_grid_text(TREE_FEEDER)), {})
+        assert [len(layer.leaf_rhs) for layer in plan.layers] == [64, 32]
 
     @pytest.mark.parametrize("grid_text", [
         _grid_text(FEEDER7),
