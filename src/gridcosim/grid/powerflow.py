@@ -8,8 +8,9 @@ switches are reported as islanded (de-energized) rather than solved.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -31,18 +32,36 @@ class UnconvergedSolution(PowerFlowError):
     pass
 
 
+class _BusView(Mapping):
+    """A read-only per-bus view: bus id -> `values[position[bus id]]`."""
+
+    __slots__ = ("_position", "_values")
+
+    def __init__(self, position: Mapping[str, int], values: list):
+        self._position, self._values = position, values
+
+    def __getitem__(self, bus_id):
+        return self._values[self._position[bus_id]]
+
+    def __iter__(self):
+        return iter(self._position)
+
+    def __len__(self):
+        return len(self._position)
+
+
 @dataclass
 class PowerFlowSolution:
     converged: bool
     iterations: int
     max_mismatch_pu: float
-    vm_pu: dict[str, float]
-    va_rad: dict[str, float]
+    vm_pu: Mapping[str, float]                        # every bus; 0.0 if islanded
+    va_rad: Mapping[str, float]
     # per branch row: p_from_kw, q_from_kvar, i_ka, loading_percent; the
     # last row, all zeros, is every dead (open or cut off) branch's
     branch_flows: np.ndarray
     branch_rows: Mapping[tuple[str, str], int]       # (kind, id) -> row
-    injections_kw: dict[str, tuple[float, float]]    # applied per-bus (p_kw, q_kvar)
+    injections_kw: Mapping[str, tuple[float, float]]  # applied per energized PQ bus (p_kw, q_kvar)
     slack_p_kw: float
     slack_q_kvar: float
     islanded_buses: list[str] = field(default_factory=list)
@@ -61,14 +80,15 @@ MIN_LAYER_BUSES = 32
 
 @dataclass(frozen=True)
 class _Layer:
-    """Leaf buses that `_solve` eliminates together. A leaf is a PQ bus with
-    one neighbour left, its parent; no two leaves of a layer are neighbours.
-    `*_block` are the flat Jacobian positions of 2x2 blocks, row by row
-    [θθ, θ|V|, |V|θ, |V||V|], except `leaf_block`, which lists them in the
-    adjugate's order [|V||V|, θ|V|, |V|θ, θθ]. `*_rhs` are the positions
-    [[θ], [|V|]] in the Newton step. `linked` picks the leaves whose parent
-    is a PQ bus rather than the slack (a slice if all are); the rows of
-    `down`, `up`, `parent_block` and `parent_rhs` belong to those leaves."""
+    """Leaf buses that `_eliminate` takes out together. A leaf is a PQ bus
+    with one neighbour left, its parent; no two leaves of a layer are
+    neighbours. `*_block` are the positions in the compact Jacobian of 2x2
+    blocks, row by row [θθ, θ|V|, |V|θ, |V||V|], except `leaf_block`, which
+    lists them in the adjugate's order [|V||V|, θ|V|, |V|θ, θθ]. `*_rhs` are
+    the positions [[θ], [|V|]] in the Newton step. `linked` picks the leaves
+    whose parent is a PQ bus rather than the slack (a slice if all are); the
+    rows of `down`, `up`, `parent_block` and `parent_rhs` belong to those
+    leaves."""
 
     leaf_block: np.ndarray    # D_l, (L, 4)
     leaf_rhs: np.ndarray      # (L, 2, 1)
@@ -80,33 +100,53 @@ class _Layer:
 
 
 @dataclass(frozen=True)
+class _Elimination:
+    """One Jacobian with the plan's leaf layers eliminated: per layer D_l⁻¹,
+    D_l⁻¹·B_lp and B_pl, and the core matrix that is left (m×m, in the
+    order of the plan's `core_rhs`)."""
+
+    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    core: np.ndarray
+
+
+@dataclass
 class _Plan:
     """The topology-dependent parts of a solve for one switching state.
 
     Buses are numbered in solve order: the slack, then the energized PQ buses
-    in model order. Ybus's PQ block is kept as COO entries (`rows`, `cols`,
+    in model order. Ybus's PQ block is kept as entries (`rows`, `cols`,
     `vals`, all bus numbers >= 1) holding its nonzeros and its whole
-    diagonal; `jac_index` are the flat positions in the Jacobian of the
-    entries' [dP/dθ, dP/d|V|, dQ/dθ, dQ/d|V|]. `layers` are the leaf layers
-    `_solve` eliminates, leaves first, and `core_block` / `core_rhs` the flat
-    positions in the Jacobian / the Newton step of what is left. The branch
-    arrays hold one entry per conducting branch, in row order;
-    `branch_rows` gives each branch its row, -1 for a dead one.
+    diagonal, row by row; `diag` are the positions of the diagonal ones.
+    The compact Jacobian holds, for these entries in turn, every dP/dθ,
+    then every dP/d|V|, dQ/dθ and dQ/d|V|. `layers` are the leaf layers
+    `_eliminate` takes out, leaves first; what is left, the core, is
+    scattered from the compact positions `core_src` to the flat positions
+    `core_dst` of an m×m matrix, and `core_rhs` are its positions in the
+    Newton step. The branch arrays hold one entry per conducting branch, in
+    row order; `branch_rows` gives each branch its row, -1 for a dead one.
+
+    At the flat start every solve of the plan has the same bus currents,
+    `flat_i_bus`, and so the same Jacobian; its elimination is made at the
+    first solve that needs it and kept in `flat_elimination`.
     """
 
     open_lines: frozenset[str]
+    line_status: dict[str, bool]  # the last `line_status` that gave `open_lines`
     islanded: list[str]
     order: list[str]
-    index: dict[str, int]
+    bus_position: dict[str, int]  # bus id -> solve number, n if islanded
+    pq_position: dict[str, int]   # PQ bus id -> solve number - 1
     ybus: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-    diag: np.ndarray      # positions of the diagonal entries, bus 1 first
-    jac_index: np.ndarray
+    diag: np.ndarray
     layers: tuple[_Layer, ...]
-    core_block: np.ndarray
+    core_src: np.ndarray
+    core_dst: np.ndarray
     core_rhs: np.ndarray
+    flat_vm: np.ndarray
+    flat_i_bus: np.ndarray
     branch_rows: dict[tuple[str, str], int]
     f: np.ndarray         # from (HV) bus number
     t: np.ndarray         # to (LV) bus number
@@ -116,21 +156,25 @@ class _Plan:
     i_base_ka: np.ndarray  # current base at the from bus
     limit: np.ndarray     # max_i_ka of a line (inf if none), rated MVA of a trafo
     is_line: np.ndarray
+    flat_elimination: _Elimination | None = None
 
 
 def _plan(model: GridModel, line_status: Mapping[str, bool]) -> _Plan:
     """The plan for `model` with `line_status` switching lines in or out:
     the model's last plan if the same lines are open, else a new one that
     replaces it."""
+    plan = model.last_plan
+    if plan is not None and line_status == plan.line_status:
+        return plan
     for line_id in line_status:
         if model.element("line", line_id) is None:
             raise UnknownElement(f"line_status references unknown line '{line_id}'")
     open_lines = frozenset(
         line.id for line in model.lines if not line_status.get(line.id, line.in_service)
     )
-    plan = model.last_plan
     if plan is None or plan.open_lines != open_lines:
         plan = model.last_plan = _build_plan(model, open_lines)
+    plan.line_status = dict(line_status)
     return plan
 
 
@@ -139,20 +183,26 @@ def _build_plan(model: GridModel, open_lines: frozenset[str]) -> _Plan:
     energized = connected_buses(model, slack_id, open_lines)
     order = [slack_id] + [b.id for b in model.buses if b.id in energized and b.id != slack_id]
     index = {bus_id: i for i, bus_id in enumerate(order)}
+    islanded = sorted(set(model.bus_index) - energized)
 
-    branch_rows, ends, ys, y_taps, taps, i_base_ka, limits = {}, [], [], [], [], [], []
+    branch_rows = {}
+    f, t, ys, y_taps, taps, kv_from, limits, terms = [], [], [], [], [], [], [], []
 
     def add(kind, elem_id, from_bus, to_bus, z, tap, limit):
         if from_bus not in energized or to_bus not in energized:
             branch_rows[(kind, elem_id)] = -1
             return
-        branch_rows[(kind, elem_id)] = len(ends)
-        ends.append((index[from_bus], index[to_bus]))
-        ys.append(1.0 / z)
-        y_taps.append(ys[-1] / tap)
+        branch_rows[(kind, elem_id)] = len(f)
+        f.append(index[from_bus])
+        t.append(index[to_bus])
+        y = 1.0 / z
+        y_tap = y / tap
+        ys.append(y)
+        y_taps.append(y_tap)
         taps.append(tap)
-        i_base_ka.append(model.base_mva / (math.sqrt(3.0) * model.bus(from_bus).nominal_kv))
+        kv_from.append(model.bus(from_bus).nominal_kv)
         limits.append(limit)
+        terms.extend((y / (tap * tap), y, -y_tap, -y_tap))  # Ybus's ff, tt, ft and tf terms
 
     for line in model.lines:
         if line.id in open_lines:
@@ -163,7 +213,7 @@ def _build_plan(model: GridModel, open_lines: frozenset[str]) -> _Plan:
         add("line", line.id, line.from_bus, line.to_bus,
             complex(line.r_ohm, line.x_ohm) / z_base, 1.0,
             line.max_i_ka if line.max_i_ka > 0 else math.inf)
-    live_lines = len(ends)
+    live_lines = len(f)
     for trafo in model.trafos:
         s_rated_mva = trafo.s_rated_kva / 1000.0
         xk = math.sqrt(trafo.vk_percent**2 - trafo.vkr_percent**2)
@@ -172,57 +222,91 @@ def _build_plan(model: GridModel, open_lines: frozenset[str]) -> _Plan:
 
     # Ybus, summed in branch order: the ff, tt, ft and tf terms of each branch
     n = len(order)
+    f, t = np.array(f, dtype=np.intp), np.array(t, dtype=np.intp)
+    at = np.stack([f, t, f, t], axis=1) * n + np.stack([f, t, t, f], axis=1)
     ybus = np.zeros((n, n), dtype=complex)
-    at = np.array([(i, i, j, j, i, j, j, i) for i, j in ends], dtype=np.intp).reshape(-1, 2)
-    terms = [(y / (tap * tap), y, -y_tap, -y_tap) for y, y_tap, tap in zip(ys, y_taps, taps)]
-    np.add.at(ybus, (at[:, 0], at[:, 1]), np.array(terms, dtype=complex).ravel())
+    np.add.at(ybus.reshape(-1), at.ravel(), np.array(terms, dtype=complex))
+
+    # Ybus's pattern from the branch list, as keys row * n + column sorted
+    # row by row: the neighbour pairs, each once, then the PQ block with its
+    # whole diagonal
+    pairs = np.sort(np.concatenate([f * n + t, t * n + f]))
+    fr, to = np.divmod(pairs, n)
+    kept = (fr != to) & np.concatenate([[True], pairs[1:] != pairs[:-1]])
+    pairs, fr, to = pairs[kept], fr[kept], to[kept]
+    keys = np.sort(np.concatenate([pairs[(fr > 0) & (to > 0)], np.arange(1, n) * (n + 1)]))
+    rows, cols = np.divmod(keys, n)
+
+    def locate(i, j):  # compact positions of the entries at bus numbers i, j
+        return np.searchsorted(keys, i * n + j)
 
     npq = n - 1
-    pattern = ybus != 0
-    np.fill_diagonal(pattern, True)
-    r, c = np.nonzero(pattern[1:, 1:])
-    jac_index = _blocks(npq, r, c).T.ravel()
-    layers, core = _leaf_layers(pattern, npq)
-    core_rhs = np.concatenate([core, npq + core])
-    ends_arr = np.array(ends, dtype=np.intp).reshape(-1, 2)
+    layers, core = _leaf_layers(fr, to, npq, len(keys), locate)
+    flat_vm = np.ones(n)
+    flat_vm[0] = model.slack_bus.vm_setpoint_pu
     return _Plan(
         open_lines=open_lines,
-        islanded=sorted(set(model.bus_index) - energized),
+        line_status={},
+        islanded=islanded,
         order=order,
-        index=index,
+        bus_position={**dict.fromkeys(islanded, n), **index},
+        pq_position={bus_id: i for i, bus_id in enumerate(order[1:])},
         ybus=ybus,
-        rows=r + 1,
-        cols=c + 1,
-        vals=ybus[r + 1, c + 1],
-        diag=np.flatnonzero(r == c),
-        jac_index=jac_index,
+        rows=rows,
+        cols=cols,
+        vals=ybus[rows, cols],
+        diag=np.flatnonzero(rows == cols),
         layers=layers,
-        core_block=(core_rhs[:, None] * 2 * npq + core_rhs).ravel(),
-        core_rhs=core_rhs,
+        **_core_scatter(rows - 1, cols - 1, core, npq),
+        flat_vm=flat_vm,
+        flat_i_bus=ybus @ (flat_vm * np.exp(1j * np.zeros(n))),
         branch_rows=branch_rows,
-        f=ends_arr[:, 0],
-        t=ends_arr[:, 1],
+        f=f,
+        t=t,
         y=np.array(ys, dtype=complex),
         y_tap=np.array(y_taps, dtype=complex),
         tap=np.array(taps, dtype=float),
-        i_base_ka=np.array(i_base_ka, dtype=float),
+        i_base_ka=model.base_mva / (math.sqrt(3.0) * np.array(kv_from, dtype=float)),
         limit=np.array(limits, dtype=float),
-        is_line=np.arange(len(ends)) < live_lines,
+        is_line=np.arange(len(f)) < live_lines,
     )
 
 
-def _blocks(npq: int, i, j) -> np.ndarray:
-    """Flat positions, one row of four per pair, of the 2x2 Jacobian blocks
-    at PQ rows `i` and columns `j` (PQ numbers: bus number - 1)."""
-    side = 2 * npq
-    return np.stack([i * side + j, i * side + npq + j,
-                     (npq + i) * side + j, (npq + i) * side + npq + j], axis=-1)
+_QUARTERS = np.arange(4)
+_HALVES = np.array([[0], [1]])
 
 
-def _leaf_layers(pattern, npq: int) -> tuple[tuple[_Layer, ...], np.ndarray]:
-    """Peel leaf layers off the bus graph of `pattern` (Ybus's nonzeros)
-    while a layer holds at least MIN_LAYER_BUSES buses. Returns the layers
-    and the PQ numbers of the buses left, the core.
+def _blocks(nnz: int, k) -> np.ndarray:
+    """Compact Jacobian positions, one row of four per entry, of the 2x2
+    blocks at Ybus's PQ entries `k` (of `nnz`)."""
+    return k[:, None] + nnz * _QUARTERS
+
+
+def _core_scatter(r, c, core, npq: int) -> dict[str, np.ndarray]:
+    """The core's positions, given its PQ numbers `core`: `core_rhs` in the
+    Newton step, and `core_src` / `core_dst`, where the compact Jacobian's
+    entries at PQ rows `r` and columns `c` (PQ numbers: bus number - 1)
+    that lie in the core go in the flat m×m core matrix. Its rows and
+    columns are the θ of the core buses, then their |V|."""
+    size = len(core)
+    at = np.full(npq, -1)
+    at[core] = np.arange(size)
+    kept = np.flatnonzero((at[r] >= 0) & (at[c] >= 0))
+    row_half, col_half = np.divmod(_QUARTERS, 2)
+    return {
+        "core_rhs": np.concatenate([core, npq + core]),
+        "core_src": (len(r) * _QUARTERS[:, None] + kept).ravel(),
+        "core_dst": ((row_half[:, None] * size + at[r[kept]]) * 2 * size
+                     + col_half[:, None] * size + at[c[kept]]).ravel(),
+    }
+
+
+def _leaf_layers(fr, to, npq: int, nnz: int, locate) -> tuple[tuple[_Layer, ...], np.ndarray]:
+    """Peel leaf layers off the bus graph whose neighbour pairs are `fr`,
+    `to` (bus numbers, sorted by `fr`) while a layer holds at least
+    MIN_LAYER_BUSES buses. `locate(i, j)` gives the positions of Ybus's PQ
+    entries at bus numbers `i`, `j`. Returns the layers and the PQ numbers of
+    the buses left, the core.
 
     Tinney & Walker, Proc. IEEE 55(11), 1967: a bus with one neighbour is
     eliminated without fill, changing only its neighbour's diagonal block.
@@ -230,9 +314,6 @@ def _leaf_layers(pattern, npq: int) -> tuple[tuple[_Layer, ...], np.ndarray]:
     stays connected to the slack, which is never peeled, no two leaves of
     one layer are neighbours.
     """
-    fr, to = np.nonzero(pattern)
-    off = fr != to
-    fr, to = fr[off], to[off]            # neighbour pairs, sorted by `fr`
     degree = np.bincount(fr, minlength=npq + 1)
     alive = np.ones(npq + 1, dtype=bool)
     leaves = np.flatnonzero(degree[1:] == 1) + 1
@@ -244,70 +325,79 @@ def _leaf_layers(pattern, npq: int) -> tuple[tuple[_Layer, ...], np.ndarray]:
         alive[leaves] = False
         np.subtract.at(degree, parents, 1)
         linked = np.flatnonzero(parents != 0)
-        leaf, parent = leaves - 1, parents[linked] - 1
+        leaf, parent = leaves[linked], parents[linked]
         layers.append(_Layer(
-            leaf_block=_blocks(npq, leaf, leaf)[:, [3, 1, 2, 0]],
-            leaf_rhs=_step_rows(npq, leaf),
-            linked=slice(None) if len(linked) == len(leaf) else linked,
-            down=_blocks(npq, leaf[linked], parent),
-            up=_blocks(npq, parent, leaf[linked]),
-            parent_block=_blocks(npq, parent, parent),
-            parent_rhs=_step_rows(npq, parent),
+            leaf_block=_blocks(nnz, locate(leaves, leaves))[:, [3, 1, 2, 0]],
+            leaf_rhs=_step_rows(npq, leaves - 1),
+            linked=slice(None) if len(linked) == len(leaves) else linked,
+            down=_blocks(nnz, locate(leaf, parent)),
+            up=_blocks(nnz, locate(parent, leaf)),
+            parent_block=_blocks(nnz, locate(parent, parent)),
+            parent_rhs=_step_rows(npq, parent - 1),
         ))
         is_parent = np.zeros(npq + 1, dtype=bool)
-        is_parent[parents[linked]] = True
+        is_parent[parent] = True
         leaves = np.flatnonzero(is_parent & (degree == 1))
     return tuple(layers), np.flatnonzero(alive[1:])
 
 
 def _step_rows(npq: int, i) -> np.ndarray:
     """Positions [[θ], [|V|]] in the Newton step of PQ numbers `i`."""
-    return np.stack([i, npq + i], axis=-1)[:, :, None]
+    return i[:, None, None] + npq * _HALVES
 
 
 _ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _solve(plan: _Plan, jac, rhs) -> np.ndarray:
-    """The Newton step `jac`⁻¹·`rhs`, eliminating the plan's leaf layers
-    first: for each leaf l with parent p, a Schur complement takes
-    B_pl·D_l⁻¹·B_lp from D_p and B_pl·D_l⁻¹·r_l from r_p. The core is solved
-    densely and the layers back-substituted, last layer first. Overwrites
-    the parents' diagonal blocks of `jac`, which `_jacobian` rewrites.
+def _eliminate(plan: _Plan, jac: np.ndarray) -> _Elimination:
+    """Eliminate the plan's leaf layers from the compact Jacobian `jac`: for
+    each leaf l with parent p, a Schur complement takes B_pl·D_l⁻¹·B_lp from
+    D_p, in place in `jac`. Then scatter the core that is left into a dense
+    matrix; with no layer that is the whole Jacobian in natural order.
 
-    With no layer this is `np.linalg.solve(jac, rhs)`. A leaf block whose
-    determinant is 0 or not finite raises `np.linalg.LinAlgError`.
+    A leaf block whose determinant is 0 or not finite raises
+    `np.linalg.LinAlgError`.
     """
-    if not plan.layers:
-        return np.linalg.solve(jac, rhs)
-    flat, rhs = jac.reshape(-1), rhs.copy()
-    steps = []  # per layer: D_l⁻¹·r_l and D_l⁻¹·B_lp
+    layers = []
     for layer in plan.layers:
-        adj = flat[layer.leaf_block]  # [d, b, c, a] of D_l = [[a, b], [c, d]]
+        adj = jac[layer.leaf_block]  # [d, b, c, a] of D_l = [[a, b], [c, d]]
         det = adj[:, 0] * adj[:, 3] - adj[:, 1] * adj[:, 2]
         if not (np.isfinite(det).all() and det.all()):
             raise np.linalg.LinAlgError("singular leaf block")
         d_inv = (adj * (_ADJUGATE_SIGN / det[:, None])).reshape(-1, 2, 2)
-        y = d_inv @ rhs[layer.leaf_rhs]
-        g = d_inv[layer.linked] @ flat[layer.down].reshape(-1, 2, 2)
-        up = flat[layer.up].reshape(-1, 2, 2)
-        np.subtract.at(flat, layer.parent_block, (up @ g).reshape(-1, 4))
-        np.subtract.at(rhs, layer.parent_rhs, up @ y[layer.linked])
-        steps.append((y, g))
-    x = np.empty_like(rhs)
+        g = d_inv[layer.linked] @ jac[layer.down].reshape(-1, 2, 2)
+        up = jac[layer.up].reshape(-1, 2, 2)
+        np.subtract.at(jac, layer.parent_block, (up @ g).reshape(-1, 4))
+        layers.append((d_inv, g, up))
     m = len(plan.core_rhs)
-    x[plan.core_rhs] = np.linalg.solve(flat[plan.core_block].reshape(m, m), rhs[plan.core_rhs])
-    for layer, (y, g) in zip(reversed(plan.layers), reversed(steps)):
+    core = np.zeros(m * m)
+    core[plan.core_dst] = jac[plan.core_src]
+    return _Elimination(tuple(layers), core.reshape(m, m))
+
+
+def _solve(plan: _Plan, elimination: _Elimination, rhs) -> np.ndarray:
+    """The Newton step for `rhs` from an eliminated Jacobian: the leaf
+    layers take B_pl·D_l⁻¹·r_l from r_p, layer by layer, the core is solved
+    densely and the layers back-substituted, last layer first."""
+    rhs = rhs.copy()
+    steps = []  # per layer: D_l⁻¹·r_l
+    for layer, (d_inv, _g, up) in zip(plan.layers, elimination.layers):
+        y = d_inv @ rhs[layer.leaf_rhs]
+        np.subtract.at(rhs, layer.parent_rhs, up @ y[layer.linked])
+        steps.append(y)
+    x = np.empty_like(rhs)
+    x[plan.core_rhs] = np.linalg.solve(elimination.core, rhs[plan.core_rhs])
+    for layer, (_d_inv, g, _up), y in zip(reversed(plan.layers), reversed(elimination.layers),
+                                          reversed(steps)):
         y[layer.linked] -= g @ x[layer.parent_rhs]
         x[layer.leaf_rhs] = y
     return x
 
 
-def _jacobian(plan: _Plan, vm, v, i_bus, out) -> None:
-    """Write the Newton Jacobian [dP/dθ dP/d|V|; dQ/dθ dQ/d|V|] over the PQ
-    buses (every bus but the slack at number 0) into `out` at Ybus's
-    pattern, at voltages `v` = `vm`·e^(jθ) with bus currents `i_bus` = Y·V.
-    `out` must be zero off the pattern.
+def _jacobian(plan: _Plan, vm, v, i_bus) -> np.ndarray:
+    """The compact Newton Jacobian [dP/dθ dP/d|V|; dQ/dθ dQ/d|V|] over the PQ
+    buses (every bus but the slack at number 0), at Ybus's pattern, at
+    voltages `v` = `vm`·e^(jθ) with bus currents `i_bus` = Y·V.
 
     Complex-matrix derivatives of S = diag(V)·conj(Y·V), from R. D.
     Zimmerman, MATPOWER Technical Note 2 (2010), taken entry by entry:
@@ -321,9 +411,10 @@ def _jacobian(plan: _Plan, vm, v, i_bus, out) -> None:
     ds_dva = 1j * v_r * np.conj(diag_term - y * v[c])
     diag_term[d] = np.conj(i_bus[1:]) * v_dir[1:]
     ds_dvm = v_r * np.conj(y * v_dir[c]) + diag_term
-    out.flat[plan.jac_index] = np.concatenate(
-        [ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag]
-    )
+    return np.concatenate([ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag])
+
+
+_NO_INJECTION = (0.0, 0.0)
 
 
 def run_power_flow(
@@ -337,25 +428,23 @@ def run_power_flow(
     non-slack buses default to zero injection. `line_status` switches lines
     in or out for this solve without touching the model's lines.
     """
-    injections = dict(injections or {})
-    for bus_id in injections:
-        if bus_id not in model.bus_index:
-            raise UnknownElement(f"injection references unknown bus '{bus_id}'")
+    injections = injections or {}
+    if not injections.keys() <= model.bus_index.keys():
+        unknown = next(bus_id for bus_id in injections if bus_id not in model.bus_index)
+        raise UnknownElement(f"injection references unknown bus '{unknown}'")
     plan = _plan(model, line_status or {})
     ybus = plan.ybus
-    n = len(plan.index)
+    n = len(plan.order)
 
     base_kw = model.base_mva * 1000.0
     npq = n - 1
-    applied = {bus_id: injections.get(bus_id, (0.0, 0.0)) for bus_id in plan.order[1:]}
+    applied = list(map(injections.get, plan.pq_position, repeat(_NO_INJECTION)))
     # [P; Q] specified at the PQ buses, in solve order, per unit
-    spec = np.array([p for p, _ in applied.values()] + [q for _, q in applied.values()],
-                    dtype=float) / base_kw
+    spec = np.fromiter(chain.from_iterable(applied), float, 2 * npq).reshape(npq, 2).T.ravel()
+    spec /= base_kw
 
-    vm = np.ones(n)
-    vm[0] = model.slack_bus.vm_setpoint_pu
+    vm = plan.flat_vm.copy()
     va = np.zeros(n)
-    jac = np.zeros((2 * npq, 2 * npq))
 
     converged = False
     iterations = 0
@@ -363,26 +452,27 @@ def run_power_flow(
     for iteration in range(1, MAX_ITERATIONS + 1):
         iterations = iteration
         v = vm * np.exp(1j * va)
-        i_bus = ybus @ v
+        i_bus = plan.flat_i_bus if iteration == 1 else ybus @ v
         s = v * np.conj(i_bus)
         mismatch = spec - np.concatenate([s.real[1:], s.imag[1:]])
         max_mismatch = float(np.max(np.abs(mismatch))) if npq else 0.0
         if max_mismatch < TOLERANCE_PU:
             converged = True
             break
-        _jacobian(plan, vm, v, i_bus, jac)
         try:
-            dx = _solve(plan, jac, mismatch)
+            if iteration == 1:  # the flat start: one elimination for every solve of the plan
+                if plan.flat_elimination is None:
+                    plan.flat_elimination = _eliminate(plan, _jacobian(plan, vm, v, i_bus))
+                elimination = plan.flat_elimination
+            else:
+                elimination = _eliminate(plan, _jacobian(plan, vm, v, i_bus))
+            dx = _solve(plan, elimination, mismatch)
         except np.linalg.LinAlgError:
             break
         va[1:] += dx[:npq]
         vm[1:] += dx[npq:]
 
     v = vm * np.exp(1j * va)
-    vm_pu = dict.fromkeys(plan.islanded, 0.0)
-    vm_pu.update(zip(plan.order, vm.tolist()))
-    va_rad = dict.fromkeys(plan.islanded, 0.0)
-    va_rad.update(zip(plan.order, va.tolist()))
 
     # branch flows, in the order of operations of the per-branch formulas
     vf, vt = v[plan.f], v[plan.t]
@@ -403,11 +493,11 @@ def run_power_flow(
         converged=converged,
         iterations=iterations,
         max_mismatch_pu=float(max_mismatch),
-        vm_pu=vm_pu,
-        va_rad=va_rad,
+        vm_pu=_BusView(plan.bus_position, vm.tolist() + [0.0]),
+        va_rad=_BusView(plan.bus_position, va.tolist() + [0.0]),
         branch_flows=flows,
         branch_rows=plan.branch_rows,
-        injections_kw=applied,
+        injections_kw=_BusView(plan.pq_position, applied),
         slack_p_kw=float(np.real(s_slack)) * base_kw,
         slack_q_kvar=float(np.imag(s_slack)) * base_kw,
         islanded_buses=list(plan.islanded),

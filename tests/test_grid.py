@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from gridcosim.grid.model import Bus, GridModel, Line, Trafo, validate
 from gridcosim.grid.powerflow import (
     UnconvergedSolution,
     UnknownElement,
+    _eliminate,
     _jacobian,
     _plan,
     _solve,
@@ -329,6 +331,17 @@ def binary_tree_feeder(n_buses: int, seed: int) -> str:
     return "\n".join(out) + "\n"
 
 
+def dense_jacobian(plan, jac) -> np.ndarray:
+    """The compact Jacobian `jac` scattered into a dense (2·npq)² matrix:
+    its quarters dP/dθ, dP/d|V|, dQ/dθ, dQ/d|V| at Ybus's PQ entries."""
+    npq, nnz = len(plan.order) - 1, len(plan.rows)
+    dense = np.zeros((2 * npq, 2 * npq))
+    for quarter, (row_half, col_half) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        dense[row_half * npq + plan.rows - 1, col_half * npq + plan.cols - 1] = \
+            jac[quarter * nnz:(quarter + 1) * nnz]
+    return dense
+
+
 class TestNewtonJacobian:
     def test_jacobian_matches_central_differences(self):
         model = parse_grid(MESHED_TAP)
@@ -363,8 +376,7 @@ class TestNewtonJacobian:
         v = vm * np.exp(1j * va)
         plan = _plan(model, {})
         assert plan.order == order
-        jac = np.zeros((2 * npq, 2 * npq))
-        _jacobian(plan, vm, v, ybus @ v, jac)
+        jac = dense_jacobian(plan, _jacobian(plan, vm, v, ybus @ v))
         np.testing.assert_allclose(jac, numeric, rtol=1e-6)
 
     @pytest.mark.parametrize("grid_text", [MESHED_TAP, binary_tree_feeder(127, seed=7)],
@@ -388,8 +400,7 @@ class TestNewtonJacobian:
             ds_dva = 1j * v_pq[:, None] * np.conj(np.diag(i_pq) - y_pq * v_pq)
             ds_dvm = v_pq[:, None] * np.conj(y_pq * v_dir) + np.diag(np.conj(i_pq) * v_dir)
             dense = np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
-            jac = np.zeros((2 * npq, 2 * npq))
-            _jacobian(plan, vm, v, i_bus, jac)
+            jac = dense_jacobian(plan, _jacobian(plan, vm, v, i_bus))
             assert np.array_equal(jac.view(np.int64), dense.view(np.int64))
 
     def test_large_radial_feeder_conserves_power(self):
@@ -512,11 +523,14 @@ def tree_with_slack_leaves(n_buses: int, seed: int, n_leaves: int) -> str:
 
 
 def jacobian_at(plan, vm, va):
+    """The compact Jacobian at `vm`, `va`."""
     v = vm * np.exp(1j * va)
-    npq = len(plan.order) - 1
-    jac = np.zeros((2 * npq, 2 * npq))
-    _jacobian(plan, vm, v, plan.ybus @ v, jac)
-    return jac
+    return _jacobian(plan, vm, v, plan.ybus @ v)
+
+
+def peeled_solve(plan, jac, rhs):
+    """The Newton step for `rhs` through the plan's leaf elimination."""
+    return _solve(plan, _eliminate(plan, jac), rhs)
 
 
 def solved_state(model, line_status):
@@ -546,9 +560,9 @@ class TestPeeledSolve:
         flat_vm = np.full_like(vm, 1.0)
         for state in ((flat_vm, np.zeros_like(va)), (vm, va)):
             jac = jacobian_at(plan, *state)
-            rhs = rng.standard_normal(len(jac))
-            dense = np.linalg.solve(jac, rhs)
-            peeled = _solve(plan, jac.copy(), rhs.copy())
+            rhs = rng.standard_normal(2 * len(vm) - 2)
+            dense = np.linalg.solve(dense_jacobian(plan, jac), rhs)
+            peeled = peeled_solve(plan, jac.copy(), rhs.copy())
             np.testing.assert_allclose(peeled, dense, rtol=1e-10, atol=1e-12 * np.abs(dense).max())
 
     def test_meshed_loop_stays_in_the_core(self):
@@ -573,9 +587,9 @@ class TestPeeledSolve:
         plan, vm, va = solved_state(model, {})
         assert plan.layers == ()
         jac = jacobian_at(plan, vm, va)
-        rhs = np.random.default_rng(5).standard_normal(len(jac))
-        dense = np.linalg.solve(jac, rhs)
-        assert np.array_equal(_solve(plan, jac, rhs).view(np.int64), dense.view(np.int64))
+        rhs = np.random.default_rng(5).standard_normal(2 * len(vm) - 2)
+        dense = np.linalg.solve(dense_jacobian(plan, jac), rhs)
+        assert np.array_equal(peeled_solve(plan, jac, rhs).view(np.int64), dense.view(np.int64))
 
     # a zero block, or a non-finite dP/dθ entry (leaf_block lists it last)
     @pytest.mark.parametrize("bad, entries", [(0.0, slice(None)), (math.nan, 3), (math.inf, 3)],
@@ -584,23 +598,104 @@ class TestPeeledSolve:
         model = parse_grid(binary_tree_feeder(127, seed=7))
         plan, vm, va = solved_state(model, {})
         jac = jacobian_at(plan, vm, va)
-        jac.flat[plan.layers[0].leaf_block[3, entries]] = bad
+        jac[plan.layers[0].leaf_block[3, entries]] = bad
         with pytest.raises(np.linalg.LinAlgError):
-            _solve(plan, jac, np.ones(len(jac)))
+            peeled_solve(plan, jac, np.ones(2 * len(vm) - 2))
 
     def test_singular_leaf_block_ends_the_solve_unconverged(self, monkeypatch):
         model = parse_grid(binary_tree_feeder(127, seed=7))
         injections = bus_injections(model, element_values_at(model, None, 0))
         jacobian = powerflow._jacobian
 
-        def singular_leaf(plan, vm, v, i_bus, out):
-            jacobian(plan, vm, v, i_bus, out)
-            out.flat[plan.layers[0].leaf_block[0]] = 0.0
+        def singular_leaf(plan, vm, v, i_bus):
+            jac = jacobian(plan, vm, v, i_bus)
+            jac[plan.layers[0].leaf_block[0]] = 0.0
+            return jac
 
         monkeypatch.setattr(powerflow, "_jacobian", singular_leaf)
         solution = run_power_flow(model, injections)
         assert not solution.converged
         assert solution.iterations == 1 and solution.max_mismatch_pu > 1e-8
+
+
+def solution_bits(solution) -> tuple:
+    """A solve's iterations and its float64 results as integers: |V| and θ
+    by bus, the branch flows and the slack power."""
+    buses = sorted(solution.vm_pu)
+    floats = np.concatenate([[solution.vm_pu[b] for b in buses],
+                             [solution.va_rad[b] for b in buses],
+                             solution.branch_flows.ravel(),
+                             [solution.slack_p_kw, solution.slack_q_kvar]])
+    return solution.iterations, buses, floats.view(np.int64).tolist()
+
+
+def scaled_injections(model, factor):
+    values = element_values_at(model, None, 0)
+    return bus_injections(model, {key: (factor * p, factor * q) for key, (p, q) in values.items()})
+
+
+KEPT_ELIMINATION_GRIDS = pytest.mark.parametrize("grid_text, line_status", [
+    (binary_tree_feeder(127, seed=7), {}),
+    (binary_tree_feeder(255, seed=3), {}),
+    (meshed_tree_feeder(255, seed=3), {}),
+    (meshed_tree_feeder(255, seed=3), {"l64": False}),
+    (meshed_tree_feeder(255, seed=3), {"loop": False}),
+    (tree_with_slack_leaves(127, seed=7, n_leaves=8), {}),
+    (binary_tree_feeder(1023, seed=13), {}),
+], ids=["radial_127", "radial_255", "meshed_255", "meshed_255_l64_open",
+        "meshed_255_loop_open", "radial_127_slack_leaves", "radial_1023"])
+
+
+class TestKeptFlatStart:
+    """A plan keeps the flat start's elimination for its later solves; each
+    of them must give, bit for bit, what a freshly loaded model gives."""
+
+    @KEPT_ELIMINATION_GRIDS
+    def test_solving_a_plan_again_is_bit_identical(self, grid_text, line_status):
+        model = parse_grid(grid_text)
+        first = run_power_flow(model, scaled_injections(model, 1.0), line_status)
+        plan = model.last_plan
+        assert first.converged and plan.flat_elimination is not None
+        heavier = run_power_flow(model, scaled_injections(model, 1.3), line_status)
+        again = run_power_flow(model, scaled_injections(model, 1.0), line_status)
+        assert model.last_plan is plan
+        assert solution_bits(again) == solution_bits(first)
+        fresh = parse_grid(grid_text)
+        assert solution_bits(first) == solution_bits(
+            run_power_flow(fresh, scaled_injections(fresh, 1.0), line_status))
+        fresh = parse_grid(grid_text)
+        assert solution_bits(heavier) == solution_bits(
+            run_power_flow(fresh, scaled_injections(fresh, 1.3), line_status))
+        assert heavier.converged and solution_bits(heavier) != solution_bits(first)
+
+    def test_switching_a_line_matches_fresh_models(self):
+        text = meshed_tree_feeder(255, seed=3)
+        model = parse_grid(text)
+        plans = []
+        for line_status in ({}, {"loop": True}, {"l64": False}, {"l64": True}, {"l64": False}):
+            solution = run_power_flow(model, scaled_injections(model, 1.0), line_status)
+            fresh = parse_grid(text)
+            assert solution_bits(solution) == solution_bits(
+                run_power_flow(fresh, scaled_injections(fresh, 1.0), line_status))
+            assert not solution.islanded_buses
+            plans.append(model.last_plan)
+        assert plans[1] is plans[0]          # the same open lines: the same plan
+        assert plans[2].open_lines == {"l64"} and plans[3] is not plans[0]
+
+    def test_a_solve_allocates_no_dense_jacobian(self):
+        """The first solve of a 1023-bus plan, its flat-start elimination
+        included, stays far below the 33.5 MB a dense Jacobian would take."""
+        model = parse_grid(binary_tree_feeder(1023, seed=13))
+        injections = scaled_injections(model, 1.0)
+        _plan(model, {})
+        tracemalloc.start()
+        try:
+            solution = run_power_flow(model, injections)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solution.converged and model.last_plan.flat_elimination is not None
+        assert peak < 2 * 2**20
 
 
 STEP_PROFILE = "t_seconds,element_id,field,value\n0,ld,p_kw,5.0\n3600,ld,p_kw,8.0\n"
