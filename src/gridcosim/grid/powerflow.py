@@ -99,16 +99,6 @@ class _Layer:
     parent_rhs: np.ndarray
 
 
-@dataclass(frozen=True)
-class _Elimination:
-    """One Jacobian with the plan's leaf layers eliminated: per layer D_l⁻¹,
-    D_l⁻¹·B_lp and B_pl, and the core matrix that is left (m×m, in the
-    order of the plan's `core_rhs`)."""
-
-    layers: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    core: np.ndarray
-
-
 @dataclass
 class _Plan:
     """The topology-dependent parts of a solve for one switching state.
@@ -156,7 +146,7 @@ class _Plan:
     i_base_ka: np.ndarray  # current base at the from bus
     limit: np.ndarray     # max_i_ka of a line (inf if none), rated MVA of a trafo
     is_line: np.ndarray
-    flat_elimination: _Elimination | None = None
+    flat_elimination: tuple | None = None
 
 
 def _plan(model: GridModel, line_status: Mapping[str, bool]) -> _Plan:
@@ -237,11 +227,11 @@ def _build_plan(model: GridModel, open_lines: frozenset[str]) -> _Plan:
     keys = np.sort(np.concatenate([pairs[(fr > 0) & (to > 0)], np.arange(1, n) * (n + 1)]))
     rows, cols = np.divmod(keys, n)
 
-    def locate(i, j):  # compact positions of the entries at bus numbers i, j
-        return np.searchsorted(keys, i * n + j)
+    def blocks(i, j):  # compact positions, a row of four each, of the 2x2 blocks at i, j
+        return np.searchsorted(keys, i * n + j)[:, None] + len(keys) * _QUARTERS
 
     npq = n - 1
-    layers, core = _leaf_layers(fr, to, npq, len(keys), locate)
+    layers, core = _leaf_layers(fr, to, npq, blocks)
     flat_vm = np.ones(n)
     flat_vm[0] = model.slack_bus.vm_setpoint_pu
     return _Plan(
@@ -276,12 +266,6 @@ _QUARTERS = np.arange(4)
 _HALVES = np.array([[0], [1]])
 
 
-def _blocks(nnz: int, k) -> np.ndarray:
-    """Compact Jacobian positions, one row of four per entry, of the 2x2
-    blocks at Ybus's PQ entries `k` (of `nnz`)."""
-    return k[:, None] + nnz * _QUARTERS
-
-
 def _core_scatter(r, c, core, npq: int) -> dict[str, np.ndarray]:
     """The core's positions, given its PQ numbers `core`: `core_rhs` in the
     Newton step, and `core_src` / `core_dst`, where the compact Jacobian's
@@ -301,12 +285,12 @@ def _core_scatter(r, c, core, npq: int) -> dict[str, np.ndarray]:
     }
 
 
-def _leaf_layers(fr, to, npq: int, nnz: int, locate) -> tuple[tuple[_Layer, ...], np.ndarray]:
+def _leaf_layers(fr, to, npq: int, blocks) -> tuple[tuple[_Layer, ...], np.ndarray]:
     """Peel leaf layers off the bus graph whose neighbour pairs are `fr`,
     `to` (bus numbers, sorted by `fr`) while a layer holds at least
-    MIN_LAYER_BUSES buses. `locate(i, j)` gives the positions of Ybus's PQ
-    entries at bus numbers `i`, `j`. Returns the layers and the PQ numbers of
-    the buses left, the core.
+    MIN_LAYER_BUSES buses. `blocks(i, j)` gives the compact Jacobian
+    positions of the 2x2 blocks at bus numbers `i`, `j`. Returns the layers
+    and the PQ numbers of the buses left, the core.
 
     Tinney & Walker, Proc. IEEE 55(11), 1967: a bus with one neighbour is
     eliminated without fill, changing only its neighbour's diagonal block.
@@ -327,12 +311,12 @@ def _leaf_layers(fr, to, npq: int, nnz: int, locate) -> tuple[tuple[_Layer, ...]
         linked = np.flatnonzero(parents != 0)
         leaf, parent = leaves[linked], parents[linked]
         layers.append(_Layer(
-            leaf_block=_blocks(nnz, locate(leaves, leaves))[:, [3, 1, 2, 0]],
+            leaf_block=blocks(leaves, leaves)[:, [3, 1, 2, 0]],
             leaf_rhs=_step_rows(npq, leaves - 1),
             linked=slice(None) if len(linked) == len(leaves) else linked,
-            down=_blocks(nnz, locate(leaf, parent)),
-            up=_blocks(nnz, locate(parent, leaf)),
-            parent_block=_blocks(nnz, locate(parent, parent)),
+            down=blocks(leaf, parent),
+            up=blocks(parent, leaf),
+            parent_block=blocks(parent, parent),
             parent_rhs=_step_rows(npq, parent - 1),
         ))
         is_parent = np.zeros(npq + 1, dtype=bool)
@@ -349,11 +333,12 @@ def _step_rows(npq: int, i) -> np.ndarray:
 _ADJUGATE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
-def _eliminate(plan: _Plan, jac: np.ndarray) -> _Elimination:
+def _eliminate(plan: _Plan, jac: np.ndarray) -> tuple:
     """Eliminate the plan's leaf layers from the compact Jacobian `jac`: for
     each leaf l with parent p, a Schur complement takes B_pl·D_l⁻¹·B_lp from
-    D_p, in place in `jac`. Then scatter the core that is left into a dense
-    matrix; with no layer that is the whole Jacobian in natural order.
+    D_p, in place in `jac`. Returns per layer (D_l⁻¹, D_l⁻¹·B_lp, B_pl), and
+    the core that is left as a dense m×m matrix in the order of the plan's
+    `core_rhs`; with no layer that is the whole Jacobian in natural order.
 
     A leaf block whose determinant is 0 or not finite raises
     `np.linalg.LinAlgError`.
@@ -372,22 +357,23 @@ def _eliminate(plan: _Plan, jac: np.ndarray) -> _Elimination:
     m = len(plan.core_rhs)
     core = np.zeros(m * m)
     core[plan.core_dst] = jac[plan.core_src]
-    return _Elimination(tuple(layers), core.reshape(m, m))
+    return layers, core.reshape(m, m)
 
 
-def _solve(plan: _Plan, elimination: _Elimination, rhs) -> np.ndarray:
-    """The Newton step for `rhs` from an eliminated Jacobian: the leaf
-    layers take B_pl·D_l⁻¹·r_l from r_p, layer by layer, the core is solved
-    densely and the layers back-substituted, last layer first."""
+def _solve(plan: _Plan, elimination: tuple, rhs) -> np.ndarray:
+    """The Newton step for `rhs` from `_eliminate`'s result: the leaf layers
+    take B_pl·D_l⁻¹·r_l from r_p, layer by layer, the core is solved densely
+    and the layers back-substituted, last layer first."""
+    eliminated, core = elimination
     rhs = rhs.copy()
     steps = []  # per layer: D_l⁻¹·r_l
-    for layer, (d_inv, _g, up) in zip(plan.layers, elimination.layers):
+    for layer, (d_inv, _g, up) in zip(plan.layers, eliminated):
         y = d_inv @ rhs[layer.leaf_rhs]
         np.subtract.at(rhs, layer.parent_rhs, up @ y[layer.linked])
         steps.append(y)
     x = np.empty_like(rhs)
-    x[plan.core_rhs] = np.linalg.solve(elimination.core, rhs[plan.core_rhs])
-    for layer, (_d_inv, g, _up), y in zip(reversed(plan.layers), reversed(elimination.layers),
+    x[plan.core_rhs] = np.linalg.solve(core, rhs[plan.core_rhs])
+    for layer, (_d_inv, g, _up), y in zip(reversed(plan.layers), reversed(eliminated),
                                           reversed(steps)):
         y[layer.linked] -= g @ x[layer.parent_rhs]
         x[layer.leaf_rhs] = y
