@@ -1,8 +1,10 @@
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from gridcosim import iec104
 from gridcosim.iec104 import (
@@ -421,3 +423,70 @@ class TestSession:
             state.received(i_frame(seq, 0, meas_asdu()))
             seen.append(state.vr)
         assert seen == [32767, 0, 1, 2]
+
+
+SIDES = ("mtu", "rtu")
+PEER = {"mtu": "rtu", "rtu": "mtu"}
+
+
+class SessionPair(RuleBasedStateMachine):
+    """A controlling and a controlled `ConnectionState` joined by two in-order
+    channels that hold frames in flight. Every frame crosses as the bytes of
+    `encode` and is read back with `decode`. The pair starts anywhere in the
+    sequence space, so N(S) and N(R) wrap."""
+
+    @initialize(mtu_vs=st.integers(0, iec104.SEQ_MODULO - 1),
+                rtu_vs=st.integers(0, iec104.SEQ_MODULO - 1))
+    def open(self, mtu_vs, rtu_vs):
+        self.state = {"mtu": ConnectionState(vs=mtu_vs, vr=rtu_vs),
+                      "rtu": ConnectionState(vs=rtu_vs, vr=mtu_vs)}
+        self.wire = {"mtu": deque(), "rtu": deque()}  # frames in flight from each side
+        self.sent = {"mtu": [], "rtu": []}            # IOAs of the I-frames each side sent
+        self.got = {"mtu": [], "rtu": []}             # IOAs of the I-frames each side received
+        self.next_ioa = 0
+        self._put("mtu", self.state["mtu"].start())
+
+    def _put(self, side, apdus):
+        for apdu in apdus:
+            if apdu.kind == "I":
+                self.sent[side].append(apdu.asdu.objects[0].ioa)
+            self.wire[side].append(encode(apdu))
+
+    @rule(side=st.sampled_from(SIDES), count=st.integers(1, 40))
+    def send(self, side, count):
+        for _ in range(count):
+            self._put(side, self.state[side].send(meas_asdu(ioa=self.next_ioa)))
+            self.next_ioa += 1
+
+    @rule(side=st.sampled_from(SIDES))
+    def testfr(self, side):
+        self._put(side, [u_frame(iec104.U_TESTFR_ACT)])
+
+    @rule(side=st.sampled_from(SIDES), count=st.integers(1, 50))
+    def deliver(self, side, count):
+        peer = PEER[side]
+        wire = self.wire[side]
+        for _ in range(min(count, len(wire))):
+            raw = wire.popleft()
+            apdu, used = decode(raw)
+            assert used == len(raw)
+            if apdu.kind == "I":
+                self.got[peer].append(apdu.asdu.objects[0].ioa)
+            self._put(peer, self.state[peer].received(apdu))
+
+    @invariant()
+    def windows_hold(self):
+        for state in self.state.values():
+            assert state.unacked_sent <= iec104.K_UNACKED_LIMIT
+            assert state.unacked_recv < iec104.W_ACK_THRESHOLD
+
+    @invariant()
+    def received_in_order(self):
+        for side, peer in PEER.items():
+            got = self.got[peer]
+            assert got == self.sent[side][:len(got)]
+            if not self.wire[side]:
+                assert got == self.sent[side]
+
+SessionPair.TestCase.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
+TestSessionPair = SessionPair.TestCase
