@@ -174,13 +174,12 @@ class _SessionEnd:
     def send(self, asdu: iec104.Asdu, at_s: int | None = None):
         self.put(self.state.send(asdu), at_s)
 
-    def put(self, apdus, at_s: int | None = None):
-        for apdu in apdus:
-            self.conn.send(iec104.encode(apdu), at_s, self.server)
+    def put(self, apdu: iec104.Apdu, at_s: int | None = None):
+        self.conn.send(iec104.encode(apdu), at_s, self.server)
 
     def receive(self, payload: bytes):
         """Yield each APDU that `payload` completes, once the session's
-        replies to it are on the wire; a hang-up yields nothing more."""
+        reply to it is on the wire; a hang-up yields nothing more."""
         rx = self.rx + payload if self.rx else payload
         try:
             apdus, used = iec104.decode_stream(rx)
@@ -192,14 +191,14 @@ class _SessionEnd:
         self.rx = rx[used:] if used < len(rx) else b""
         for apdu in apdus:
             try:
-                replies = self.state.received(apdu)
+                reply = self.state.received(apdu)
             except iec104.Iec104Error:
                 if not self.server:
                     raise
                 self.conn.close(from_server=True)
                 return
-            if replies:
-                self.put(replies)
+            if reply is not None:
+                self.put(reply)
             yield apdu
 
 
@@ -242,11 +241,12 @@ class Rtu:
 
     # -- reporting ---------------------------------------------------------
 
-    def _points(self, t: int, cot: int):
-        """Yield one M_ME_NC_1 ASDU per acquired monitor point, logging its
-        truth row and wire value as it goes."""
+    def _send_points(self, t: int, cot: int, at_s: int | None = None):
+        """One M_ME_NC_1 ASDU per acquired monitor point, logging its truth
+        row and wire value: sent while the session can take an I-frame, else
+        appended to the buffer, the one place a point waits."""
         current, overrides, last_sent = self.current, self.overrides, self.last_sent
-        log_truth = self.truth_rows.append
+        log_truth, buffer = self.truth_rows.append, self.buffer
         common_address = self.config.common_address
         Asdu, InfoObject, M_ME_NC_1 = iec104.Asdu, iec104.InfoObject, iec104.M_ME_NC_1
         for (entity, fieldname), ioa, _ in self._monitor:
@@ -257,21 +257,24 @@ class Rtu:
             wire = truth if rule is None else rule.apply(ioa, truth)
             log_truth((t, entity, fieldname, truth))
             last_sent[ioa] = wire
-            yield Asdu(M_ME_NC_1, cot, common_address, (InfoObject(ioa, wire, 0),))
+            asdu = Asdu(M_ME_NC_1, cot, common_address, (InfoObject(ioa, wire, 0),))
+            session = self.session
+            if session is not None and session.state.can_send:
+                session.send(asdu, at_s)
+            else:
+                buffer.append(asdu)
 
     def report(self, t: int):
-        """Spontaneous transmission of every monitor point (buffered when down)."""
-        for asdu in self._points(t, iec104.COT_SPONTANEOUS):
-            if self.session is not None and self.session.state.started:
-                self.session.send(asdu, t)
-            else:
-                self.buffer.append(asdu)
+        """Spontaneous transmission of every monitor point."""
+        self._send_points(t, iec104.COT_SPONTANEOUS, t)
 
     # -- network handler (MTU side opens the connection) --------------------
     # The RTU serves one controlling station: the first connection carries
     # the session until the RTU hangs up on it, and any other connection is
-    # hung up on at its first bytes. Reports buffer until the next
-    # connection's STARTDT_act starts a fresh session.
+    # hung up on at its first bytes. Buffered points go out when a
+    # STARTDT_act starts the session, and on no other receive: the MTU sends
+    # its S-frame before it archives the I-frame that prompted it, so points
+    # drained on that S-frame would be archived out of order.
 
     def on_connect(self, conn: TcpConnection):
         if self.session is None:
@@ -285,7 +288,7 @@ class Rtu:
         for apdu in session.receive(payload):
             asdu = apdu.asdu
             if apdu.kind == "U" and apdu.u_function == iec104.U_STARTDT_ACT:
-                while self.buffer:
+                while self.buffer and session.state.can_send:
                     session.send(self.buffer.popleft())
             elif asdu is None:  # S-frame or another U-frame
                 continue
@@ -305,8 +308,7 @@ class Rtu:
     def _interrogation_reply(self, request: iec104.Asdu):
         t = self.network.now_s
         self._reply(request, iec104.COT_ACTCON)
-        for asdu in self._points(t, iec104.COT_INTERROGATED):
-            self.session.send(asdu)
+        self._send_points(t, iec104.COT_INTERROGATED)
         self._reply(request, iec104.COT_ACTTERM)
 
     def _actuate(self, asdu: iec104.Asdu):
@@ -446,7 +448,7 @@ class Mtu:
         )
         self._poll_deadline[name] = t + POLL_TIMEOUT_STEPS * self.step_size
         session = self._sessions.get(name)
-        if session is None or session.conn.closed:
+        if session is None or session.conn.closed or not session.state.can_send:
             return []
         try:
             # delivery is synchronous: the act-con arrives inside this call
@@ -474,8 +476,9 @@ class Mtu:
             common_address=0, objects=(iec104.InfoObject(ioa=ioa, value=wire),),
         )
         self._last_confirm[name] = None
-        if name in self._sessions:
-            self._sessions[name].send(request, at_s=t)
+        session = self._sessions.get(name)
+        if session is not None and session.state.can_send:
+            session.send(request, at_s=t)
         confirm = self._last_confirm.get(name)
         confirmed = confirm is not None and confirm.cot == iec104.COT_ACTCON
         self.command_log.append(

@@ -14,8 +14,7 @@ common address, 3-octet information object address, k=12, w=8.
 from __future__ import annotations
 
 import struct
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 START_BYTE = 0x68
@@ -325,8 +324,8 @@ class ConnectionState:
     """Sequence/keep-alive state for one side of a 104 connection.
 
     The controlling station (MTU) opens data transfer with STARTDT_act
-    (`start`); the controlled station (RTU) confirms. I-frames flow only
-    while started.
+    (`start`); the controlled station (RTU) confirms. An I-frame goes out
+    only while `can_send` holds; what cannot go out waits with the caller.
     """
 
     started: bool = False
@@ -335,29 +334,27 @@ class ConnectionState:
     unacked_sent: int = 0    # our I-frames not yet acknowledged by the peer
     unacked_recv: int = 0    # peer I-frames we have not yet acknowledged
     start_pending: bool = False
-    pending: deque = field(default_factory=deque)  # ASDUs waiting for start/window
 
-    def _flush(self) -> list[Apdu]:
-        """I-frames for the pending ASDUs that the k window admits."""
-        out = []
-        pending = self.pending
-        while pending and self.unacked_sent < K_UNACKED_LIMIT:
-            out.append(i_frame(self.vs, self.vr, pending.popleft()))
-            self.vs = (self.vs + 1) % SEQ_MODULO
-            self.unacked_sent += 1
-        if out:
-            self.unacked_recv = 0  # N(R) piggybacks the ack
-        return out
+    @property
+    def can_send(self) -> bool:
+        """Data transfer is started and the k window admits one more I-frame."""
+        return self.started and self.unacked_sent < K_UNACKED_LIMIT
 
-    def send(self, asdu: Asdu) -> list[Apdu]:
-        """Queue an ASDU for transmission; returns the APDUs to put on the wire."""
-        self.pending.append(asdu)
-        return self._flush() if self.started else []
+    def send(self, asdu: Asdu) -> Apdu:
+        """The I-frame that carries `asdu`; a ProtocolViolation unless `can_send`."""
+        if not self.can_send:
+            raise ProtocolViolation("I-frame sent before STARTDT" if not self.started else
+                                    f"I-frame sent with k={K_UNACKED_LIMIT} unacknowledged")
+        apdu = i_frame(self.vs, self.vr, asdu)
+        self.vs = (self.vs + 1) % SEQ_MODULO
+        self.unacked_sent += 1
+        self.unacked_recv = 0  # N(R) piggybacks the ack
+        return apdu
 
-    def start(self) -> list[Apdu]:
+    def start(self) -> Apdu:
         """Ask the peer to start data transfer; returns the STARTDT_act."""
         self.start_pending = True
-        return [u_frame(U_STARTDT_ACT)]
+        return u_frame(U_STARTDT_ACT)
 
     def _apply_ack(self, recv_seq: int) -> None:
         acked_base = (self.vs - self.unacked_sent) % SEQ_MODULO
@@ -368,26 +365,26 @@ class ConnectionState:
             )
         self.unacked_sent -= delta
 
-    def received(self, apdu: Apdu) -> list[Apdu]:
-        """Process one received APDU; returns APDUs to put on the wire."""
+    def received(self, apdu: Apdu) -> Apdu | None:
+        """Process one received APDU; returns the APDU to put on the wire, if any."""
         if apdu.kind == "U":
             if apdu.u_function == U_STARTDT_ACT:
                 self.started = True
-                return [u_frame(U_STARTDT_CON)] + self._flush()
+                return u_frame(U_STARTDT_CON)
             if apdu.u_function == U_STARTDT_CON:
                 if self.start_pending:
                     self.start_pending = False
                     self.started = True
-                return self._flush()
+                return None
             if apdu.u_function == U_STOPDT_ACT:
                 self.started = False
-                return [u_frame(U_STOPDT_CON)]
+                return u_frame(U_STOPDT_CON)
             if apdu.u_function == U_TESTFR_ACT:
-                return [u_frame(U_TESTFR_CON)]
-            return []  # STOPDT_con / TESTFR_con
+                return u_frame(U_TESTFR_CON)
+            return None  # STOPDT_con / TESTFR_con
         if apdu.kind == "S":
             self._apply_ack(apdu.recv_seq)
-            return self._flush()
+            return None
         # I-frame
         if not self.started:
             raise ProtocolViolation("I-frame received before STARTDT")
@@ -398,8 +395,7 @@ class ConnectionState:
         self.vr = (self.vr + 1) % SEQ_MODULO
         self._apply_ack(apdu.recv_seq)
         self.unacked_recv += 1
-        out = self._flush() if self.pending else []  # an emitted I-frame piggybacks the ack
         if self.unacked_recv >= W_ACK_THRESHOLD:
             self.unacked_recv = 0
-            out.append(s_frame(self.vr))
-        return out
+            return s_frame(self.vr)
+        return None

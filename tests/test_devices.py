@@ -105,6 +105,14 @@ class TestReporting:
             rtu.step(t, {("trafo:t1", "p_from_kw"): float(t), ("trafo:t1", "q_from_kvar"): 0.0})
         assert len(rtu.buffer) == devices.REPORT_BUFFER_LIMIT
 
+    def test_reports_wait_in_buffer_while_window_full(self, rig):
+        network, rtu, mtu = rig
+        mtu.start(0)
+        rtu.session.state.unacked_sent = iec104.K_UNACKED_LIMIT
+        rtu.step(0, MEAS)
+        assert mtu.archive == [] and len(rtu.buffer) == 2
+        assert [row[2] for row in rtu.truth_rows] == ["p_from_kw", "q_from_kvar"]
+
     def test_scale_applied_at_acquisition(self, rig):
         network, rtu, mtu = rig
         mtu.start(0)
@@ -139,6 +147,25 @@ class TestPollAndCommand:
         for t in (120, 180, 240):
             mtu.step(t, {})
         assert (240, "timeout", "r1") in mtu.events
+
+    def test_poll_without_window_sends_nothing_and_times_out(self, rig):
+        network, rtu, mtu = rig
+        mtu.start(0)
+        mtu._sessions["r1"].state.unacked_sent = iec104.K_UNACKED_LIMIT
+        logged = len(network.packet_log)
+        assert mtu.poll("r1", 60) == []
+        assert len(network.packet_log) == logged
+        for t in (120, 180, 240):
+            mtu.step(t, {})
+        assert (240, "timeout", "r1") in mtu.events
+
+    def test_command_without_window_is_logged_unconfirmed(self, rig):
+        network, rtu, mtu = rig
+        mtu.start(0)
+        mtu._sessions["r1"].state.unacked_sent = iec104.K_UNACKED_LIMIT
+        assert mtu.command("r1", 201, 10.0, 0, control_map=make_map()) is False
+        assert mtu.command_log[-1].confirmed is False
+        assert rtu.step(60, MEAS) == {}
 
     # an error in the RTU's own reply faults the run; only what the RTU
     # received can make it hang up instead

@@ -358,8 +358,8 @@ class TestSession:
     def test_controlled_confirms_startdt(self):
         state = ConnectionState()
         out = state.received(u_frame(iec104.U_STARTDT_ACT))
-        assert out == [u_frame(iec104.U_STARTDT_CON)]
-        assert state.started
+        assert out == u_frame(iec104.U_STARTDT_CON)
+        assert state.started and state.can_send
 
     def test_i_frame_before_start_is_violation(self):
         state = ConnectionState()
@@ -368,34 +368,36 @@ class TestSession:
 
     def test_testfr_act_answered(self):
         state = ConnectionState(started=True)
-        assert state.received(u_frame(iec104.U_TESTFR_ACT)) == [u_frame(iec104.U_TESTFR_CON)]
+        assert state.received(u_frame(iec104.U_TESTFR_ACT)) == u_frame(iec104.U_TESTFR_CON)
 
     def test_controlling_emits_startdt_before_first_i_frame(self):
         state = ConnectionState()
-        assert state.start() == [u_frame(iec104.U_STARTDT_ACT)]
-        assert state.send(meas_asdu()) == []
-        out = state.received(u_frame(iec104.U_STARTDT_CON))
-        assert [a.kind for a in out] == ["I"]
+        assert state.start() == u_frame(iec104.U_STARTDT_ACT)
+        assert not state.can_send
+        with pytest.raises(ProtocolViolation, match="before STARTDT"):
+            state.send(meas_asdu())
+        assert state.received(u_frame(iec104.U_STARTDT_CON)) is None
+        assert state.can_send
+        assert state.send(meas_asdu()).kind == "I"
         assert state.vs == 1
 
     def test_thirteenth_unacked_send_blocked(self):
         state = ConnectionState(started=True)
-        emitted = []
-        for _ in range(13):
-            emitted.extend(state.send(meas_asdu()))
-        assert len(emitted) == iec104.K_UNACKED_LIMIT
-        assert len(state.pending) == 1
-        # the ack releases the blocked frame
-        released = state.received(s_frame(12))
-        assert [a.kind for a in released] == ["I"]
-        assert state.unacked_sent == 1
+        emitted = [state.send(meas_asdu()) for _ in range(iec104.K_UNACKED_LIMIT)]
+        assert [a.send_seq for a in emitted] == list(range(iec104.K_UNACKED_LIMIT))
+        assert not state.can_send
+        with pytest.raises(ProtocolViolation, match="k=12"):
+            state.send(meas_asdu())
+        assert state.vs == iec104.K_UNACKED_LIMIT
+        # the ack reopens the window
+        assert state.received(s_frame(12)) is None
+        assert state.can_send and state.unacked_sent == 0
 
     def test_s_frame_emitted_after_w_received(self):
         state = ConnectionState(started=True)
-        emissions = []
-        for i in range(iec104.W_ACK_THRESHOLD):
-            emissions = state.received(i_frame(i, 0, meas_asdu()))
-        assert emissions == [s_frame(iec104.W_ACK_THRESHOLD)]
+        emissions = [state.received(i_frame(i, 0, meas_asdu()))
+                     for i in range(iec104.W_ACK_THRESHOLD)]
+        assert emissions == [None] * (iec104.W_ACK_THRESHOLD - 1) + [s_frame(iec104.W_ACK_THRESHOLD)]
         assert state.vr == iec104.W_ACK_THRESHOLD
 
     def test_ack_of_unsent_frames_is_violation(self):
@@ -407,7 +409,7 @@ class TestSession:
     def test_sequence_numbers_wrap(self):
         state = ConnectionState(started=True, vs=32767)
         out = state.send(meas_asdu())
-        assert out[0].send_seq == 32767
+        assert out.send_seq == 32767
         assert state.vs == 0
 
     def test_out_of_order_receive_is_violation(self):
@@ -446,21 +448,30 @@ class SessionPair(RuleBasedStateMachine):
         self.next_ioa = 0
         self._put("mtu", self.state["mtu"].start())
 
-    def _put(self, side, apdus):
-        for apdu in apdus:
-            if apdu.kind == "I":
-                self.sent[side].append(apdu.asdu.objects[0].ioa)
-            self.wire[side].append(encode(apdu))
+    def _put(self, side, apdu):
+        if apdu is None:
+            return
+        if apdu.kind == "I":
+            self.sent[side].append(apdu.asdu.objects[0].ioa)
+        self.wire[side].append(encode(apdu))
 
     @rule(side=st.sampled_from(SIDES), count=st.integers(1, 40))
     def send(self, side, count):
+        """Send up to `count` ASDUs, while `can_send` holds."""
+        state = self.state[side]
         for _ in range(count):
-            self._put(side, self.state[side].send(meas_asdu(ioa=self.next_ioa)))
+            if not state.can_send:
+                vs = state.vs
+                with pytest.raises(ProtocolViolation):
+                    state.send(meas_asdu())
+                assert state.vs == vs
+                break
+            self._put(side, state.send(meas_asdu(ioa=self.next_ioa)))
             self.next_ioa += 1
 
     @rule(side=st.sampled_from(SIDES))
     def testfr(self, side):
-        self._put(side, [u_frame(iec104.U_TESTFR_ACT)])
+        self._put(side, u_frame(iec104.U_TESTFR_ACT))
 
     @rule(side=st.sampled_from(SIDES), count=st.integers(1, 50))
     def deliver(self, side, count):
