@@ -14,6 +14,14 @@ ATTACK_DEMO = os.path.join(SCENARIOS_DIR, "attack_demo", "scenario.txt")
 FLEX_DEMO = os.path.join(SCENARIOS_DIR, "flex_demo", "scenario.txt")
 SCADA_BURST = os.path.join(DATA_DIR, "scada_burst", "scenario.txt")
 TREE_FEEDER = os.path.join(DATA_DIR, "tree_feeder", "scenario.txt")
+# the scenarios whose artifacts tests/data/golden pins
+PINNED = {
+    "attack_demo": ATTACK_DEMO,
+    "flex_demo": FLEX_DEMO,
+    "scada_burst": SCADA_BURST,
+    "grid_fields": os.path.join(DATA_DIR, "grid_fields", "scenario.txt"),
+    "tree_feeder": TREE_FEEDER,
+}
 FEEDER7 = os.path.join(DATA_DIR, "feeder7.grid")
 FEEDER7_PROFILES = os.path.join(DATA_DIR, "feeder7_profiles.csv")
 

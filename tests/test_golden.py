@@ -21,19 +21,11 @@ import os
 
 import pytest
 
-from conftest import HASHED_OUTPUTS
+from conftest import HASHED_OUTPUTS, PINNED
 from gridcosim.scenario import load_scenario, run_scenario
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "data", "golden")
-SCENARIOS_DIR = os.path.join(os.path.dirname(HERE), "scenarios")
-PINNED = {
-    "attack_demo": os.path.join(SCENARIOS_DIR, "attack_demo", "scenario.txt"),
-    "flex_demo": os.path.join(SCENARIOS_DIR, "flex_demo", "scenario.txt"),
-    "scada_burst": os.path.join(HERE, "data", "scada_burst", "scenario.txt"),
-    "grid_fields": os.path.join(HERE, "data", "grid_fields", "scenario.txt"),
-    "tree_feeder": os.path.join(HERE, "data", "tree_feeder", "scenario.txt"),
-}
 
 
 def _golden(name: str) -> dict[str, str]:

@@ -1,6 +1,6 @@
 """Print the executable lines of src/gridcosim that no pinned run reaches.
 
-Runs every bundle of `PINNED` in tests/test_golden.py through `gridcosim run`,
+Runs every bundle of `PINNED` in tests/conftest.py through `gridcosim run`,
 as CI checks them against their golden manifests, under a `sys.settrace`
 line tracer, and lists, per module, the executable lines that none of the runs
 executed. Those lines can change artifact bytes without moving a golden
@@ -63,7 +63,7 @@ def main() -> int:
     sys.path[:0] = [SRC, TESTS]
     sys.settrace(trace_calls)  # before the import, so module bodies count
     try:
-        from test_golden import PINNED
+        from conftest import PINNED
         from gridcosim.cli import main as gridcosim
 
         with tempfile.TemporaryDirectory() as outdir, open(os.devnull, "w") as quiet:
