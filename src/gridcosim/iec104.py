@@ -136,7 +136,9 @@ class InfoObject:
 
 
 # slots, not frozen: every report segment builds an InfoObject, an Asdu and
-# an Apdu on each side, and a frozen dataclass pays object.__setattr__ per field
+# an Apdu on each side, and a frozen dataclass pays object.__setattr__ per field.
+# `encode` checks the type id and the 1..127 object count; `decode` builds
+# only ASDUs that pass both.
 @dataclass(slots=True)
 class Asdu:
     type_id: int
@@ -144,12 +146,6 @@ class Asdu:
     common_address: int
     objects: tuple[InfoObject, ...]
     originator: int = 0
-
-    def __post_init__(self):
-        if self.type_id not in _ELEMENT_SIZE:
-            raise UnknownTypeId(self.type_id)
-        if not 1 <= len(self.objects) <= 127:
-            raise Iec104Error("ASDU must carry between 1 and 127 objects")
 
 
 FrameKind = Literal["I", "S", "U"]
@@ -219,8 +215,10 @@ def encode(apdu: Apdu) -> bytes:
         if asdu is None:
             raise Iec104Error("I-frame needs an ASDU")
         type_id, objects, common_address = asdu.type_id, asdu.objects, asdu.common_address
+        if not 1 <= len(objects) <= 127:
+            raise Iec104Error("ASDU must carry between 1 and 127 objects")
         fields = [START_BYTE, 0, _check_seq(apdu.send_seq) << 1, _check_seq(apdu.recv_seq) << 1,
-                  type_id, len(objects) & 0x7F, asdu.cot & 0xFF, asdu.originator & 0xFF,
+                  type_id, len(objects), asdu.cot & 0xFF, asdu.originator & 0xFF,
                   common_address]  # VSQ: SQ=0, object count
         if not 0 <= common_address <= COMMON_ADDRESS_MAX:
             raise Iec104Error(f"common address {common_address} outside 2-octet range")

@@ -236,11 +236,11 @@ class TestCodecErrors:
                              ids=["no_object", "128_objects"])
     def test_asdu_object_count(self, objects):
         with pytest.raises(Iec104Error, match="between 1 and 127"):
-            Asdu(iec104.C_IC_NA_1, iec104.COT_ACTIVATION, 0, objects)
+            encode(i_frame(0, 0, Asdu(iec104.C_IC_NA_1, iec104.COT_ACTIVATION, 0, objects)))
 
     def test_asdu_unknown_type(self):
         with pytest.raises(UnknownTypeId):
-            Asdu(2, iec104.COT_SPONTANEOUS, 0, (InfoObject(1),))
+            encode(i_frame(0, 0, Asdu(2, iec104.COT_SPONTANEOUS, 0, (InfoObject(1),))))
 
 
 # Reference I-frame builder, octet by octet from the field layout of
