@@ -3,8 +3,10 @@
 Each `tests/data/golden/<name>.sha256` lists the sha256 of every hashed
 artifact of that scenario, in `sha256sum` format. The two shipped demos send
 few APDUs; `tests/data/scada_burst` pins the heavy IEC 104 path (report
-buffer overflow, STARTDT buffer flush, k/w windowing with S-frames, and a
-general interrogation). `tests/data/grid_fields` reads every monitored field
+buffer overflow, STARTDT buffer flush, the S-frame after every w = 8
+I-frames, and a general interrogation). The k = 12 window never fills in a
+run, since delivery is inline and the S-frame arrives first; the session
+tests in `tests/test_iec104.py` cover it. `tests/data/grid_fields` reads every monitored field
 of every element kind, on a grid with a tapped trafo, an open line and a
 closed line cut off behind it. `tests/data/tree_feeder` runs a 127-bus tree
 feeder whose power flow eliminates leaf layers before the dense solve. A
