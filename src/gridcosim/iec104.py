@@ -341,8 +341,9 @@ class ConnectionState:
     def send(self, asdu: Asdu) -> Apdu:
         """The I-frame that carries `asdu`; a ProtocolViolation unless `can_send`."""
         if not self.can_send:
-            raise ProtocolViolation("I-frame sent before STARTDT" if not self.started else
-                                    f"I-frame sent with k={K_UNACKED_LIMIT} unacknowledged")
+            raise ProtocolViolation(
+                "I-frame sent before STARTDT" if not self.started
+                else f"I-frame sent with k={K_UNACKED_LIMIT} I-frames unacknowledged")
         apdu = i_frame(self.vs, self.vr, asdu)
         self.vs = (self.vs + 1) % SEQ_MODULO
         self.unacked_sent += 1

@@ -64,7 +64,9 @@ def stream_errors(stream: bytes) -> tuple[list[str], int]:
     while pos < len(stream):
         end = pos + 2 + stream[pos + 1] if pos + 1 < len(stream) else pos + 2
         apdus += 1
-        error = "the capture ends inside this APDU" if end > len(stream) else apdu_error(stream[pos:end])
+        if end > len(stream):
+            return [f"APDU at {pos}: the capture ends inside this APDU"], apdus
+        error = apdu_error(stream[pos:end])
         if error:  # nothing after a bad APDU can be framed
             return [f"APDU at {pos}: {error}"], apdus
         if stream[pos + 2] & 0x01 == 0:

@@ -395,9 +395,10 @@ class TestSession:
 
     def test_s_frame_emitted_after_w_received(self):
         state = ConnectionState(started=True)
-        emissions = [state.received(i_frame(i, 0, meas_asdu()))
-                     for i in range(iec104.W_ACK_THRESHOLD)]
-        assert emissions == [None] * (iec104.W_ACK_THRESHOLD - 1) + [s_frame(iec104.W_ACK_THRESHOLD)]
+        *quiet, last = [state.received(i_frame(i, 0, meas_asdu()))
+                        for i in range(iec104.W_ACK_THRESHOLD)]
+        assert quiet == [None] * (iec104.W_ACK_THRESHOLD - 1)
+        assert last == s_frame(iec104.W_ACK_THRESHOLD)
         assert state.vr == iec104.W_ACK_THRESHOLD
 
     def test_ack_of_unsent_frames_is_violation(self):
