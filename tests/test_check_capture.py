@@ -44,56 +44,36 @@ def _third_i_frame(data):
     return max(by_direction.values(), key=len)[2]
 
 
-def _refresh_tcp_checksum(buf, start, tcp, end):
+def _refresh_tcp_checksum(buf, start, tcp, _payload, end):
     struct.pack_into(">H", buf, tcp + 16, 0)
     pseudo = buf[start + 26:start + 34] + struct.pack(">BBH", 0, 6, end - tcp)
     struct.pack_into(">H", buf, tcp + 16, 0xFFFF - check_capture.word_sum(pseudo + buf[tcp:end]))
 
 
-def _flip(offset_of):
-    def corrupt(buf, segment):
-        buf[offset_of(segment)] ^= 0x01
-    return corrupt
-
-
-def _rewrite(change):
-    """Change one field of the segment, then make its TCP checksum right again,
-    so only the check of that field can fail."""
-    def corrupt(buf, segment):
-        change(buf, segment)
-        _refresh_tcp_checksum(buf, segment[0], segment[1], segment[3])
-    return corrupt
-
-
-def _next_ns(buf, segment):
-    payload = segment[2]
-    ns = struct.unpack_from("<H", buf, payload + 2)[0] >> 1
-    struct.pack_into("<H", buf, payload + 2, (ns + 1) % check_capture.SEQ_MODULO << 1)
-
-
-def _next_tcp_seq(buf, segment):
-    tcp = segment[1]
-    struct.pack_into(">I", buf, tcp + 4, struct.unpack_from(">I", buf, tcp + 4)[0] + 1)
-
-
+# name -> (segment offset it starts from: 0 frame, 1 TCP header, 2 payload,
+# 3 frame end; octet offset from there; the octet's new value; whether the TCP
+# checksum is made right again, so that only the field's own check can fail;
+# the fault the checker must name)
 CORRUPTIONS = {
-    "ipv4_header_bit": (_flip(lambda segment: segment[0] + 22), "checksum"),   # TTL
-    "tcp_header_bit": (_flip(lambda segment: segment[1] + 14), "checksum"),    # window
-    "last_payload_bit": (_flip(lambda segment: segment[3] - 1), "checksum"),
-    "tcp_seq": (_rewrite(_next_tcp_seq), "TCP seq"),
-    "start_octet": (_rewrite(lambda buf, segment: buf.__setitem__(segment[2], 0x69)),
-                    "start octet"),
-    "vsq": (_rewrite(lambda buf, segment: buf.__setitem__(segment[2] + 7, 2)), "object count"),
-    "n_s": (_rewrite(_next_ns), "N(S)"),
+    "ipv4_header_bit": (0, 22, lambda octet: octet ^ 0x01, False, "checksum"),  # TTL
+    "tcp_header_bit": (1, 14, lambda octet: octet ^ 0x01, False, "checksum"),   # window
+    "last_payload_bit": (3, -1, lambda octet: octet ^ 0x01, False, "checksum"),
+    "tcp_seq": (1, 7, lambda octet: octet ^ 0x01, True, "TCP seq"),
+    "start_octet": (2, 0, lambda octet: 0x69, True, "start octet"),
+    "vsq": (2, 7, lambda octet: 2, True, "object count"),
+    "n_s": (2, 2, lambda octet: octet ^ 0x02, True, "N(S)"),  # bit 0 of N(S)
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_corrupted_capture_fails(tmp_path, corruption):
-    corrupt, fault = CORRUPTIONS[corruption]
+    part, offset, change, refresh, fault = CORRUPTIONS[corruption]
     with open(_capture(tmp_path, "scada_burst"), "rb") as fh:
         buf = bytearray(fh.read())
-    corrupt(buf, _third_i_frame(buf))
+    segment = _third_i_frame(buf)
+    buf[segment[part] + offset] = change(buf[segment[part] + offset])
+    if refresh:
+        _refresh_tcp_checksum(buf, *segment)
     path = tmp_path / "corrupted.pcap"
     path.write_bytes(bytes(buf))
     errors, _, _ = check_capture.check(str(path))
