@@ -300,6 +300,21 @@ MALFORMED_INPUT = {
     "grid_negative_impedance": (
         "attack_demo", "grid.txt", "lline2  from=lv2 to=lv3 r_ohm=0.04",
         "lline2  from=lv2 to=lv3 r_ohm=-0.04", "r_ohm=-0.04"),
+    "grid_line_between_voltage_levels": (
+        "attack_demo", "grid.txt", "lline3  from=lv3 to=lv4", "lline3  from=lv3 to=mv2",
+        "from=lv3 to=mv2"),
+    "grid_trafo_unknown_bus": (
+        "attack_demo", "grid.txt", "hv_bus=mv2", "hv_bus=ghost", "hv_bus=ghost"),
+    "grid_trafo_vk_zero": (
+        "attack_demo", "grid.txt", "vk_percent=6.0", "vk_percent=0", "vk_percent=0"),
+    "grid_trafo_rating_zero": (
+        "attack_demo", "grid.txt", "s_rated_kva=630", "s_rated_kva=0", "s_rated_kva=0"),
+    "grid_trafo_vkr_above_vk": (
+        "attack_demo", "grid.txt", "vkr_percent=1.2", "vkr_percent=7.0", "vkr_percent=7.0"),
+    "grid_load_unknown_bus": (
+        "attack_demo", "grid.txt", "l4      bus=lv4", "l4      bus=ghost", "bus=ghost"),
+    "grid_sgen_unknown_bus": (
+        "attack_demo", "grid.txt", "pv1  bus=lv4", "pv1  bus=ghost", "bus=ghost"),
     "grid_second_slack": (
         "attack_demo", "grid.txt", "mv1  nominal_kv=20.0  type=pq",
         "mv1  nominal_kv=20.0  type=slack", "mv1  nominal_kv=20.0  type=slack"),
@@ -320,6 +335,19 @@ MALFORMED_INPUT = {
 }
 
 
+# what the message of a MALFORMED_INPUT case says, where the grid's
+# validator has more than one rule for the element the case edits
+INPUT_MESSAGES = {
+    "grid_line_between_voltage_levels": "connects buses of different nominal voltage",
+    "grid_trafo_unknown_bus": "trafo 'tr1' references unknown bus",
+    "grid_trafo_vk_zero": "has non-positive vk or rating",
+    "grid_trafo_rating_zero": "has non-positive vk or rating",
+    "grid_trafo_vkr_above_vk": "needs 0 <= vkr <= vk",
+    "grid_load_unknown_bus": "'l4' references unknown bus",
+    "grid_sgen_unknown_bus": "'pv1' references unknown bus",
+}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUT))
 def test_validate_rejects_malformed_grid_or_topology_with_file_and_line(case, tmp_path, capsys):
     demo, filename, old, new, anchor = MALFORMED_INPUT[case]
@@ -329,6 +357,7 @@ def test_validate_rejects_malformed_grid_or_topology_with_file_and_line(case, tm
     assert cli.main(["validate", str(scenario_file)]) == 1
     err = capsys.readouterr().err
     assert f"{path}:{lineno}: " in err
+    assert INPUT_MESSAGES.get(case, "") in err
     assert "Traceback" not in err
 
 

@@ -12,6 +12,7 @@ from gridcosim.devices import (
     UnknownIoa,
     to_f32,
 )
+from gridcosim.pcap import FIN
 
 PAIR = """
 [host mtu]
@@ -113,17 +114,21 @@ class TestReporting:
         assert mtu.archive == [] and len(rtu.buffer) == 2
         assert [row[2] for row in rtu.truth_rows] == ["p_from_kw", "q_from_kvar"]
 
-    def test_scale_applied_at_acquisition(self, rig):
-        network, rtu, mtu = rig
-        mtu.start(0)
+    def test_scale_applied_at_acquisition(self):
+        network = netsim.parse_topology(PAIR)
         scaled = RtuConfig(
             name="r2", host="field1", common_address=2,
             datapoints=DataPointMap(entries=[DataPoint(1, "monitor", "bus", "b", "p_kw", scale=0.001)]),
             report_period=60,
         )
-        # second RTU on same host is not allowed (port clash): just check digitizing
+        rtu = Rtu(scaled, network)
+        mtu = Mtu(network, "mtu", step_size=60)
+        mtu.attach_rtu("r2", "10.0.2.11")
+        mtu.start(0)
+        rtu.step(0, {("bus:b", "p_kw"): 1234.5})
         value = to_f32(1234.5 * 0.001)
-        assert value == pytest.approx(1.2345, rel=1e-6)
+        assert rtu.truth_rows == [(0, "bus:b", "p_kw", value)]
+        assert [(r.ioa, r.value) for r in mtu.archive] == [(1, value)]
 
 
 class TestPollAndCommand:
@@ -238,6 +243,45 @@ class TestSessionConnection:
         assert conn.closed and rtu.session is None
         rtu.step(60, MEAS)
         assert mtu.archive == [] and len(rtu.buffer) == 2
+
+    @staticmethod
+    def _interrogation():
+        return iec104.Asdu(iec104.C_IC_NA_1, iec104.COT_ACTIVATION, 0,
+                           (iec104.InfoObject(0, iec104.QOI_STATION),))
+
+    def _assert_rtu_hung_up(self, network, rtu, conn):
+        assert conn.closed and rtu.session is None
+        fin = network.packet_log[-4]
+        assert fin.src_port == devices.IEC104_PORT and fin.tcp_flags & FIN
+        rtu.step(60, MEAS)
+        assert len(rtu.buffer) == 2
+
+    def test_out_of_sequence_i_frame_closes_the_session_connection(self, rig):
+        network, rtu, mtu = rig
+        mtu.start(0)
+        session = mtu._sessions["r1"]
+        session.put(iec104.i_frame(5, 0, self._interrogation()), at_s=30)
+        self._assert_rtu_hung_up(network, rtu, session.conn)
+        assert mtu.archive == []
+
+    def test_i_frame_before_startdt_closes_the_session_connection(self, rig):
+        network, rtu, _ = rig
+        conn = network.open_connection("mtu", "10.0.2.11", devices.IEC104_PORT, at_s=0)
+        conn.send(iec104.encode(iec104.i_frame(0, 0, self._interrogation())), at_s=30)
+        self._assert_rtu_hung_up(network, rtu, conn)
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"\x68\x04\x07\x01\x00\x00", "malformed U-frame control field 07010000"),
+        (iec104.encode(iec104.i_frame(7, 0, iec104.Asdu(
+            iec104.M_ME_NC_1, iec104.COT_SPONTANEOUS, 1, (iec104.InfoObject(101, 1.0),)))),
+         r"I-frame N\(S\)=7, expected 0"),
+    ], ids=["malformed", "out_of_sequence"])
+    def test_violation_at_the_mtu_end_raises(self, payload, message, rig):
+        _, rtu, mtu = rig
+        mtu.start(0)
+        with pytest.raises(iec104.Iec104Error, match=message):
+            rtu.session.conn.send(payload, at_s=30, from_server=True)
+        assert not rtu.session.conn.closed
 
 
 class TestManipulationRules:

@@ -274,6 +274,50 @@ class TestShell:
             star.open_session("10.0.0.1", 22)  # ssh has no RCE
 
 
+class TestHttp:
+    def request(self, network, segments, ip="10.0.0.2"):
+        conn = network.open_connection("h1", ip, 80, at_s=0)
+        response = bytearray()
+        conn.on_data = response.extend
+        for segment in segments:
+            conn.send(segment)
+        return bytes(response).decode()
+
+    def test_request_split_across_segments(self, star):
+        first, second = b"GET /cgi-bin/exec?cmd=who", b"ami HTTP/1.1\r\n\r\n"
+        assert self.request(star, [first]) == ""
+        response = self.request(star, [first, second])
+        assert response.startswith("HTTP/1.1 200 OK\r\n") and response.endswith("\r\nwww-data\n")
+
+    def test_non_get_request_is_bad(self, star):
+        response = self.request(star, [b"POST / HTTP/1.1\r\n\r\n"])
+        assert response.startswith("HTTP/1.1 400 Bad Request\r\n")
+        assert response.endswith("\r\nbad request\n")
+
+    def test_exec_without_rce_is_not_found(self):
+        network = parse_topology(STAR.replace("http 80 rce=CVE-2099-1111", "http 80"))
+        response = self.request(network, [b"GET /cgi-bin/exec?cmd=whoami HTTP/1.1\r\n\r\n"])
+        assert response.startswith("HTTP/1.1 404 Not Found\r\n")
+        assert response.endswith("\r\nno such endpoint\n")
+
+    @pytest.mark.parametrize("cmd, message", [
+        ("nmap", "command not recognized: nmap"),
+        ("rtu-override+install", "'rtu-override' requires admin privilege"),
+    ], ids=["unknown", "not_admin"])
+    def test_failed_command_is_a_server_error(self, cmd, message, star):
+        star.register_command("h2", "rtu-override", lambda args: "ok")
+        request = f"GET /cgi-bin/exec?cmd={cmd} HTTP/1.1\r\n\r\n".encode()
+        response = self.request(star, [request])
+        assert response.startswith("HTTP/1.1 500 Internal Server Error\r\n")
+        assert response.endswith(f"\r\n{message}\n")
+
+    def test_plain_get_serves_the_banner_page(self, star):
+        response = self.request(star, [b"GET / HTTP/1.1\r\n\r\n"])
+        banner = star.hosts["h2"].service_on(80).banner
+        assert response.startswith("HTTP/1.1 200 OK\r\n")
+        assert response.endswith(f"\r\n<html>{banner}</html>\n")
+
+
 class TestPcapExport:
     def test_export_and_reimport(self, star, tmp_path):
         star.open_connection("h1", "10.0.0.2", 80, at_s=0)
