@@ -7,7 +7,3 @@ behind-the-meter flexibility, producing reproducible normal/attack datasets
 """
 
 __version__ = "0.1.0"
-
-from .scenario import Scenario, load_scenario, run_scenario
-
-__all__ = ["Scenario", "load_scenario", "run_scenario", "__version__"]

@@ -19,12 +19,9 @@ class AttackError(Exception):
     pass
 
 
-class PlanOrderError(AttackError):
-    pass
-
-
 # the stage kinds in plan order; a stage's name is S1..S4 by its position
 STAGE_KINDS = ("scan", "rce", "pe", "manipulate")
+PE_METHODS = ("suid", "sudoers")
 
 
 @dataclass(frozen=True)
@@ -42,7 +39,7 @@ class AttackPlan:
     def __post_init__(self):
         ranks = [STAGE_KINDS.index(stage.kind) for stage in self.stages]
         if any(b <= a for a, b in zip(ranks, ranks[1:])):
-            raise PlanOrderError("stages must appear in S1 < S2 < S3 < S4 order")
+            raise AttackError("stages must appear in S1 < S2 < S3 < S4 order")
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,6 @@ class Attacker:
 
     def stage_pe(self, method: str, t: int):
         session = self._session()
-        if method not in ("suid", "sudoers"):
-            raise AttackError(f"unknown pe method '{method}'")
         command = "find / -perm -4000" if method == "suid" else "sudo -l"
         output = self.network.exec_command(session, command)
         self._log(t, f"S3 pe via {method}")

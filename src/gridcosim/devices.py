@@ -18,7 +18,7 @@ from functools import cached_property
 
 from . import iec104
 from .configfile import ConfigError, Entry
-from .grid import MONITOR_FIELDS
+from .grid.powerflow import MONITOR_FIELDS
 from .netsim import NetError, Network, TcpConnection
 
 REPORT_BUFFER_LIMIT = 100
@@ -183,23 +183,16 @@ class _SessionEnd:
         rx = self.rx + payload if self.rx else payload
         try:
             apdus, used = iec104.decode_stream(rx)
+            self.rx = rx[used:] if used < len(rx) else b""
+            for apdu in apdus:
+                reply = self.state.received(apdu)
+                if reply is not None:
+                    self.put(reply)
+                yield apdu
         except iec104.Iec104Error:
             if not self.server:
                 raise
             self.conn.close(from_server=True)
-            return
-        self.rx = rx[used:] if used < len(rx) else b""
-        for apdu in apdus:
-            try:
-                reply = self.state.received(apdu)
-            except iec104.Iec104Error:
-                if not self.server:
-                    raise
-                self.conn.close(from_server=True)
-                return
-            if reply is not None:
-                self.put(reply)
-            yield apdu
 
 
 class Rtu:

@@ -31,10 +31,6 @@ class EmsError(Exception):
     pass
 
 
-class HorizonMismatch(EmsError):
-    pass
-
-
 @dataclass(frozen=True)
 class Battery:
     capacity_kwh: float
@@ -235,7 +231,7 @@ def evaluate_run(
     if len(decisions) != len(baseline) or any(
         a.t != b.t for a, b in zip(decisions, baseline)
     ):
-        raise HorizonMismatch("decision traces cover different horizons")
+        raise EmsError("decision traces cover different horizons")
     return KpiReport(
         run=_kpi(decisions, dt_s, dso_limits, vpp_schedules),
         baseline=_kpi(baseline, dt_s, dso_limits, vpp_schedules),

@@ -24,14 +24,6 @@ class PowerFlowError(Exception):
     pass
 
 
-class UnknownElement(PowerFlowError):
-    pass
-
-
-class UnconvergedSolution(PowerFlowError):
-    pass
-
-
 class _BusView(Mapping):
     """A read-only per-bus view: bus id -> `values[position[bus id]]`."""
 
@@ -158,7 +150,7 @@ def _plan(model: GridModel, line_status: Mapping[str, bool]) -> _Plan:
         return plan
     for line_id in line_status:
         if model.element("line", line_id) is None:
-            raise UnknownElement(f"line_status references unknown line '{line_id}'")
+            raise PowerFlowError(f"line_status references unknown line '{line_id}'")
     open_lines = frozenset(
         line.id for line in model.lines if not line_status.get(line.id, line.in_service)
     )
@@ -417,7 +409,7 @@ def run_power_flow(
     injections = injections or {}
     if not injections.keys() <= model.bus_index.keys():
         unknown = next(bus_id for bus_id in injections if bus_id not in model.bus_index)
-        raise UnknownElement(f"injection references unknown bus '{unknown}'")
+        raise PowerFlowError(f"injection references unknown bus '{unknown}'")
     plan = _plan(model, line_status or {})
     ybus = plan.ybus
     n = len(plan.order)
@@ -523,12 +515,12 @@ def measurements_at(
     are its applied value (`element_values`, else the model's), 0.0 on an
     islanded bus."""
     if not solution.converged:
-        raise UnconvergedSolution("cannot take measurements from a non-converged solution")
+        raise PowerFlowError("cannot take measurements from a non-converged solution")
     element = model.element(kind, elem_id)
     if element is None:
-        raise UnknownElement(f"no {kind} '{elem_id}' in the model")
+        raise PowerFlowError(f"no {kind} '{elem_id}' in the model")
     if fieldname not in MONITOR_FIELDS[kind]:
-        raise UnknownElement(f"no measurable field '{fieldname}' of a {kind}")
+        raise PowerFlowError(f"no measurable field '{fieldname}' of a {kind}")
     if kind in ("line", "trafo"):
         if fieldname == "v_pu":
             return solution.vm_pu[element.from_bus if kind == "line" else element.hv_bus]

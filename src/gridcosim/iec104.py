@@ -83,36 +83,6 @@ class Iec104Error(Exception):
     pass
 
 
-class Oversize(Iec104Error):
-    pass
-
-
-class InvalidSequence(Iec104Error):
-    pass
-
-
-class BadStartByte(Iec104Error):
-    pass
-
-
-class LengthOutOfRange(Iec104Error):
-    pass
-
-
-class UnknownTypeId(Iec104Error):
-    def __init__(self, type_id: int):
-        super().__init__(f"unknown ASDU type id {type_id}")
-        self.type_id = type_id
-
-
-class TruncatedAsdu(Iec104Error):
-    pass
-
-
-class ProtocolViolation(Iec104Error):
-    pass
-
-
 class NeedMoreBytes(Iec104Error):
     """Decode input is a valid prefix; `needed` more bytes complete the APDU."""
 
@@ -189,10 +159,10 @@ class _IFrameStructs(dict):
     def __missing__(self, key: tuple[int, int]) -> struct.Struct:
         type_id, count = key
         if type_id not in _ELEMENT_SIZE:
-            raise UnknownTypeId(type_id)
+            raise Iec104Error(f"unknown ASDU type id {type_id}")
         length = 10 + count * (3 + _ELEMENT_SIZE[type_id])
         if length > MAX_LENGTH:
-            raise Oversize(f"APDU length {length} exceeds {MAX_LENGTH}")
+            raise Iec104Error(f"APDU length {length} exceeds {MAX_LENGTH}")
         obj = "HBfB" if type_id in _FLOAT_TYPES else "HBB"
         frame = self[key] = struct.Struct("<BBHHBBBBH" + obj * count)
         return frame
@@ -203,7 +173,7 @@ _I_FRAMES = _IFrameStructs()
 
 def _check_seq(seq: int) -> int:
     if not 0 <= seq < SEQ_MODULO:
-        raise InvalidSequence(f"sequence number {seq} outside 0..32767")
+        raise Iec104Error(f"sequence number {seq} outside 0..32767")
     return seq
 
 
@@ -254,26 +224,26 @@ def decode(buf: bytes, offset: int = 0) -> tuple[Apdu, int]:
     if available < 2:
         raise NeedMoreBytes(2 - available)
     if buf[offset] != START_BYTE:
-        raise BadStartByte(f"expected 0x68, got 0x{buf[offset]:02x}")
+        raise Iec104Error(f"expected 0x68, got 0x{buf[offset]:02x}")
     length = buf[offset + 1]
     if not MIN_LENGTH <= length <= MAX_LENGTH:
-        raise LengthOutOfRange(f"length octet {length} outside {MIN_LENGTH}..{MAX_LENGTH}")
+        raise Iec104Error(f"length octet {length} outside {MIN_LENGTH}..{MAX_LENGTH}")
     total = 2 + length
     if available < total:
         raise NeedMoreBytes(total - available)
     if buf[offset + 2] & 0x01 == 0:
         if length < 10:
-            raise TruncatedAsdu("ASDU header needs 6 octets")
+            raise Iec104Error("ASDU header needs 6 octets")
         type_id, vsq = buf[offset + 6], buf[offset + 7]
         if type_id not in _ELEMENT_SIZE:
-            raise UnknownTypeId(type_id)
+            raise Iec104Error(f"unknown ASDU type id {type_id}")
         if vsq & 0x80:
-            raise TruncatedAsdu("sequence-of-elements VSQ not supported")
+            raise Iec104Error("sequence-of-elements VSQ not supported")
         if vsq < 1:
-            raise TruncatedAsdu("VSQ object count must be >= 1")
+            raise Iec104Error("VSQ object count must be >= 1")
         body = vsq * (3 + _ELEMENT_SIZE[type_id])
         if length - 10 != body:
-            raise TruncatedAsdu(f"expected {body} object octets, got {length - 10}")
+            raise Iec104Error(f"expected {body} object octets, got {length - 10}")
         values = _I_FRAMES[type_id, vsq].unpack_from(buf, offset)
         if type_id in _FLOAT_TYPES:
             if vsq == 1:  # a report's one object: no list to build
@@ -292,13 +262,13 @@ def decode(buf: bytes, offset: int = 0) -> tuple[Apdu, int]:
     _, _, control_1, control_2 = _APCI.unpack_from(buf, offset)
     if length != 4:
         kind = "S" if control_1 & 0x03 == 0x01 else "U"
-        raise LengthOutOfRange(f"{kind}-frame length must be 4")
+        raise Iec104Error(f"{kind}-frame length must be 4")
     if control_1 & 0x03 == 0x01:
         return s_frame(control_2 >> 1), total
     function = control_1 & 0xFF
     if function not in U_NAMES or control_1 >> 8 or control_2:
         ctrl = bytes(buf[offset + 2 : offset + 6])
-        raise ProtocolViolation(f"malformed U-frame control field {ctrl.hex()}")
+        raise Iec104Error(f"malformed U-frame control field {ctrl.hex()}")
     return u_frame(function), total
 
 
@@ -339,9 +309,9 @@ class ConnectionState:
         return self.started and self.unacked_sent < K_UNACKED_LIMIT
 
     def send(self, asdu: Asdu) -> Apdu:
-        """The I-frame that carries `asdu`; a ProtocolViolation unless `can_send`."""
+        """The I-frame that carries `asdu`; an Iec104Error unless `can_send`."""
         if not self.can_send:
-            raise ProtocolViolation(
+            raise Iec104Error(
                 "I-frame sent before STARTDT" if not self.started
                 else f"I-frame sent with k={K_UNACKED_LIMIT} I-frames unacknowledged")
         apdu = i_frame(self.vs, self.vr, asdu)
@@ -359,7 +329,7 @@ class ConnectionState:
         acked_base = (self.vs - self.unacked_sent) % SEQ_MODULO
         delta = (recv_seq - acked_base) % SEQ_MODULO
         if delta > self.unacked_sent:
-            raise ProtocolViolation(
+            raise Iec104Error(
                 f"N(R)={recv_seq} acknowledges frames never sent (unacked={self.unacked_sent})"
             )
         self.unacked_sent -= delta
@@ -386,11 +356,9 @@ class ConnectionState:
             return None
         # I-frame
         if not self.started:
-            raise ProtocolViolation("I-frame received before STARTDT")
+            raise Iec104Error("I-frame received before STARTDT")
         if apdu.send_seq != self.vr:
-            raise ProtocolViolation(
-                f"I-frame N(S)={apdu.send_seq}, expected {self.vr}"
-            )
+            raise Iec104Error(f"I-frame N(S)={apdu.send_seq}, expected {self.vr}")
         self.vr = (self.vr + 1) % SEQ_MODULO
         self._apply_ack(apdu.recv_seq)
         self.unacked_recv += 1

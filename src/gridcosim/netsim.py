@@ -68,14 +68,6 @@ class NetError(Exception):
     pass
 
 
-class DuplicateIp(NetError):
-    pass
-
-
-class DisconnectedHost(NetError):
-    pass
-
-
 class Unreachable(NetError):
     pass
 
@@ -276,7 +268,7 @@ class Network:
             raise NetError(f"duplicate node name '{host.name}'")
         for ip, cidr in host.interfaces:
             if ip in self.ip_table:
-                raise DuplicateIp(f"ip {ip} assigned twice")
+                raise NetError(f"ip {ip} assigned twice")
             try:
                 inside = ipaddress.ip_address(ip) in ipaddress.ip_network(cidr)
             except ValueError as exc:
@@ -311,7 +303,7 @@ class Network:
             name for name in self.hosts if self.path_latency_us(first, name) is None
         ]
         if unreachable:
-            raise DisconnectedHost(f"hosts without a network path: {sorted(unreachable)}")
+            raise NetError(f"hosts without a network path: {sorted(unreachable)}")
 
     # -- routing -----------------------------------------------------------
 

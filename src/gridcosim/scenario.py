@@ -28,7 +28,7 @@ the removed `seed`):
   common_address = <int>          # 0..65535
   report_period_s = <int>         # a positive multiple of step_s
   datapoint = <ioa> <monitor|control> <kind>:<element>:<field> [scale=<f>] [unit=<text>]
-                                  # repeatable; fields per kind: grid.MONITOR_FIELDS /
+                                  # repeatable; fields per kind: grid.powerflow.MONITOR_FIELDS /
                                   # devices.CONTROL_FIELDS; an element field has one controller
 
   [ved <name>]
@@ -45,7 +45,7 @@ the removed `seed`):
   start_time_s = <int>            # optional
   stage = scan <subnet>            # repeatable, in this order
   stage = rce <selector>
-  stage = pe <suid|sudoers>
+  stage = pe <suid|sudoers>       # attacker.PE_METHODS
   stage = manipulate <kind> [factor=<f>] [delta=<f>] [targets=all|<ioa,..>]
                                   # scale and fdi_stealth take factor, offset takes
                                   # delta, freeze neither (devices.MANIPULATION_KINDS);
@@ -55,6 +55,7 @@ the removed `seed`):
 from __future__ import annotations
 
 import hashlib
+import ipaddress
 import os
 import struct
 from collections import namedtuple
@@ -72,16 +73,9 @@ from .configfile import (
     sections_of,
     single_section,
 )
-from .grid import (
-    GridModel,
-    ProfileSet,
-    bus_injections,
-    element_values_at,
-    load_grid,
-    load_profiles,
-    measurements_at,
-    run_power_flow,
-)
+from .grid.model import GridModel, load_grid
+from .grid.powerflow import measurements_at, run_power_flow
+from .grid.profiles import ProfileSet, bus_injections, element_values_at, load_profiles
 from .kernel import Kernel, SimulatorDescriptor, SimulatorFault
 
 GROUND_TRUTH_CSV = "ground_truth.csv"
@@ -246,8 +240,9 @@ def _parse_datapoint(entry: Entry) -> devices.DataPoint:
 
 def _parse_stage(entry: Entry) -> attacker_mod.Stage:
     """A stage keeps its argument as written: a manipulation's options reach
-    the RTU as text, checked here by the RTU's own parser."""
-    (kind, _), opts = entry.split(2, "stage = <scan|rce|pe|manipulate> <argument> ...")
+    the RTU as text, checked here by the RTU's own parser. A scan subnet
+    must parse as `Network.scan_subnet` parses it, host bits clear."""
+    (kind, target), opts = entry.split(2, "stage = <scan|rce|pe|manipulate> <argument> ...")
     if kind not in attacker_mod.STAGE_KINDS:
         raise entry.error(f"unknown stage kind '{kind}'")
     arg = entry.value.split(maxsplit=1)[1]
@@ -255,6 +250,13 @@ def _parse_stage(entry: Entry) -> attacker_mod.Stage:
         devices.parse_manipulation(replace(entry, value=arg))
     elif opts.attrs:
         raise entry.error(f"stage {kind} takes no options")
+    elif kind == "scan":
+        try:
+            ipaddress.ip_network(target)
+        except ValueError as exc:
+            raise entry.error(f"stage scan: {exc}") from None
+    elif kind == "pe" and target not in attacker_mod.PE_METHODS:
+        raise entry.error(f"unknown pe method '{target}'")
     return attacker_mod.Stage(kind, arg)
 
 

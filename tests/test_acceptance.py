@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from gridcosim import ems, iec104
-from gridcosim.grid import load_grid, load_profiles, run_power_flow
-from gridcosim.grid.model import Bus, GridModel, Line, validate
-from gridcosim.grid.profiles import bus_injections, element_values_at
+from gridcosim.grid.model import Bus, GridModel, Line, load_grid, validate
+from gridcosim.grid.powerflow import run_power_flow
+from gridcosim.grid.profiles import bus_injections, element_values_at, load_profiles
 from gridcosim.scenario import load_scenario, run_scenario
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 
 from gridcosim import netsim
-from gridcosim.attacker import AttackPlan, Attacker, PlanOrderError, Stage
+from gridcosim.attacker import AttackError, AttackPlan, Attacker, Stage
 from gridcosim.devices import (
     DataPoint,
     DataPointMap,
@@ -80,13 +80,16 @@ def network():
     return net
 
 
+ORDER_MESSAGE = "stages must appear in S1 < S2 < S3 < S4 order"
+
+
 class TestPlanValidation:
     def test_reordered_stages_rejected(self):
-        with pytest.raises(PlanOrderError):
+        with pytest.raises(AttackError, match=ORDER_MESSAGE):
             AttackPlan(foothold="kali", stages=(Stage("pe", "suid"), Stage("rce", "http")))
 
     def test_duplicate_stage_rejected(self):
-        with pytest.raises(PlanOrderError):
+        with pytest.raises(AttackError, match=ORDER_MESSAGE):
             AttackPlan(foothold="kali", stages=(Stage("rce", "http"), Stage("rce", "http")))
 
     def test_later_stages_may_be_omitted(self):

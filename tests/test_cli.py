@@ -55,6 +55,14 @@ MALFORMED = {
         "attack_demo", "targets=all", "targets=101,101", "targets=101,101"),
     "scan_without_subnet": (
         "attack_demo", "stage = scan 10.0.2.0/24", "stage = scan", "stage = scan"),
+    "scan_subnet_prefix_too_long": (
+        "attack_demo", "stage = scan 10.0.2.0/24", "stage = scan 10.0.0.0/33",
+        "stage = scan 10.0.0.0/33"),
+    "scan_subnet_host_bits_set": (
+        "attack_demo", "stage = scan 10.0.2.0/24", "stage = scan 10.0.2.1/24",
+        "stage = scan 10.0.2.1/24"),
+    "unknown_pe_method": (
+        "attack_demo", "stage = pe suid", "stage = pe root", "stage = pe root"),
     "stages_out_of_order": (
         "attack_demo", "stage = rce http\nstage = pe suid", "stage = pe suid\nstage = rce http",
         "[attack]"),
@@ -120,6 +128,9 @@ MESSAGES = {
         "sgen:pv1:p_kw is already controlled by rtu 'rtu1'",
     "second_rtu_section": "second [rtu rtu1] section",
     "second_ved_section": "second [ved home1] section",
+    "scan_subnet_prefix_too_long": "stage scan: '10.0.0.0/33' does not appear to be",
+    "scan_subnet_host_bits_set": "stage scan: 10.0.2.1/24 has host bits set",
+    "unknown_pe_method": "unknown pe method 'root'",
 }
 
 

@@ -12,7 +12,6 @@ from gridcosim.ems import (
     Battery,
     DsoLimit,
     EmsError,
-    HorizonMismatch,
     VppSchedule,
     apply_setpoint,
     ems_step,
@@ -197,5 +196,5 @@ class TestEvaluate:
     def test_horizon_mismatch(self):
         series = [(1.0, 0.0)] * 4
         decisions, _ = simulate(None, series)
-        with pytest.raises(HorizonMismatch):
+        with pytest.raises(EmsError, match="decision traces cover different horizons"):
             evaluate_run(decisions, decisions[:-1], 900)

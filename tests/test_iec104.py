@@ -9,17 +9,10 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from gridcosim import iec104
 from gridcosim.iec104 import (
     Asdu,
-    BadStartByte,
     ConnectionState,
     InfoObject,
-    InvalidSequence,
     Iec104Error,
-    LengthOutOfRange,
     NeedMoreBytes,
-    Oversize,
-    ProtocolViolation,
-    TruncatedAsdu,
-    UnknownTypeId,
     decode,
     decode_stream,
     encode,
@@ -54,15 +47,14 @@ class TestCodec:
         assert encode(i_frame(0, 0, meas_asdu())) == MEAS_IFRAME_BYTES
 
     def test_bad_start_byte(self):
-        with pytest.raises(BadStartByte):
+        with pytest.raises(Iec104Error, match="expected 0x68, got 0x69"):
             decode(b"\x69\x04\x07\x00\x00\x00")
 
     def test_unknown_type_id(self):
         frame = bytearray(encode(i_frame(0, 0, meas_asdu())))
         frame[6] = 200
-        with pytest.raises(UnknownTypeId) as err:
+        with pytest.raises(Iec104Error, match="unknown ASDU type id 200"):
             decode(bytes(frame))
-        assert err.value.type_id == 200
 
     def test_partial_input_needs_more_bytes(self):
         frame = encode(i_frame(4, 2, meas_asdu()))
@@ -156,15 +148,18 @@ def _objects(type_id, count):
 
 
 class TestCodecErrors:
-    @pytest.mark.parametrize("asdu", [
-        bytes((13, 1, 3, 0, 1)),                                 # 5-octet ASDU
-        bytes((13, 0x81, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES,     # SQ=1
-        bytes((13, 0x00, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES,     # zero count
-        bytes((13, 0x02, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES,     # 2 declared, 1 present
-        bytes((13, 0x01, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES[:-1],  # short body
+    @pytest.mark.parametrize("asdu, message", [
+        (bytes((13, 1, 3, 0, 1)), "ASDU header needs 6 octets"),
+        (bytes((13, 0x81, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES,
+         "sequence-of-elements VSQ not supported"),
+        (bytes((13, 0x00, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES, "VSQ object count must be >= 1"),
+        (bytes((13, 0x02, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES,  # 2 declared, 1 present
+         "expected 16 object octets, got 8"),
+        (bytes((13, 0x01, 3, 0, 1, 0)) + _FLOAT_OBJECT_BYTES[:-1],
+         "expected 8 object octets, got 7"),
     ], ids=["under_6_octets", "sq_bit", "zero_count", "count_above_body", "body_short"])
-    def test_truncated_asdu(self, asdu):
-        with pytest.raises(TruncatedAsdu):
+    def test_truncated_asdu(self, asdu, message):
+        with pytest.raises(Iec104Error, match=message):
             decode(_raw_i_frame(asdu))
 
     @pytest.mark.parametrize("type_id,count", [
@@ -173,7 +168,8 @@ class TestCodecErrors:
     ])
     def test_oversize(self, type_id, count):
         asdu = Asdu(type_id, iec104.COT_SPONTANEOUS, 1, _objects(type_id, count))
-        with pytest.raises(Oversize):
+        length = 10 + count * (8 if type_id in (iec104.M_ME_NC_1, iec104.C_SE_NC_1) else 4)
+        with pytest.raises(Iec104Error, match=f"APDU length {length} exceeds 253"):
             encode(i_frame(0, 0, asdu))
 
     @pytest.mark.parametrize("type_id,count", [
@@ -186,12 +182,12 @@ class TestCodecErrors:
         assert len(raw) == 252 and raw[1] == 250
         assert decode(raw) == (apdu, 252)
 
-    @pytest.mark.parametrize("apdu", [
-        i_frame(32768, 0, meas_asdu()), i_frame(0, 32768, meas_asdu()),
-        i_frame(-1, 0, meas_asdu()), s_frame(32768),
+    @pytest.mark.parametrize("apdu, seq", [
+        (i_frame(32768, 0, meas_asdu()), 32768), (i_frame(0, 32768, meas_asdu()), 32768),
+        (i_frame(-1, 0, meas_asdu()), -1), (s_frame(32768), 32768),
     ], ids=["ns_32768", "nr_32768", "ns_negative", "s_frame_nr_32768"])
-    def test_sequence_number_out_of_range(self, apdu):
-        with pytest.raises(InvalidSequence):
+    def test_sequence_number_out_of_range(self, apdu, seq):
+        with pytest.raises(Iec104Error, match=rf"sequence number {seq} outside 0\.\.32767"):
             encode(apdu)
 
     @pytest.mark.parametrize("ca", [65536, -1])
@@ -206,21 +202,21 @@ class TestCodecErrors:
     def test_type_id_changed_after_construction_rejected(self):
         asdu = meas_asdu()
         asdu.type_id = 2
-        with pytest.raises(UnknownTypeId):
+        with pytest.raises(Iec104Error, match="unknown ASDU type id 2"):
             encode(i_frame(0, 0, asdu))
 
     def test_i_frame_without_asdu_rejected(self):
         with pytest.raises(Iec104Error, match="needs an ASDU"):
             encode(iec104.Apdu("I"))
 
-    @pytest.mark.parametrize("raw", [
-        bytes((0x68, 3, 7, 0, 0)),
-        bytes((0x68, 254)) + bytes(254),
-        bytes((0x68, 5, 1, 0, 0, 0, 0)),    # S-frame
-        bytes((0x68, 5, 7, 0, 0, 0, 0)),    # U-frame
+    @pytest.mark.parametrize("raw, message", [
+        (bytes((0x68, 3, 7, 0, 0)), r"length octet 3 outside 4\.\.253"),
+        (bytes((0x68, 254)) + bytes(254), r"length octet 254 outside 4\.\.253"),
+        (bytes((0x68, 5, 1, 0, 0, 0, 0)), "S-frame length must be 4"),
+        (bytes((0x68, 5, 7, 0, 0, 0, 0)), "U-frame length must be 4"),
     ], ids=["length_3", "length_254", "s_frame_length_5", "u_frame_length_5"])
-    def test_length_out_of_range(self, raw):
-        with pytest.raises(LengthOutOfRange):
+    def test_length_out_of_range(self, raw, message):
+        with pytest.raises(Iec104Error, match=message):
             decode(raw)
 
     @pytest.mark.parametrize("control", [
@@ -229,7 +225,7 @@ class TestCodecErrors:
         "07000100",  # third control octet set
     ])
     def test_malformed_u_frame(self, control):
-        with pytest.raises(ProtocolViolation, match="malformed U-frame"):
+        with pytest.raises(Iec104Error, match=f"malformed U-frame control field {control}"):
             decode(bytes.fromhex("6804" + control))
 
     @pytest.mark.parametrize("objects", [(), tuple(InfoObject(n) for n in range(128))],
@@ -239,7 +235,7 @@ class TestCodecErrors:
             encode(i_frame(0, 0, Asdu(iec104.C_IC_NA_1, iec104.COT_ACTIVATION, 0, objects)))
 
     def test_asdu_unknown_type(self):
-        with pytest.raises(UnknownTypeId):
+        with pytest.raises(Iec104Error, match="unknown ASDU type id 2"):
             encode(i_frame(0, 0, Asdu(2, iec104.COT_SPONTANEOUS, 0, (InfoObject(1),))))
 
 
@@ -363,7 +359,7 @@ class TestSession:
 
     def test_i_frame_before_start_is_violation(self):
         state = ConnectionState()
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(Iec104Error, match="I-frame received before STARTDT"):
             state.received(i_frame(0, 0, meas_asdu()))
 
     def test_testfr_act_answered(self):
@@ -374,7 +370,7 @@ class TestSession:
         state = ConnectionState()
         assert state.start() == u_frame(iec104.U_STARTDT_ACT)
         assert not state.can_send
-        with pytest.raises(ProtocolViolation, match="before STARTDT"):
+        with pytest.raises(Iec104Error, match="I-frame sent before STARTDT"):
             state.send(meas_asdu())
         assert state.received(u_frame(iec104.U_STARTDT_CON)) is None
         assert state.can_send
@@ -386,7 +382,7 @@ class TestSession:
         emitted = [state.send(meas_asdu()) for _ in range(iec104.K_UNACKED_LIMIT)]
         assert [a.send_seq for a in emitted] == list(range(iec104.K_UNACKED_LIMIT))
         assert not state.can_send
-        with pytest.raises(ProtocolViolation, match="k=12"):
+        with pytest.raises(Iec104Error, match="I-frame sent with k=12 I-frames unacknowledged"):
             state.send(meas_asdu())
         assert state.vs == iec104.K_UNACKED_LIMIT
         # the ack reopens the window
@@ -404,7 +400,7 @@ class TestSession:
     def test_ack_of_unsent_frames_is_violation(self):
         state = ConnectionState(started=True)
         state.send(meas_asdu())
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(Iec104Error, match=r"N\(R\)=5 acknowledges frames never sent"):
             state.received(s_frame(5))
 
     def test_sequence_numbers_wrap(self):
@@ -416,7 +412,7 @@ class TestSession:
     def test_out_of_order_receive_is_violation(self):
         state = ConnectionState(started=True)
         state.received(i_frame(0, 0, meas_asdu()))
-        with pytest.raises(ProtocolViolation):
+        with pytest.raises(Iec104Error, match=r"I-frame N\(S\)=5, expected 1"):
             state.received(i_frame(5, 0, meas_asdu()))
 
     def test_vr_monotone_modulo_wrap(self):
@@ -463,7 +459,8 @@ class SessionPair(RuleBasedStateMachine):
         for _ in range(count):
             if not state.can_send:
                 vs = state.vs
-                with pytest.raises(ProtocolViolation):
+                message = "with k=12 I-frames" if state.started else "before STARTDT"
+                with pytest.raises(Iec104Error, match=f"I-frame sent {message}"):
                     state.send(meas_asdu())
                 assert state.vs == vs
                 break
