@@ -86,3 +86,47 @@ def test_option_parser_is_strict(options):
     with pytest.raises(ConfigError) as info:
         section.get_all("key")[0].split(1)
     assert info.value.lineno == 2
+
+
+ROW = """[bus]
+b0 x=1.5 n=7 on=yes off=open word=abc nan=nan inf=-inf big=1e400
+"""
+
+
+# (read on the row b0, the value it gives, or the message of its error)
+@pytest.mark.parametrize("read, result", [
+    (lambda r: r.get_float("x"), 1.5),
+    (lambda r: r.get_float("n"), 7.0),
+    (lambda r: r.get_float("missing"), "'b0' is missing 'missing'"),
+    (lambda r: r.get_float("missing", 2.5), 2.5),
+    (lambda r: r.get_float("word"), "word: expected a number, got 'abc'"),
+    (lambda r: r.get_float("nan"), "nan must be finite, got 'nan'"),
+    (lambda r: r.get_float("inf"), "inf must be finite, got '-inf'"),
+    (lambda r: r.get_float("big"), "big must be finite, got '1e400'"),
+    (lambda r: r.get_int("n"), 7),
+    (lambda r: r.get_int("missing"), "'b0' is missing 'missing'"),
+    (lambda r: r.get_int("missing", None), None),
+    (lambda r: r.get_int("x"), "x: expected an integer, got '1.5'"),
+    (lambda r: r.get_int("word"), "word: expected an integer, got 'abc'"),
+    (lambda r: r.get_int("nan"), "nan: expected an integer, got 'nan'"),
+    (lambda r: r.get_int("inf"), "inf: expected an integer, got '-inf'"),
+    (lambda r: r.get_bool("on"), True),
+    (lambda r: r.get_bool("off"), False),
+    (lambda r: r.get_bool("missing"), "'b0' is missing 'missing'"),
+    (lambda r: r.get_bool("missing", True), True),
+    (lambda r: r.get_bool("word"), "word: expected a boolean, got 'abc'"),
+    (lambda r: r.get_bool("nan"), "nan: expected a boolean, got 'nan'"),
+    (lambda r: r.get_bool("inf"), "inf: expected a boolean, got '-inf'"),
+], ids=["float", "float_of_int", "float_missing", "float_default", "float_not_a_number",
+        "float_nan", "float_inf", "float_overflows", "int", "int_missing", "int_default",
+        "int_of_float", "int_not_a_number", "int_nan", "int_inf", "bool_true", "bool_false",
+        "bool_missing", "bool_default", "bool_not_a_boolean", "bool_nan", "bool_inf"])
+def test_row_typed_reads(read, result):
+    row = parse_config(ROW, source="g.txt")[0].rows[0]
+    if not isinstance(result, str):
+        value = read(row)
+        assert value == result and type(value) is type(result)
+        return
+    with pytest.raises(ConfigError) as info:
+        read(row)
+    assert str(info.value) == f"g.txt:2: {result}"

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ATTACK_DEMO, FEEDER7, FLEX_DEMO, SCADA_BURST, TREE_FEEDER
 from gridcosim.configfile import ConfigError
@@ -735,3 +737,71 @@ class TestProfiles:
         profiles = load_profiles(feeder7_profiles_path)
         assert profiles.get("ld2", "p_kw") is not None
         assert profiles.get("pv6", "p_kw").value_at(0) == 0.0
+
+
+HEADER = "t_seconds,element_id,field,value\n"
+
+
+# (CSV text, line the error names, what its message says)
+@pytest.mark.parametrize("text, lineno, message", [
+    ("t_seconds,element,field,value\n0,ld,p_kw,5.0\n", 1,
+     "expected header t_seconds,element_id,field,value"),
+    (HEADER + "0,ld,p_kw,5.0\n900,ld,p_kw\n", 3,
+     "expected 4 fields t_seconds,element_id,field,value"),
+    (HEADER + "0,ld,p_kw,5.0\n9x,ld,p_kw,6.0\n", 3, "t_seconds: expected an integer, got '9x'"),
+    (HEADER + "0,ld,p_kw,nan\n", 2, "value must be finite, got 'nan'"),
+    # a quoted field spans lines 3 and 4; the bad value stands on line 4
+    (HEADER + '0,ld,p_kw,5.0\n900,"l\nd",p_kw,nan\n', 4, "value must be finite, got 'nan'"),
+], ids=["bad_header", "three_fields", "t_not_an_integer", "value_nan", "quoted_field_spans_lines"])
+def test_profile_errors_name_their_line(text, lineno, message):
+    with pytest.raises(ConfigError) as info:
+        parse_profiles(text, source="p.csv")
+    assert info.value.lineno == lineno
+    assert str(info.value) == f"p.csv:{lineno}: {message}"
+
+
+PROFILE_SAMPLES = st.lists(
+    st.tuples(
+        st.integers(1, 10**6),  # time step from the previous row
+        st.sampled_from(["ld", "pv", "b7"]),
+        st.sampled_from(["p_kw", "q_kvar"]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1, max_size=30,
+)
+BAD_T = ["x", "1.5", "", "1e3", "0x10"]
+BAD_VALUE = ["x", "nan", "inf", "-inf", "", "1.5.5"]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(samples=PROFILE_SAMPLES, start=st.integers(-10**12, 10**12), data=st.data())
+def test_profile_fields_parse_and_a_corrupt_field_names_its_row(samples, start, data):
+    """Every field of a valid CSV parses to the int or float it spells, and
+    one corrupted field raises a ConfigError at that row's line."""
+    rows, t = [], start
+    for step, element, fieldname, value in samples:
+        t += step
+        rows.append([str(t), element, fieldname, repr(value)])
+    profiles = parse_profiles(HEADER + "".join(",".join(row) + "\n" for row in rows))
+    expected = {}
+    for t_text, element, fieldname, value_text in rows:
+        times, values = expected.setdefault((element, fieldname), ([], []))
+        times.append(int(t_text))
+        values.append(float(value_text))
+    assert len(profiles) == len(expected)
+    for (element, fieldname), (times, values) in expected.items():
+        profile = profiles.get(element, fieldname)
+        assert profile.times == times and profile.values == values
+        assert all(type(t) is int for t in profile.times)
+        assert all(type(v) is float for v in profile.values)
+
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    column, bad = data.draw(st.one_of(
+        st.tuples(st.just(0), st.sampled_from(BAD_T)),
+        st.tuples(st.just(3), st.sampled_from(BAD_VALUE)),
+    ), label="corruption")
+    rows[i][column] = bad
+    with pytest.raises(ConfigError) as info:
+        parse_profiles(HEADER + "".join(",".join(row) + "\n" for row in rows), source="p.csv")
+    assert info.value.lineno == i + 2
+    assert str(info.value).startswith(f"p.csv:{i + 2}: ")
