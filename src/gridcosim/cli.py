@@ -14,7 +14,6 @@ from .devices import IEC104_PORT
 from .kernel import KernelError
 from .netsim import NetError
 from .pcap import PcapError, flags_text, read_pcap
-from .scenario import load_scenario, run_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -27,6 +26,8 @@ def _cmd_run(args) -> int:
     if args.until is not None and args.until <= 0:
         print(f"error: --until must be positive, got {args.until}", file=sys.stderr)
         return EXIT_VALIDATION
+    from .scenario import load_scenario, run_scenario  # numpy: only where a grid is solved
+
     try:
         scenario = load_scenario(args.scenario)
     except _VALIDATION_ERRORS as exc:
@@ -34,7 +35,7 @@ def _cmd_run(args) -> int:
         return EXIT_VALIDATION
     try:
         outputs = run_scenario(scenario, outdir=args.out, until=args.until)
-    except (KernelError, NetError, RuntimeError) as exc:
+    except (KernelError, NetError, PcapError, RuntimeError) as exc:
         print(f"runtime fault: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     sys.stdout.write(outputs.report_text)
@@ -43,6 +44,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .scenario import load_scenario
+
     try:
         scenario = load_scenario(args.scenario)
     except _VALIDATION_ERRORS as exc:

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-_TRUE = ("true", "yes", "on", "1", "closed")
-_FALSE = ("false", "no", "off", "0", "open")
+_BOOLS = {**dict.fromkeys(("true", "yes", "on", "1", "closed"), True),
+          **dict.fromkeys(("false", "no", "off", "0", "open"), False)}
 _EXPECTED = {float: "a number", int: "an integer", bool: "a boolean"}
 _REQUIRED = object()  # default of the typed reads: the key must be present
 
@@ -44,6 +44,20 @@ class ConfigError(Exception):
         self.lineno = lineno
 
 
+def parse_value(value: str, what: str, kind: type) -> float | int | bool:
+    """`value` as a float, int or bool (a str: as written), or a ValueError
+    whose text names `what`; the caller adds the file and line. A float must
+    be finite, so no nan or inf reaches a solve or an artifact; an int of any
+    size is exact."""
+    try:
+        number = _BOOLS[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
+        raise ValueError(f"{what}: expected {_EXPECTED[kind]}, got '{value}'") from None
+    if kind is not float or math.isfinite(number):
+        return number
+    raise ValueError(f"{what} must be finite, got '{value}'")
+
+
 # slots: a large RTU file makes one Entry and one Row per datapoint line
 @dataclass(slots=True)
 class Located:
@@ -56,46 +70,27 @@ class Located:
         return ConfigError(message, self.source, self.lineno)
 
     def convert(self, value: str, what: str, kind: type) -> float | int | bool:
-        """`value` as a float, int or bool, or a ConfigError at this line; a
-        float must be finite, so no nan or inf reaches a solve or an artifact."""
-        if kind is bool:
-            if value.lower() in _TRUE:
-                return True
-            if value.lower() in _FALSE:
-                return False
-        else:
-            try:
-                number = kind(value)
-            except ValueError:
-                pass
-            else:
-                if math.isfinite(number):
-                    return number
-                raise self.error(f"{what} must be finite, got '{value}'")
-        raise self.error(f"{what}: expected {_EXPECTED[kind]}, got '{value}'")
+        """`value` as `kind` by `parse_value`, or a ConfigError at this line."""
+        try:
+            return parse_value(value, what, kind)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
 
 
 class _Lookup:
-    """String and typed reads by key; `_find` gives a value and its line."""
+    """Reads by key, each through `_typed(key, default, kind)`: the value as
+    `kind` (str: as written), `default` when the key is absent, and without
+    a `default` the key is required."""
 
     __slots__ = ()
 
-    def _find(self, key: str, required: bool) -> tuple[str, Located] | None:
-        raise NotImplementedError
-
     def get(self, key: str, default: str | None = None) -> str | None:
-        found = self._find(key, False)
-        return default if found is None else found[0]
+        return self._typed(key, default, str)
 
     def require(self, key: str) -> str:
-        return self._find(key, True)[0]
-
-    def _typed(self, key: str, default, kind: type):
-        found = self._find(key, default is _REQUIRED)
-        return default if found is None else found[1].convert(found[0], key, kind)
+        return self._typed(key, _REQUIRED, str)
 
     def get_float(self, key: str, default=_REQUIRED) -> float:
-        """The value as a float; without a `default` the key is required."""
         return self._typed(key, default, float)
 
     def get_int(self, key: str, default=_REQUIRED) -> int:
@@ -112,12 +107,19 @@ class Row(Located, _Lookup):
     id: str
     attrs: dict[str, str]
 
-    def _find(self, key, required):
-        if key in self.attrs:
-            return self.attrs[key], self
-        if required:
-            raise self.error(f"'{self.id}' is missing '{key}'")
-        return None
+    def _typed(self, key, default, kind):
+        # one lookup and one conversion: a grid file makes several per row
+        value = self.attrs.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise self.error(f"'{self.id}' is missing '{key}'")
+            return default
+        if kind is str:
+            return value
+        try:
+            return parse_value(value, key, kind)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
 
 
 def _parse_row(ident: str, tokens: list[str], source: str, lineno: int,
@@ -189,39 +191,37 @@ class Section(Located, _Lookup):
         if rows is None:
             if self.rows:
                 raise self.rows[0].error(
-                    f"expected 'key = value' in [{self.kind}], got '{self.rows[0].id}'"
-                )
+                    f"expected 'key = value' in [{self.kind}], got '{self.rows[0].id}'")
             return
         for row in self.rows:
             if not row.attrs.keys() <= rows:
                 key = next(k for k in row.attrs if k not in rows)
                 raise row.error(f"'{row.id}': unknown attribute '{key}'")
 
-    def _find(self, key, required):
-        entry = self.entry(key, required)
-        return None if entry is None else (entry.value, entry)
+    def _typed(self, key, default, kind):
+        entry = self.entry(key, default is _REQUIRED)
+        return default if entry is None else entry.convert(entry.value, key, kind)
 
 
 def parse_config(text: str, source: str = "<config>") -> list[Section]:
     sections: list[Section] = []
     current: Section | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
+        tokens = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not tokens:
             continue
-        if line.startswith("["):
+        if tokens[0].startswith("["):
+            line = " ".join(tokens)
             if not line.endswith("]"):
                 raise ConfigError("unterminated section header", source, lineno)
             head = line[1:-1].split()
             if not head or len(head) > 2:
                 raise ConfigError("section header must be [kind] or [kind name]", source, lineno)
-            current = Section(source=source, lineno=lineno, kind=head[0],
-                              name=head[1] if len(head) == 2 else None)
+            current = Section(source, lineno, head[0], head[1] if len(head) == 2 else None)
             sections.append(current)
             continue
         if current is None:
             raise ConfigError("entry before any section header", source, lineno)
-        tokens = line.split()
         if len(tokens) >= 2 and tokens[1] == "=":
             current.entries.append(Entry(source, lineno, tokens[0], " ".join(tokens[2:])))
         else:

@@ -14,11 +14,10 @@ import functools
 import struct
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import iec104
 from .configfile import ConfigError, Entry
-from .grid.powerflow import MONITOR_FIELDS
+from .grid.model import MONITOR_FIELDS
 from .netsim import NetError, Network, TcpConnection
 
 REPORT_BUFFER_LIMIT = 100
@@ -83,7 +82,8 @@ class NegativeConfirm(DeviceError):
     pass
 
 
-@dataclass(frozen=True)
+# slots, not frozen: a large RTU file builds one per datapoint line
+@dataclass(slots=True)
 class DataPoint:
     ioa: int
     direction: str      # monitor | control
@@ -92,11 +92,11 @@ class DataPoint:
     fieldname: str
     scale: float = 1.0
     unit: str = ""
+    # `<kind>:<id>`, built once: every step and truth row reuses it
+    entity: str = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def entity(self) -> str:
-        """`<kind>:<id>`, built once: every step and truth row reuses it."""
-        return f"{self.element_kind}:{self.element_id}"
+    def __post_init__(self):
+        self.entity = f"{self.element_kind}:{self.element_id}"
 
 
 @dataclass

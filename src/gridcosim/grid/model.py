@@ -59,7 +59,23 @@ UNKNOWN_BUS = "UnknownBus"
 VOLTAGE_MISMATCH = "VoltageMismatch"
 
 
-@dataclass(frozen=True)
+# the fields a monitor datapoint may read, per element kind; a branch's
+# p_kw and q_kvar are its from-end flow
+_BRANCH_FIELDS = (
+    "p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu", "i_ka", "loading_percent",
+)
+MONITOR_FIELDS = {
+    "bus": ("p_kw", "q_kvar", "v_pu"),
+    "line": _BRANCH_FIELDS,
+    "trafo": _BRANCH_FIELDS,
+    "load": ("p_kw", "q_kvar", "v_pu"),
+    "sgen": ("p_kw", "q_kvar", "v_pu"),
+}
+
+
+# slots, not frozen: a feeder file builds one record per row, and a frozen
+# dataclass pays object.__setattr__ per field
+@dataclass(slots=True)
 class Bus:
     id: str
     nominal_kv: float
@@ -67,7 +83,7 @@ class Bus:
     vm_setpoint_pu: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Line:
     id: str
     from_bus: str
@@ -78,7 +94,7 @@ class Line:
     in_service: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Trafo:
     id: str
     hv_bus: str
@@ -93,7 +109,7 @@ class Trafo:
         return 1.0 + self.tap_position * TAP_STEP_PERCENT / 100.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Load:
     id: str
     bus: str
@@ -101,7 +117,7 @@ class Load:
     q_kvar: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sgen:
     id: str
     bus: str
@@ -169,9 +185,9 @@ def validate(model: GridModel) -> None:
         raise ValidationError(NO_SLACK, "grid needs exactly one slack bus")
     if len(slacks) > 1:
         raise ValidationError(MULTIPLE_SLACK, "grid needs exactly one slack bus", slacks[1])
-    bus_ids = set(model.bus_index)
+    bus_kv = {bus.id: bus.nominal_kv for bus in model.buses}
     for line in model.lines:
-        if line.from_bus not in bus_ids or line.to_bus not in bus_ids:
+        if line.from_bus not in bus_kv or line.to_bus not in bus_kv:
             raise ValidationError(UNKNOWN_BUS, f"line '{line.id}' references unknown bus", line)
         if line.r_ohm <= 0 and line.x_ohm <= 0:
             raise ValidationError(
@@ -181,13 +197,13 @@ def validate(model: GridModel) -> None:
             raise ValidationError(
                 NON_POSITIVE_IMPEDANCE, f"line '{line.id}' has a negative impedance term", line
             )
-        if model.bus(line.from_bus).nominal_kv != model.bus(line.to_bus).nominal_kv:
+        if bus_kv[line.from_bus] != bus_kv[line.to_bus]:
             raise ValidationError(
                 VOLTAGE_MISMATCH,
                 f"line '{line.id}' connects buses of different nominal voltage", line,
             )
     for trafo in model.trafos:
-        if trafo.hv_bus not in bus_ids or trafo.lv_bus not in bus_ids:
+        if trafo.hv_bus not in bus_kv or trafo.lv_bus not in bus_kv:
             raise ValidationError(
                 UNKNOWN_BUS, f"trafo '{trafo.id}' references unknown bus", trafo
             )
@@ -201,13 +217,13 @@ def validate(model: GridModel) -> None:
                 NON_POSITIVE_IMPEDANCE, f"trafo '{trafo.id}' needs 0 <= vkr <= vk", trafo
             )
     for elem in model.loads + model.sgens:
-        if elem.bus not in bus_ids:
+        if elem.bus not in bus_kv:
             raise ValidationError(UNKNOWN_BUS, f"'{elem.id}' references unknown bus", elem)
 
     # Connectivity over all branches, regardless of switching state.
     seen = connected_buses(model, model.buses[0].id)
     if len(seen) != len(model.buses):
-        missing = sorted(bus_ids - seen)
+        missing = sorted(bus_kv.keys() - seen)
         first = next(b for b in model.buses if b.id not in seen)
         raise ValidationError(DISCONNECTED, f"buses not connected to the grid: {missing}", first)
     if not model.meshed and model.branch_count != len(model.buses) - 1:
@@ -265,58 +281,31 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
     base_mva = head.get_float("base_mva", 1.0) if head is not None else 1.0
     meshed = head.get_bool("meshed", False) if head is not None else False
 
+    # each record is built positionally, in field order: a keyword call
+    # costs about twice as much, and a feeder file builds one per row
     buses, lines, trafos, loads, sgens = [], [], [], [], []
     for section in sections_of(sections, "bus"):
         for row in section.rows:
             bus_type = row.require("type")
             if bus_type not in ("slack", "pq"):
                 raise row.error(f"bus '{row.id}': type must be slack or pq")
-            buses.append(
-                Bus(
-                    id=row.id,
-                    nominal_kv=row.get_float("nominal_kv"),
-                    type=bus_type,
-                    vm_setpoint_pu=row.get_float("vm_pu", 1.0),
-                )
-            )
+            buses.append(Bus(row.id, row.get_float("nominal_kv"), bus_type,
+                             row.get_float("vm_pu", 1.0)))
     for section in sections_of(sections, "line"):
         for row in section.rows:
-            lines.append(
-                Line(
-                    id=row.id,
-                    from_bus=row.require("from"),
-                    to_bus=row.require("to"),
-                    r_ohm=row.get_float("r_ohm"),
-                    x_ohm=row.get_float("x_ohm"),
-                    max_i_ka=row.get_float("max_i_ka"),
-                    in_service=row.get_bool("status", True),
-                )
-            )
+            lines.append(Line(row.id, row.require("from"), row.require("to"),
+                              row.get_float("r_ohm"), row.get_float("x_ohm"),
+                              row.get_float("max_i_ka"), row.get_bool("status", True)))
     for section in sections_of(sections, "trafo"):
         for row in section.rows:
-            trafos.append(
-                Trafo(
-                    id=row.id,
-                    hv_bus=row.require("hv_bus"),
-                    lv_bus=row.require("lv_bus"),
-                    s_rated_kva=row.get_float("s_rated_kva"),
-                    vk_percent=row.get_float("vk_percent"),
-                    vkr_percent=row.get_float("vkr_percent"),
-                    tap_position=row.get_int("tap_position", 0),
-                )
-            )
-    for kind, pool in (("load", loads), ("sgen", sgens)):
-        cls = Load if kind == "load" else Sgen
-        for section in sections_of(sections, kind):
+            trafos.append(Trafo(row.id, row.require("hv_bus"), row.require("lv_bus"),
+                                row.get_float("s_rated_kva"), row.get_float("vk_percent"),
+                                row.get_float("vkr_percent"), row.get_int("tap_position", 0)))
+    for cls, pool in ((Load, loads), (Sgen, sgens)):
+        for section in sections_of(sections, "load" if cls is Load else "sgen"):
             for row in section.rows:
-                pool.append(
-                    cls(
-                        id=row.id,
-                        bus=row.require("bus"),
-                        p_kw=row.get_float("p_kw"),
-                        q_kvar=row.get_float("q_kvar"),
-                    )
-                )
+                pool.append(cls(row.id, row.require("bus"), row.get_float("p_kw"),
+                                row.get_float("q_kvar")))
     model = GridModel(
         buses=buses,
         lines=lines,

@@ -14,7 +14,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .model import GridModel, connected_buses
+from .model import MONITOR_FIELDS, GridModel, connected_buses
 
 TOLERANCE_PU = 1e-8
 MAX_ITERATIONS = 20
@@ -483,18 +483,6 @@ def run_power_flow(
     )
 
 
-# the fields a monitor datapoint may read, per element kind; a branch's
-# p_kw and q_kvar are its from-end flow
-_BRANCH_FIELDS = (
-    "p_kw", "q_kvar", "p_from_kw", "q_from_kvar", "v_pu", "i_ka", "loading_percent",
-)
-MONITOR_FIELDS = {
-    "bus": ("p_kw", "q_kvar", "v_pu"),
-    "line": _BRANCH_FIELDS,
-    "trafo": _BRANCH_FIELDS,
-    "load": ("p_kw", "q_kvar", "v_pu"),
-    "sgen": ("p_kw", "q_kvar", "v_pu"),
-}
 # branch field -> column of PowerFlowSolution.branch_flows
 _FLOW_COLUMN = {"p_kw": 0, "p_from_kw": 0, "q_kvar": 1, "q_from_kvar": 1,
                 "i_ka": 2, "loading_percent": 3}

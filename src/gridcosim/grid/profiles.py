@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..configfile import ConfigError, Located
+from ..configfile import ConfigError, parse_value
 from .model import GridModel, Load
 
 _HEADER = ["t_seconds", "element_id", "field", "value"]
@@ -46,25 +46,25 @@ class ProfileSet:
 def parse_profiles(text: str, source: str = "<profiles>") -> ProfileSet:
     """Build a ProfileSet from CSV text; errors name the CSV line."""
     reader = csv.reader(text.splitlines())
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header] != _HEADER:
+    if [h.strip() for h in next(reader, [])] != _HEADER:
         raise ConfigError(f"expected header {','.join(_HEADER)}", source, 1)
     series: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
     for row in reader:
-        where = Located(source, reader.line_num)
-        if len(row) != len(_HEADER):
-            raise where.error(f"expected {len(_HEADER)} fields {','.join(_HEADER)}")
-        t = where.convert(row[0], "t_seconds", int)
-        value = where.convert(row[3], "value", float)
-        times, values = series.setdefault((row[1], row[2]), ([], []))
-        if times and t <= times[-1]:
-            raise where.error(f"profile {row[1]}.{row[2]}: sample times must strictly increase")
+        if len(row) != 4:
+            raise ConfigError(f"expected 4 fields {','.join(_HEADER)}", source, reader.line_num)
+        try:  # the line is named only when the row breaks a rule
+            t = parse_value(row[0], "t_seconds", int)
+            value = parse_value(row[3], "value", float)
+            key = (row[1], row[2])
+            times, values = series.get(key) or series.setdefault(key, ([], []))
+            if times and t <= times[-1]:
+                raise ValueError(f"profile {row[1]}.{row[2]}: sample times must strictly increase")
+        except ValueError as exc:
+            raise ConfigError(str(exc), source, reader.line_num) from None
         times.append(t)
         values.append(value)
-    return ProfileSet({
-        key: TimeSeriesProfile(element_id=key[0], fieldname=key[1], times=times, values=values)
-        for key, (times, values) in series.items()
-    })
+    return ProfileSet({key: TimeSeriesProfile(*key, times, values)
+                       for key, (times, values) in series.items()})
 
 
 def load_profiles(path) -> ProfileSet:

@@ -13,7 +13,8 @@ register on their host.
 Topology file schema (see configfile for the line and `k=v` option grammar:
 options in [brackets] follow the leading values, any other token is an
 error; every host and firewall entry is repeatable; a section, key or option
-not listed here is an error at its line):
+not listed here is an error at its line; a port is an integer in 0..65535,
+PORT_MAX, the range of a TCP header's port field):
 
   [host <name>]
   interface = <ip> <cidr>
@@ -605,6 +606,7 @@ class HttpHandler:
 
 
 TOPOLOGY_SECTIONS = ("host", "switch", "link", "firewall")
+PORT_MAX = 0xFFFF
 HOST_KEYS = ("interface", "service", "account", "suid", "sudoers")
 LINK_ATTRS = frozenset(("a", "b", "latency_ms"))
 
@@ -632,6 +634,8 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
                 if kind not in SERVICE_KINDS:
                     raise entry.error(f"unknown service kind '{kind}'")
                 port = entry.convert(port_raw, f"{kind} service port", int)
+                if not 0 <= port <= PORT_MAX:
+                    raise entry.error(f"{kind} service port {port} outside 0..{PORT_MAX}")
                 if any(s.port == port for s in host.services):
                     raise entry.error(f"host '{host.name}' repeats service port {port}")
                 host.services.append(Service(
@@ -689,9 +693,11 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
                 src_net, dst_net = (ipaddress.ip_network(cidr) for cidr in cidrs)
             except ValueError as exc:
                 raise entry.error(f"{entry.key}: {exc}") from None
+            port = opts.get_int("port", None)
+            if port is not None and not 0 <= port <= PORT_MAX:
+                raise entry.error(f"{entry.key}: port {port} outside 0..{PORT_MAX}")
             network.firewall_rules.append(
-                FirewallRule(action=entry.key, src_net=src_net, dst_net=dst_net,
-                             port=opts.get_int("port", None))
+                FirewallRule(action=entry.key, src_net=src_net, dst_net=dst_net, port=port)
             )
     network.validate()
     return network

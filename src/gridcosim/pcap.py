@@ -46,7 +46,9 @@ FLAG_NAMES = (("FIN", FIN), ("SYN", SYN), ("RST", RST), ("PSH", PSH), ("ACK", AC
 FLOW_CACHE_SIZE = 4096
 
 WRITE_BATCH = 1024  # records per write to the capture file
+TIME_S_MAX = 0xFFFFFFFF  # the last second a record header's 32 bits can hold
 
+_T_US_END = (TIME_S_MAX + 1) * 1_000_000
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 # Ethernet header; IPv4: version/IHL, DSCP/ECN, total length, id, flags (DF),
@@ -145,8 +147,9 @@ def write_pcap(path, records) -> int:
         pack_header = _RECORD_HEADER.pack
         for record in records:
             t_us = record.t_us
-            if t_us < last_t:
-                raise PcapError("packet timestamps must be non-decreasing")
+            if not last_t <= t_us < _T_US_END:
+                raise PcapError("packet timestamps must be non-decreasing" if t_us < last_t
+                                else f"packet time {t_us} us is past second {TIME_S_MAX}")
             last_t = t_us
             count += 1
             frame = build_frame(record, count)

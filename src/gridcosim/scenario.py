@@ -11,7 +11,8 @@ the removed `seed`):
 
   [scenario]
   name = <token>                  # optional
-  horizon_s = <int>               # a positive multiple of step_s
+  horizon_s = <int>               # a positive multiple of step_s, at most
+                                  # pcap.TIME_S_MAX (the capture's 32-bit seconds)
   step_s = <int>
   grid_file = <path>
   topology_file = <path>
@@ -28,7 +29,7 @@ the removed `seed`):
   common_address = <int>          # 0..65535
   report_period_s = <int>         # a positive multiple of step_s
   datapoint = <ioa> <monitor|control> <kind>:<element>:<field> [scale=<f>] [unit=<text>]
-                                  # repeatable; fields per kind: grid.powerflow.MONITOR_FIELDS /
+                                  # repeatable; fields per kind: grid.model.MONITOR_FIELDS /
                                   # devices.CONTROL_FIELDS; an element field has one controller
 
   [ved <name>]
@@ -63,7 +64,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain, islice
 
 from . import attacker as attacker_mod
-from . import devices, ems, iec104, netsim
+from . import devices, ems, iec104, netsim, pcap
 from .configfile import (
     ConfigError,
     Entry,
@@ -227,15 +228,11 @@ def _parse_datapoint(entry: Entry) -> devices.DataPoint:
     ioa = entry.convert(ioa, "ioa", int)
     if not 0 <= ioa <= iec104.IOA_MAX:
         raise entry.error(f"IOA {ioa} outside 0..{iec104.IOA_MAX}")
-    return devices.DataPoint(
-        ioa=ioa,
-        direction=direction,
-        element_kind=parts[0],
-        element_id=parts[1],
-        fieldname=parts[2],
-        scale=opts.get_float("scale", 1.0),
-        unit=opts.get("unit", ""),
-    )
+    kind, element_id, fieldname = parts
+    # positional, in field order: a keyword call costs about twice as much,
+    # and a large RTU file builds one per line
+    return devices.DataPoint(ioa, direction, kind, element_id, fieldname,
+                             opts.get_float("scale", 1.0), opts.get("unit", ""))
 
 
 def _parse_stage(entry: Entry) -> attacker_mod.Stage:
@@ -302,6 +299,9 @@ def load_scenario(path) -> Scenario:
     outdir = head.get("outdir", "out")
     if horizon_s <= 0 or step_s <= 0 or horizon_s % step_s:
         raise head.error("horizon_s must be a positive multiple of step_s")
+    if horizon_s > pcap.TIME_S_MAX:
+        raise head.entry("horizon_s").error(
+            f"horizon_s {horizon_s} is past the capture's last second {pcap.TIME_S_MAX}")
 
     grid_model = load_grid(resolve("grid_file"))
     topology_file = resolve("topology_file")
@@ -425,13 +425,9 @@ def load_scenario(path) -> Scenario:
 
     # profile targets must resolve against the grid or a ved load/pv channel
     if profiles is not None:
-        grid_targets = {
-            (e.id, f)
-            for e in grid_model.loads + grid_model.sgens
-            for f in ("p_kw", "q_kvar")
-        }
+        injectors = {e.id for e in grid_model.loads + grid_model.sgens}
         for element_id, fieldname in profiles.profiles:
-            if (element_id, fieldname) in grid_targets:
+            if element_id in injectors and fieldname in ("p_kw", "q_kvar"):
                 continue
             if element_id in ved_names and fieldname in ("load_kw", "pv_kw"):
                 continue

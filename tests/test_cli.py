@@ -4,12 +4,14 @@ import os
 import re
 import shutil
 import string
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcosim import cli
+from gridcosim import cli, pcap
 from gridcosim.configfile import ConfigError
 from gridcosim.pcap import ACK, PSH, PacketRecord, write_pcap
 from gridcosim.scenario import load_scenario
@@ -39,6 +41,11 @@ MALFORMED = {
     "ioa_out_of_range": (
         "attack_demo", "datapoint = 103 monitor", "datapoint = 16777216 monitor",
         "16777216 monitor"),
+    "ioa_of_400_digits": (
+        "attack_demo", "datapoint = 103 monitor", "datapoint = 1" + "0" * 400 + " monitor",
+        "0" * 400),
+    "horizon_past_capture_seconds": (
+        "attack_demo", "horizon_s = 3600", "horizon_s = 4294967340", "horizon_s = 4294967340"),
     "common_address_out_of_range": (
         "attack_demo", "common_address = 1", "common_address = 65537",
         "common_address = 65537"),
@@ -131,6 +138,9 @@ MESSAGES = {
     "scan_subnet_prefix_too_long": "stage scan: '10.0.0.0/33' does not appear to be",
     "scan_subnet_host_bits_set": "stage scan: 10.0.2.1/24 has host bits set",
     "unknown_pe_method": "unknown pe method 'root'",
+    "ioa_of_400_digits": "IOA 1" + "0" * 400 + " outside 0..16777215",
+    "horizon_past_capture_seconds":
+        "horizon_s 4294967340 is past the capture's last second 4294967295",
 }
 
 
@@ -184,6 +194,24 @@ def test_run_rejects_non_positive_until_before_writing(until, tmp_path, capsys):
     assert cli.main(["run", scenario_file, "--out", str(out), "--until", until]) == 1
     assert "--until must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_exits_2_when_the_capture_cannot_hold_a_packet_time(monkeypatch, tmp_path, capsys):
+    """A network clock past the capture's last second is a runtime fault:
+    the horizon check at load time cannot see how far the clock leads."""
+    monkeypatch.setattr(pcap, "_T_US_END", 60_000_000)
+    scenario_file = os.path.join(SCENARIOS_DIR, "attack_demo", "scenario.txt")
+    assert cli.main(["run", scenario_file, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime fault: packet time ") and "Traceback" not in err
+
+
+def test_import_of_the_cli_leaves_numpy_out():
+    code = "import sys, gridcosim.cli, gridcosim.devices; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"
 
 
 def _capture(path, payloads):
@@ -270,6 +298,12 @@ MALFORMED_INPUT = {
     "service_port_not_an_integer": (
         "attack_demo", "topology.txt", "service = telnet 23", "service = telnet abc",
         "service = telnet abc"),
+    "service_port_out_of_range": (
+        "attack_demo", "topology.txt", "service = http 80 rce", "service = http 70000 rce",
+        "service = http 70000"),
+    "firewall_port_out_of_range": (
+        "attack_demo", "topology.txt", "[switch sw_ctrl]",
+        "[firewall]\nallow = 10.0.1.0/24 10.0.2.0/24 port=70000\n[switch sw_ctrl]", "port=70000"),
     "service_stray_token": (
         "attack_demo", "topology.txt", "service = http 80 rce", "service = http 80 x rce",
         "service = http 80 x"),
@@ -356,6 +390,8 @@ INPUT_MESSAGES = {
     "grid_trafo_vkr_above_vk": "needs 0 <= vkr <= vk",
     "grid_load_unknown_bus": "'l4' references unknown bus",
     "grid_sgen_unknown_bus": "'pv1' references unknown bus",
+    "service_port_out_of_range": "http service port 70000 outside 0..65535",
+    "firewall_port_out_of_range": "allow: port 70000 outside 0..65535",
 }
 
 

@@ -11,6 +11,7 @@ from conftest import ATTACK_DEMO, FEEDER7, FLEX_DEMO, SCADA_BURST, TREE_FEEDER
 from gridcosim.configfile import ConfigError
 from gridcosim.grid import powerflow
 from gridcosim.grid.model import (
+    MONITOR_FIELDS,
     Bus,
     GridModel,
     Line,
@@ -21,7 +22,6 @@ from gridcosim.grid.model import (
     validate,
 )
 from gridcosim.grid.powerflow import (
-    MONITOR_FIELDS,
     PowerFlowError,
     _eliminate,
     _jacobian,

@@ -9,6 +9,7 @@ from gridcosim.pcap import (
     PSH,
     RST,
     SYN,
+    TIME_S_MAX,
     PacketRecord,
     PcapError,
     build_frame,
@@ -123,6 +124,15 @@ def test_ip_and_tcp_checksums_verify():
 def test_timestamps_must_not_decrease(tmp_path):
     with pytest.raises(PcapError):
         write_pcap(tmp_path / "bad.pcap", [record(t_us=2000), record(t_us=1000)])
+
+
+def test_record_time_past_the_32_bit_seconds_is_refused(tmp_path):
+    last = (TIME_S_MAX + 1) * 1_000_000 - 1
+    path = tmp_path / "edge.pcap"
+    assert write_pcap(path, [record(t_us=0), record(t_us=last)]) == 2
+    assert read_pcap(path)[1].t_us == last
+    with pytest.raises(PcapError, match=f"packet time {last + 1} us is past second {TIME_S_MAX}"):
+        write_pcap(tmp_path / "bad.pcap", [record(t_us=0), record(t_us=last + 1)])
 
 
 def test_roundtrip_through_reader(tmp_path):
