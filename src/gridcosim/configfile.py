@@ -114,10 +114,8 @@ class Row(Located, _Lookup):
             if default is _REQUIRED:
                 raise self.error(f"'{self.id}' is missing '{key}'")
             return default
-        if kind is str:
-            return value
         try:
-            return parse_value(value, key, kind)
+            return value if kind is str else parse_value(value, key, kind)
         except ValueError as exc:
             raise self.error(str(exc)) from None
 
@@ -191,7 +189,8 @@ class Section(Located, _Lookup):
         if rows is None:
             if self.rows:
                 raise self.rows[0].error(
-                    f"expected 'key = value' in [{self.kind}], got '{self.rows[0].id}'")
+                    f"expected 'key = value' in [{self.kind}], got '{self.rows[0].id}'"
+                )
             return
         for row in self.rows:
             if not row.attrs.keys() <= rows:

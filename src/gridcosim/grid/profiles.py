@@ -52,7 +52,7 @@ def parse_profiles(text: str, source: str = "<profiles>") -> ProfileSet:
     for row in reader:
         if len(row) != 4:
             raise ConfigError(f"expected 4 fields {','.join(_HEADER)}", source, reader.line_num)
-        try:  # the line is named only when the row breaks a rule
+        try:  # no Located per row: the line is attached only to an error
             t = parse_value(row[0], "t_seconds", int)
             value = parse_value(row[3], "value", float)
             key = (row[1], row[2])
