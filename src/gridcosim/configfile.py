@@ -78,9 +78,8 @@ class Located:
 
 
 class _Lookup:
-    """Reads by key, each through `_typed(key, default, kind)`: the value as
-    `kind` (str: as written), `default` when the key is absent, and without
-    a `default` the key is required."""
+    """Reads by key through `_typed(key, default, kind)`: the value as `kind`
+    (str: as written) or `default`; without a `default` the key is required."""
 
     __slots__ = ()
 
@@ -125,11 +124,10 @@ def _parse_row(ident: str, tokens: list[str], source: str, lineno: int,
     """The row `ident k=v ...`; with `options`, a key outside it is an error."""
     attrs: dict[str, str] = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise ConfigError(f"expected key=value token, got '{tok}'", source, lineno)
-        k, _, v = tok.partition("=")
+        k, eq, v = tok.partition("=")
         if not k or not v:
-            raise ConfigError(f"malformed key=value token '{tok}'", source, lineno)
+            raise ConfigError(f"malformed key=value token '{tok}'" if eq else
+                              f"expected key=value token, got '{tok}'", source, lineno)
         if k in attrs:
             raise ConfigError(f"duplicate attribute '{k}'", source, lineno)
         if options is not None and k not in options:
@@ -210,10 +208,9 @@ def parse_config(text: str, source: str = "<config>") -> list[Section]:
         if not tokens:
             continue
         if tokens[0].startswith("["):
-            line = " ".join(tokens)
-            if not line.endswith("]"):
+            if not tokens[-1].endswith("]"):
                 raise ConfigError("unterminated section header", source, lineno)
-            head = line[1:-1].split()
+            head = " ".join(tokens)[1:-1].split()
             if not head or len(head) > 2:
                 raise ConfigError("section header must be [kind] or [kind name]", source, lineno)
             current = Section(source, lineno, head[0], head[1] if len(head) == 2 else None)

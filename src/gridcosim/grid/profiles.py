@@ -17,7 +17,7 @@ from .model import GridModel, Load
 _HEADER = ["t_seconds", "element_id", "field", "value"]
 
 
-@dataclass
+@dataclass(slots=True)
 class TimeSeriesProfile:
     element_id: str
     fieldname: str
@@ -50,17 +50,17 @@ def parse_profiles(text: str, source: str = "<profiles>") -> ProfileSet:
         raise ConfigError(f"expected header {','.join(_HEADER)}", source, 1)
     series: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
     for row in reader:
-        if len(row) != 4:
-            raise ConfigError(f"expected 4 fields {','.join(_HEADER)}", source, reader.line_num)
-        try:  # no Located per row: the line is attached only to an error
-            t = parse_value(row[0], "t_seconds", int)
-            value = parse_value(row[3], "value", float)
-            key = (row[1], row[2])
+        try:  # the file and line are attached only to an error, not built per row
+            t_text, element_id, fieldname, value_text = row
+            t = parse_value(t_text, "t_seconds", int)
+            value = parse_value(value_text, "value", float)
+            key = (element_id, fieldname)
             times, values = series.get(key) or series.setdefault(key, ([], []))
             if times and t <= times[-1]:
-                raise ValueError(f"profile {row[1]}.{row[2]}: sample times must strictly increase")
-        except ValueError as exc:
-            raise ConfigError(str(exc), source, reader.line_num) from None
+                raise ValueError(f"profile {key[0]}.{key[1]}: sample times must strictly increase")
+        except ValueError as exc:  # the unpacking's, when the row has not 4 fields
+            message = str(exc) if len(row) == 4 else f"expected 4 fields {','.join(_HEADER)}"
+            raise ConfigError(message, source, reader.line_num) from None
         times.append(t)
         values.append(value)
     return ProfileSet({key: TimeSeriesProfile(*key, times, values)
