@@ -301,8 +301,8 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
             trafos.append(Trafo(row.id, row.require("hv_bus"), row.require("lv_bus"),
                                 row.get_float("s_rated_kva"), row.get_float("vk_percent"),
                                 row.get_float("vkr_percent"), row.get_int("tap_position", 0)))
-    for cls, pool in ((Load, loads), (Sgen, sgens)):
-        for section in sections_of(sections, "load" if cls is Load else "sgen"):
+    for kind, cls, pool in (("load", Load, loads), ("sgen", Sgen, sgens)):
+        for section in sections_of(sections, kind):
             for row in section.rows:
                 pool.append(cls(row.id, row.require("bus"), row.get_float("p_kw"),
                                 row.get_float("q_kvar")))

@@ -13,8 +13,8 @@ register on their host.
 Topology file schema (see configfile for the line and `k=v` option grammar:
 options in [brackets] follow the leading values, any other token is an
 error; every host and firewall entry is repeatable; a section, key or option
-not listed here is an error at its line; a port is an integer in 0..65535,
-PORT_MAX, the range of a TCP header's port field):
+not listed here is an error at its line; a port lies in 0..PORT_MAX (65535),
+the range of a TCP header's port field):
 
   [host <name>]
   interface = <ip> <cidr>
