@@ -190,6 +190,8 @@ class Section(Located, _Lookup):
                     f"expected 'key = value' in [{self.kind}], got '{self.rows[0].id}'"
                 )
             return
+        if set().union(*[row.attrs for row in self.rows]) <= rows:
+            return
         for row in self.rows:
             if not row.attrs.keys() <= rows:
                 key = next(k for k in row.attrs if k not in rows)

@@ -170,6 +170,8 @@ class GridModel:
 
 
 def _check_unique(elements, what: str):
+    if len({elem.id for elem in elements}) == len(elements):
+        return
     seen = set()
     for elem in elements:
         if elem.id in seen:
