@@ -58,7 +58,7 @@ def parse_profiles(text: str, source: str = "<profiles>") -> ProfileSet:
             times, values = series.get(key) or series.setdefault(key, ([], []))
             if times and t <= times[-1]:
                 raise ValueError(f"profile {key[0]}.{key[1]}: sample times must strictly increase")
-        except ValueError as exc:  # the unpacking's, when the row has not 4 fields
+        except ValueError as exc:  # also the unpacking's, for a row of other than 4 fields
             message = str(exc) if len(row) == 4 else f"expected 4 fields {','.join(_HEADER)}"
             raise ConfigError(message, source, reader.line_num) from None
         times.append(t)
