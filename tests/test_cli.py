@@ -125,14 +125,57 @@ MALFORMED = {
         "vpp = target=2"),
     "unknown_dso_option": (
         "flex_demo", "dso = import=5 export=5", "dso = import=5 export=5 form=0", "form=0"),
+    "control_field_not_actuatable": (
+        "attack_demo", "201 control sgen:pv1:p_kw scale=1.0", "201 control sgen:pv1:v_pu scale=1.0",
+        "sgen:pv1:v_pu"),
+    # the same rules on a datapoint line without options
+    "plain_ioa_not_an_integer": (
+        "attack_demo", "datapoint = 202 control", "datapoint = x2 control", "x2 control"),
+    "plain_ioa_out_of_range": (
+        "attack_demo", "datapoint = 202 control", "datapoint = 16777216 control",
+        "16777216 control"),
+    "plain_two_part_reference": (
+        "attack_demo", "control line:lline3:status", "control line:lline3", "line:lline3"),
+    "plain_unknown_element": (
+        "attack_demo", "control line:lline3:status", "control line:nope:status", "line:nope"),
+    "plain_bad_direction": (
+        "attack_demo", "202 control line:lline3:status", "202 toggle line:lline3:status",
+        "202 toggle"),
+    "plain_field_not_actuatable": (
+        "attack_demo", "202 control line:lline3:status", "202 control bus:lv4:v_pu",
+        "control bus:lv4"),
+    "plain_repeated_ioa": (
+        "attack_demo", "202 control line:lline3:status", "101 control line:lline3:status",
+        "line:lline3"),
+    "plain_two_tokens": (
+        "attack_demo", "202 control line:lline3:status", "202 control", "202 control"),
 }
 
 
-# what the message of a MALFORMED case says, where a run would otherwise
-# break a rule that only load_scenario checks
+# what the message of a MALFORMED case says: every datapoint case, and every
+# case where a run would otherwise break a rule that only load_scenario checks
 MESSAGES = {
+    "status_not_readable": "rtu 'rtu1': IOA 101: 'trafo:tr1:status' is not readable",
+    "field_not_readable_for_kind": "rtu 'rtu1': IOA 103: 'bus:lv1:i_ka' is not readable",
+    "bad_direction": "rtu 'rtu1': IOA 101: bad direction 'read'",
+    "duplicate_ioa": "rtu 'rtu1': IOA 101 assigned twice within one RTU",
+    "scale_not_a_number": "scale: expected a number, got 'abc'",
+    "datapoint_scale_nan": "scale must be finite, got 'nan'",
+    "ioa_out_of_range": "IOA 16777216 outside 0..16777215",
+    "datapoint_stray_token": "expected key=value token, got '1.0'",
+    "datapoint_repeated_option": "duplicate attribute 'scale'",
+    "unknown_datapoint_option": "'datapoint': unknown option 'sacle'",
+    "control_field_not_actuatable": "rtu 'rtu2': IOA 201: 'sgen:pv1:v_pu' is not actuatable",
+    "plain_ioa_not_an_integer": "ioa: expected an integer, got 'x2'",
+    "plain_ioa_out_of_range": "IOA 16777216 outside 0..16777215",
+    "plain_two_part_reference": "bad element reference 'line:lline3'",
+    "plain_unknown_element": "rtu 'rtu2' IOA 202: line:nope is not in the grid",
+    "plain_bad_direction": "rtu 'rtu2': IOA 202: bad direction 'toggle'",
+    "plain_field_not_actuatable": "rtu 'rtu2': IOA 202: 'bus:lv4:v_pu' is not actuatable",
+    "plain_repeated_ioa": "rtu 'rtu2': IOA 101 assigned twice within one RTU",
+    "plain_two_tokens": "datapoint = <ioa> <monitor|control> <kind>:<element>:<field> ...",
     "field_controlled_by_two_rtus":
-        "sgen:pv1:p_kw is already controlled by rtu 'rtu1'",
+        "rtu 'rtu2' IOA 201: sgen:pv1:p_kw is already controlled by rtu 'rtu1' (line 22)",
     "second_rtu_section": "second [rtu rtu1] section",
     "second_ved_section": "second [ved home1] section",
     "scan_subnet_prefix_too_long": "stage scan: '10.0.0.0/33' does not appear to be",
