@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from . import iec104
 from .configfile import ConfigError, Entry
-from .grid.model import MONITOR_FIELDS
 from .netsim import NetError, Network, TcpConnection
 
 REPORT_BUFFER_LIMIT = 100
@@ -25,7 +24,8 @@ POLL_TIMEOUT_STEPS = 3
 
 IEC104_PORT = 2404
 
-# actuatable fields per grid element kind (the readable ones: MONITOR_FIELDS)
+# actuatable fields per grid element kind (the readable ones:
+# grid.model.MONITOR_FIELDS)
 CONTROL_FIELDS = {
     "line": ("status",),
     "load": ("p_kw", "q_kvar"),
@@ -100,42 +100,6 @@ class DataPoint:
 
 
 @dataclass
-class DataPointMap:
-    entries: list[DataPoint]
-
-    def __post_init__(self):
-        points, self.entries, self._by_ioa = self.entries, [], {}
-        for dp in points:
-            self.add(dp)
-
-    def add(self, dp: DataPoint) -> None:
-        if dp.ioa in self._by_ioa:
-            raise DeviceError(f"IOA {dp.ioa} assigned twice within one RTU")
-        if dp.direction not in ("monitor", "control"):
-            raise DeviceError(f"IOA {dp.ioa}: bad direction '{dp.direction}'")
-        monitor = dp.direction == "monitor"
-        allowed = (MONITOR_FIELDS if monitor else CONTROL_FIELDS).get(dp.element_kind, ())
-        if dp.fieldname not in allowed:
-            raise DeviceError(
-                f"IOA {dp.ioa}: '{dp.entity}:{dp.fieldname}' is not "
-                f"{'readable' if monitor else 'actuatable'}"
-            )
-        self._by_ioa[dp.ioa] = dp
-        self.entries.append(dp)
-
-    @property
-    def monitor(self) -> list[DataPoint]:
-        return [dp for dp in self.entries if dp.direction == "monitor"]
-
-    @property
-    def control(self) -> list[DataPoint]:
-        return [dp for dp in self.entries if dp.direction == "control"]
-
-    def point(self, ioa: int) -> DataPoint | None:
-        return self._by_ioa.get(ioa)
-
-
-@dataclass
 class ManipulationRule:
     kind: str                      # a MANIPULATION_KINDS key
     factor: float = 1.0
@@ -155,8 +119,17 @@ class RtuConfig:
     name: str
     host: str
     common_address: int
-    datapoints: DataPointMap
+    datapoints: dict[int, DataPoint]  # IOA -> point, in file order
     report_period: int
+    # the monitor and control points in map order, built once: a run reads
+    # them for every RTU and every truth row's place
+    monitor: list[DataPoint] = field(init=False, repr=False)
+    control: list[DataPoint] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        points = self.datapoints.values()
+        self.monitor = [dp for dp in points if dp.direction == "monitor"]
+        self.control = [dp for dp in points if dp.direction == "control"]
 
 
 class _SessionEnd:
@@ -210,7 +183,7 @@ class Rtu:
         self._pending_outputs: dict[tuple[str, str], float] = {}
         # ((entity, field), IOA, scale) per monitor point, in map order
         self._monitor = [((dp.entity, dp.fieldname), dp.ioa, dp.scale)
-                         for dp in config.datapoints.monitor]
+                         for dp in config.monitor]
         network.register_handler(config.host, IEC104_PORT, self)
         network.register_command(config.host, "rtu-override", self._override_hook)
 
@@ -306,7 +279,7 @@ class Rtu:
 
     def _actuate(self, asdu: iec104.Asdu):
         obj = asdu.objects[0]
-        dp = self.config.datapoints.point(obj.ioa)
+        dp = self.config.datapoints.get(obj.ioa)
         if dp is None or dp.direction != "control":
             self._reply(asdu, iec104.COT_UNKNOWN_IOA)
             return
@@ -328,7 +301,7 @@ class Rtu:
         except ConfigError as exc:
             raise DeviceError(str(exc)) from None
         if targets is None:
-            targets = [dp.ioa for dp in self.config.datapoints.monitor]
+            targets = [dp.ioa for dp in self.config.monitor]
         self.install_override(kind, targets, **params)
         return f"override {kind} installed on {len(targets)} points"
 
@@ -338,7 +311,7 @@ class Rtu:
         monitor point."""
         rule = ManipulationRule(kind=kind, factor=factor, delta=delta)
         for ioa in target_ioas:
-            dp = self.config.datapoints.point(ioa)
+            dp = self.config.datapoints.get(ioa)
             if dp is None or dp.direction != "monitor":
                 raise UnknownIoa(f"IOA {ioa} is not a monitor point on {self.config.name}")
         for ioa in target_ioas:
@@ -452,12 +425,12 @@ class Mtu:
         return self.archive[before:]
 
     def command(self, name: str, ioa: int, value: float, t: int,
-                control_map: DataPointMap | None = None) -> bool:
+                control_map: dict[int, DataPoint] | None = None) -> bool:
         """Switch or set-point command to one RTU data point."""
         if name not in self._rtus:
             raise DeviceError(f"no RTU '{name}' attached")
         if control_map is not None:
-            dp = control_map.point(ioa)
+            dp = control_map.get(ioa)
             if dp is None or dp.direction != "control":
                 raise UnknownIoa(f"IOA {ioa} is not a control point")
             type_id = iec104.C_SC_NA_1 if dp.fieldname == "status" else iec104.C_SE_NC_1

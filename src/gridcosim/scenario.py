@@ -29,8 +29,9 @@ the removed `seed`):
   common_address = <int>          # 0..65535
   report_period_s = <int>         # a positive multiple of step_s
   datapoint = <ioa> <monitor|control> <kind>:<element>:<field> [scale=<f>] [unit=<text>]
-                                  # repeatable; fields per kind: grid.model.MONITOR_FIELDS /
-                                  # devices.CONTROL_FIELDS; an element field has one controller
+                                  # repeatable; fields per direction and kind: DATAPOINT_FIELDS;
+                                  # an element field has one controller; _parse_datapoints
+                                  # checks every rule of a line, once
 
   [ved <name>]
   host = <topology host>
@@ -71,10 +72,11 @@ from .configfile import (
     Section,
     check_kinds,
     parse_config,
+    parse_value,
     sections_of,
     single_section,
 )
-from .grid.model import GridModel, load_grid
+from .grid.model import MONITOR_FIELDS, GridModel, load_grid
 from .grid.powerflow import measurements_at, run_power_flow
 from .grid.profiles import ProfileSet, bus_injections, element_values_at, load_profiles
 from .kernel import Kernel, SimulatorDescriptor, SimulatorFault
@@ -99,7 +101,10 @@ SECTION_KEYS = {
     "ems": ("dso", "vpp"),
     "attack": ("foothold", "start_time_s", "stage"),
 }
+DATAPOINT_USAGE = "datapoint = <ioa> <monitor|control> <kind>:<element>:<field> ..."
 DATAPOINT_OPTIONS = frozenset(("scale", "unit"))
+# the fields a datapoint may name, per direction and element kind
+DATAPOINT_FIELDS = {"monitor": MONITOR_FIELDS, "control": devices.CONTROL_FIELDS}
 BATTERY_OPTIONS = frozenset(
     ("capacity_kwh", "p_max_kw", "eta_charge", "eta_discharge", "soc_kwh")
 )
@@ -217,22 +222,58 @@ def _known(section: Section, key: str, names, where: str) -> Entry:
     return entry
 
 
-def _parse_datapoint(entry: Entry) -> devices.DataPoint:
-    (ioa, direction, ref), opts = entry.split(
-        3, "datapoint = <ioa> <monitor|control> <kind>:<element>:<field> ...",
-        DATAPOINT_OPTIONS,
-    )
-    parts = ref.split(":")
-    if len(parts) != 3:
-        raise entry.error(f"bad element reference '{ref}'")
-    ioa = entry.convert(ioa, "ioa", int)
-    if not 0 <= ioa <= iec104.IOA_MAX:
-        raise entry.error(f"IOA {ioa} outside 0..{iec104.IOA_MAX}")
-    kind, element_id, fieldname = parts
-    # positional, in field order: a keyword call costs about twice as much,
-    # and a large RTU file builds one per line
-    return devices.DataPoint(ioa, direction, kind, element_id, fieldname,
-                             opts.get_float("scale", 1.0), opts.get("unit", ""))
+def _parse_datapoints(section: Section, grid_model: GridModel,
+                      controllers: dict) -> dict[int, devices.DataPoint]:
+    """The datapoints of one [rtu] section, IOA -> point in file order: the
+    one place a datapoint line is checked. Each line is split once; one
+    without options builds no option Row (scale 1.0, unit ""). `controllers`
+    maps each controlled (entity, field) to its rtu and line, across the
+    sections read so far, so an element field has one controller."""
+    rtu = section.name
+    points: dict[int, devices.DataPoint] = {}
+    for entry in section.get_all("datapoint"):
+        tokens = entry.value.split()
+        if len(tokens) == 3:
+            (ioa, direction, ref), opts = tokens, None
+        else:
+            (ioa, direction, ref), opts = entry.split(3, DATAPOINT_USAGE, DATAPOINT_OPTIONS)
+        parts = ref.split(":")
+        if len(parts) != 3:
+            raise entry.error(f"bad element reference '{ref}'")
+        try:
+            ioa = parse_value(ioa, "ioa", int)
+        except ValueError as exc:
+            raise entry.error(str(exc)) from None
+        if not 0 <= ioa <= iec104.IOA_MAX:
+            raise entry.error(f"IOA {ioa} outside 0..{iec104.IOA_MAX}")
+        kind, element_id, fieldname = parts
+        # positional, in field order: a keyword call costs about twice as much
+        dp = (devices.DataPoint(ioa, direction, kind, element_id, fieldname) if opts is None
+              else devices.DataPoint(ioa, direction, kind, element_id, fieldname,
+                                     opts.get_float("scale", 1.0), opts.get("unit", "")))
+        if ioa in points:
+            raise entry.error(f"rtu '{rtu}': IOA {ioa} assigned twice within one RTU")
+        fields = DATAPOINT_FIELDS.get(direction)
+        if fields is None:
+            raise entry.error(f"rtu '{rtu}': IOA {ioa}: bad direction '{direction}'")
+        if fieldname not in fields.get(kind, ()):
+            raise entry.error(
+                f"rtu '{rtu}': IOA {ioa}: '{dp.entity}:{fieldname}' is not "
+                f"{'readable' if direction == 'monitor' else 'actuatable'}"
+            )
+        if grid_model.element(kind, element_id) is None:
+            raise entry.error(f"rtu '{rtu}' IOA {ioa}: {dp.entity} is not in the grid")
+        if direction == "control":
+            target = (dp.entity, fieldname)
+            if target in controllers:
+                other, lineno = controllers[target]
+                raise entry.error(
+                    f"rtu '{rtu}' IOA {ioa}: {dp.entity}:{fieldname} "
+                    f"is already controlled by rtu '{other}' (line {lineno})"
+                )
+            controllers[target] = (rtu, entry.lineno)
+        points[ioa] = dp
+    return points
 
 
 def _parse_stage(entry: Entry) -> attacker_mod.Stage:
@@ -333,26 +374,7 @@ def load_scenario(path) -> Scenario:
             raise section.entry("report_period_s").error(
                 f"rtu '{section.name}': report_period_s must be a positive multiple of step_s"
             )
-        datapoints = devices.DataPointMap(entries=[])
-        for entry in section.get_all("datapoint"):
-            dp = _parse_datapoint(entry)
-            try:
-                datapoints.add(dp)
-            except devices.DeviceError as exc:
-                raise entry.error(f"rtu '{section.name}': {exc}") from None
-            if grid_model.element(dp.element_kind, dp.element_id) is None:
-                raise entry.error(
-                    f"rtu '{section.name}' IOA {dp.ioa}: {dp.entity} is not in the grid"
-                )
-            if dp.direction == "control":
-                target = (dp.entity, dp.fieldname)
-                if target in controllers:
-                    rtu, lineno = controllers[target]
-                    raise entry.error(
-                        f"rtu '{section.name}' IOA {dp.ioa}: {dp.entity}:{dp.fieldname} "
-                        f"is already controlled by rtu '{rtu}' (line {lineno})"
-                    )
-                controllers[target] = (section.name, entry.lineno)
+        datapoints = _parse_datapoints(section, grid_model, controllers)
         address = section.entry("common_address", required=True)
         common_address = address.convert(address.value, "common_address", int)
         if not 0 <= common_address <= iec104.COMMON_ADDRESS_MAX:
@@ -604,14 +626,14 @@ def run_scenario(
         {
             (dp.element_kind, dp.element_id, dp.fieldname)
             for config in scenario.rtus
-            for dp in config.datapoints.monitor
+            for dp in config.monitor
         }
     )
     controllable = sorted(
         {
             (dp.element_kind, dp.element_id, dp.fieldname)
             for config in scenario.rtus
-            for dp in config.datapoints.control
+            for dp in config.control
         }
     )
     ved_buses = {v.name: v.bus for v in scenario.veds}
@@ -708,7 +730,7 @@ def run_scenario(
     # point at one time keep their RTU order; each (element, field) is given
     # its place in that order once, and the sort compares ints
     places = {key: i for i, key in enumerate(sorted(
-        {(dp.entity, dp.fieldname) for config in scenario.rtus for dp in config.datapoints.monitor}
+        {(dp.entity, dp.fieldname) for config in scenario.rtus for dp in config.monitor}
     ))}
     n_places = len(places)
     rows = {

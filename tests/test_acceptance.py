@@ -177,7 +177,7 @@ def rows_of(path):
 def datapoint_index(scenario):
     index = {}
     for config in scenario.rtus:
-        for dp in config.datapoints.monitor:
+        for dp in config.monitor:
             index[(config.name, dp.ioa)] = (dp.entity, dp.fieldname)
     return index
 

@@ -4,7 +4,6 @@ from gridcosim import netsim
 from gridcosim.attacker import AttackError, AttackPlan, Attacker, Stage
 from gridcosim.devices import (
     DataPoint,
-    DataPointMap,
     DeviceError,
     Rtu,
     RtuConfig,
@@ -68,11 +67,11 @@ def network():
     net = netsim.parse_topology(FIELD_NET)
     config = RtuConfig(
         name="r1", host="rtu1", common_address=1,
-        datapoints=DataPointMap(entries=[
-            DataPoint(101, "monitor", "trafo", "t1", "p_from_kw"),
-            DataPoint(102, "monitor", "trafo", "t1", "q_from_kvar"),
-            DataPoint(201, "control", "line", "l1", "status"),
-        ]),
+        datapoints={
+            101: DataPoint(101, "monitor", "trafo", "t1", "p_from_kw"),
+            102: DataPoint(102, "monitor", "trafo", "t1", "q_from_kvar"),
+            201: DataPoint(201, "control", "line", "l1", "status"),
+        },
         report_period=60,
     )
     rtu = Rtu(config, net)
@@ -247,7 +246,7 @@ class TestStages:
             net = netsim.parse_topology(FIELD_NET)
             RtuConfig_ = RtuConfig(
                 name="r1", host="rtu1", common_address=1,
-                datapoints=DataPointMap(entries=[DataPoint(101, "monitor", "trafo", "t1", "p_from_kw")]),
+                datapoints={101: DataPoint(101, "monitor", "trafo", "t1", "p_from_kw")},
                 report_period=60,
             )
             Rtu(RtuConfig_, net)

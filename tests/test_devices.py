@@ -3,7 +3,6 @@ import pytest
 from gridcosim import devices, iec104, netsim
 from gridcosim.devices import (
     DataPoint,
-    DataPointMap,
     ManipulationRule,
     Mtu,
     NegativeConfirm,
@@ -32,14 +31,12 @@ l2 a=field1 b=sw latency_ms=1
 
 
 def make_map():
-    return DataPointMap(
-        entries=[
-            DataPoint(101, "monitor", "trafo", "t1", "p_from_kw"),
-            DataPoint(102, "monitor", "trafo", "t1", "q_from_kvar"),
-            DataPoint(201, "control", "sgen", "pv1", "p_kw"),
-            DataPoint(202, "control", "line", "sw3", "status"),
-        ]
-    )
+    return {dp.ioa: dp for dp in (
+        DataPoint(101, "monitor", "trafo", "t1", "p_from_kw"),
+        DataPoint(102, "monitor", "trafo", "t1", "q_from_kvar"),
+        DataPoint(201, "control", "sgen", "pv1", "p_kw"),
+        DataPoint(202, "control", "line", "sw3", "status"),
+    )}
 
 
 @pytest.fixture
@@ -56,21 +53,6 @@ def rig():
 
 
 MEAS = {("trafo:t1", "p_from_kw"): 55.0, ("trafo:t1", "q_from_kvar"): 20.0}
-
-
-class TestDataPointMap:
-    def test_duplicate_ioa_rejected(self):
-        with pytest.raises(devices.DeviceError):
-            DataPointMap(entries=[
-                DataPoint(1, "monitor", "bus", "b", "v_pu"),
-                DataPoint(1, "monitor", "bus", "b", "p_kw"),
-            ])
-
-    def test_direction_field_compatibility(self):
-        with pytest.raises(devices.DeviceError):
-            DataPointMap(entries=[DataPoint(1, "control", "bus", "b", "v_pu")])
-        with pytest.raises(devices.DeviceError):
-            DataPointMap(entries=[DataPoint(1, "monitor", "line", "l", "status")])
 
 
 class TestReporting:
@@ -118,8 +100,7 @@ class TestReporting:
         network = netsim.parse_topology(PAIR)
         scaled = RtuConfig(
             name="r2", host="field1", common_address=2,
-            datapoints=DataPointMap(
-                entries=[DataPoint(1, "monitor", "bus", "b", "p_kw", scale=0.001)]),
+            datapoints={1: DataPoint(1, "monitor", "bus", "b", "p_kw", scale=0.001)},
             report_period=60,
         )
         rtu = Rtu(scaled, network)
@@ -331,10 +312,10 @@ class TestSwitchIslanding:
         network = netsim.parse_topology(PAIR)
         config = RtuConfig(
             name="r1", host="field1", common_address=1,
-            datapoints=DataPointMap(entries=[
-                DataPoint(101, "monitor", "bus", "g2", "v_pu"),
-                DataPoint(202, "control", "line", "swline", "status"),
-            ]),
+            datapoints={
+                101: DataPoint(101, "monitor", "bus", "g2", "v_pu"),
+                202: DataPoint(202, "control", "line", "swline", "status"),
+            },
             report_period=60,
         )
         rtu = Rtu(config, network)

@@ -44,7 +44,7 @@ def assert_archive_equals_truth(scenario, outdir):
     }
     iomap = {}
     for config in scenario.rtus:
-        for dp in config.datapoints.monitor:
+        for dp in config.monitor:
             iomap[(config.name, str(dp.ioa))] = (dp.entity, dp.fieldname)
     archive = read_csv(os.path.join(outdir, "archive.csv"))
     assert archive
