@@ -35,7 +35,7 @@ def _cmd_run(args) -> int:
         return EXIT_VALIDATION
     try:
         outputs = run_scenario(scenario, outdir=args.out, until=args.until)
-    except (KernelError, NetError, PcapError, RuntimeError) as exc:
+    except (KernelError, NetError, PcapError, OSError) as exc:  # OSError: writing --out
         print(f"runtime fault: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     sys.stdout.write(outputs.report_text)

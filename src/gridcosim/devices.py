@@ -121,8 +121,7 @@ class RtuConfig:
     common_address: int
     datapoints: dict[int, DataPoint]  # IOA -> point, in file order
     report_period: int
-    # the monitor and control points in map order, built once: a run reads
-    # them for every RTU and every truth row's place
+    # the monitor and control points in map order, built once, at load time
     monitor: list[DataPoint] = field(init=False, repr=False)
     control: list[DataPoint] = field(init=False, repr=False)
 

@@ -4,7 +4,7 @@ Grid-file schema (see configfile for the line grammar): one section per
 element class, one row per element. A section or attribute not listed here
 is an error at its line, and so is a row that breaks a grid invariant
 (`validate`): a missing bus, a bad impedance, a second slack bus or a
-repeated id (at the second row). A rule about the whole grid (no slack bus,
+repeated id (at the second row). base_mva and nominal_kv must be positive. A rule about the whole grid (no slack bus,
 a loop without `meshed = true`) names the file.
 
   [grid]
@@ -281,6 +281,8 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
             section.only(rows=ROW_ATTRS[section.kind])
     head = single_section(sections, "grid")
     base_mva = head.get_float("base_mva", 1.0) if head is not None else 1.0
+    if base_mva <= 0:
+        raise head.entry("base_mva").error(f"base_mva must be positive, got {base_mva}")
     meshed = head.get_bool("meshed", False) if head is not None else False
 
     # each record is built positionally, in field order: a keyword call
@@ -291,8 +293,10 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
             bus_type = row.require("type")
             if bus_type not in ("slack", "pq"):
                 raise row.error(f"bus '{row.id}': type must be slack or pq")
-            buses.append(Bus(row.id, row.get_float("nominal_kv"), bus_type,
-                             row.get_float("vm_pu", 1.0)))
+            nominal_kv = row.get_float("nominal_kv")
+            if nominal_kv <= 0:
+                raise row.error(f"bus '{row.id}': nominal_kv must be positive")
+            buses.append(Bus(row.id, nominal_kv, bus_type, row.get_float("vm_pu", 1.0)))
     for section in sections_of(sections, "line"):
         for row in section.rows:
             lines.append(Line(row.id, row.require("from"), row.require("to"),

@@ -30,8 +30,7 @@ the removed `seed`):
   report_period_s = <int>         # a positive multiple of step_s
   datapoint = <ioa> <monitor|control> <kind>:<element>:<field> [scale=<f>] [unit=<text>]
                                   # repeatable; fields per direction and kind: DATAPOINT_FIELDS;
-                                  # an element field has one controller; _parse_datapoints
-                                  # checks every rule of a line, once
+                                  # one controller per element field; all in _parse_datapoints
 
   [ved <name>]
   host = <topology host>
@@ -77,7 +76,7 @@ from .configfile import (
     single_section,
 )
 from .grid.model import MONITOR_FIELDS, GridModel, load_grid
-from .grid.powerflow import measurements_at, run_power_flow
+from .grid.powerflow import PowerFlowError, measurements_at, run_power_flow
 from .grid.profiles import ProfileSet, bus_injections, element_values_at, load_profiles
 from .kernel import Kernel, SimulatorDescriptor, SimulatorFault
 
@@ -515,7 +514,7 @@ class GridSimulator:
         injections = bus_injections(self.model, element_values, extra)
         solution = run_power_flow(self.model, injections, self.line_status)
         if not solution.converged:
-            raise RuntimeError(
+            raise PowerFlowError(
                 f"power flow did not converge at t={t} "
                 f"(mismatch {solution.max_mismatch_pu:.3e} pu)"
             )

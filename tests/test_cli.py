@@ -1,5 +1,7 @@
 """CLI exit codes on malformed input: exit 1 with a message, never a traceback."""
 
+import contextlib
+import io
 import os
 import re
 import shutil
@@ -249,6 +251,26 @@ def test_run_exits_2_when_the_capture_cannot_hold_a_packet_time(monkeypatch, tmp
     assert err.startswith("runtime fault: packet time ") and "Traceback" not in err
 
 
+def test_run_exits_2_when_out_lies_under_a_regular_file(tmp_path, capsys):
+    scenario_file = os.path.join(SCENARIOS_DIR, "attack_demo", "scenario.txt")
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    assert cli.main(["run", scenario_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime fault: ") and str(out) in err and "Traceback" not in err
+
+
+def test_run_exits_2_naming_the_power_flow_error_of_a_solve_that_does_not_converge(
+        tmp_path, capsys):
+    scenario_file, _ = _edit_bundle(tmp_path, "attack_demo", "grid.txt",
+                                    "q_kvar=9.0", "q_kvar=1e9")
+    assert cli.main(["validate", str(scenario_file)]) == 0
+    assert cli.main(["run", str(scenario_file), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "PowerFlowError('power flow did not converge at t=0" in err
+    assert "Traceback" not in err
+
+
 def test_import_of_the_cli_leaves_numpy_out():
     code = "import sys, gridcosim.cli, gridcosim.devices; print('numpy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -417,6 +439,11 @@ MALFORMED_INPUT = {
         "baner=x"),
     "topology_unknown_section": (
         "attack_demo", "topology.txt", "[switch sw_ctrl]", "[swich sw_ctrl]", "[swich sw_ctrl]"),
+    "grid_base_mva_zero": (
+        "attack_demo", "grid.txt", "base_mva = 1.0", "base_mva = 0", "base_mva = 0"),
+    "grid_bus_nominal_kv_zero": (
+        "attack_demo", "grid.txt", "mv0  nominal_kv=20.0", "mv0  nominal_kv=0",
+        "mv0  nominal_kv=0 "),
     "profile_time_goes_backwards": (
         "attack_demo", "profiles.csv", "1800,l2,p_kw,36.0", "600,l2,p_kw,36.0",
         "600,l2,p_kw"),
@@ -435,6 +462,8 @@ INPUT_MESSAGES = {
     "grid_sgen_unknown_bus": "'pv1' references unknown bus",
     "service_port_out_of_range": "http service port 70000 outside 0..65535",
     "firewall_port_out_of_range": "allow: port 70000 outside 0..65535",
+    "grid_base_mva_zero": "base_mva must be positive, got 0.0",
+    "grid_bus_nominal_kv_zero": "bus 'mv0': nominal_kv must be positive",
 }
 
 
@@ -524,14 +553,25 @@ def _mutate(lines, data):
 def test_mutated_bundle_exits_0_or_1_and_names_the_faulty_line(fuzz_bundles, data):
     """A one-line mutation of a shipped bundle never makes `validate` raise.
     A ConfigError names the mutated file, or the scenario entry that refers
-    into it (a deleted host makes that entry dangle), and a line of that file."""
+    into it (a deleted host makes that entry dangle), and a line of that file.
+    A bundle `validate` accepts runs to exit 0, or to exit 2 on a power flow
+    that does not converge, and never raises."""
     demo, filename = data.draw(st.sampled_from(FUZZ_TARGETS), label="file")
     scenario_file = fuzz_bundles / demo / "scenario.txt"
     path = fuzz_bundles / demo / filename
     original = path.read_text()
     path.write_text("\n".join(_mutate(original.splitlines(), data)) + "\n")
     try:
-        assert cli.main(["validate", str(scenario_file)]) in (0, 1)
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main(["validate", str(scenario_file)])
+        assert status in (0, 1)
+        if status == 0:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = cli.main(["run", str(scenario_file), "--out", str(fuzz_bundles / "out")])
+            assert status == 0 or (status == 2 and "PowerFlowError" in err.getvalue()), \
+                err.getvalue()
+            assert "Traceback" not in err.getvalue()
         try:
             load_scenario(scenario_file)
         except ConfigError as exc:
