@@ -4,8 +4,9 @@ Grid-file schema (see configfile for the line grammar): one section per
 element class, one row per element. A section or attribute not listed here
 is an error at its line, and so is a row that breaks a grid invariant
 (`validate`): a missing bus, a bad impedance, a second slack bus or a
-repeated id (at the second row). base_mva and nominal_kv must be positive. A rule about the whole grid (no slack bus,
-a loop without `meshed = true`) names the file.
+repeated id (at the second row). base_mva and nominal_kv must be positive.
+A rule about the whole grid (no slack bus, a loop without `meshed = true`)
+names the file.
 
   [grid]
   base_mva = 1.0

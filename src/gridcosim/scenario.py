@@ -224,9 +224,9 @@ def _known(section: Section, key: str, names, where: str) -> Entry:
 def _parse_datapoints(section: Section, grid_model: GridModel,
                       controllers: dict) -> dict[int, devices.DataPoint]:
     """The datapoints of one [rtu] section, IOA -> point in file order: the
-    one place a datapoint line is checked. Each line is split once; one
-    without options builds no option Row (scale 1.0, unit ""). `controllers`
-    maps each controlled (entity, field) to its rtu and line, across the
+    one place a datapoint line is checked. A line without options is split
+    once and builds no option Row (scale 1.0, unit ""). `controllers` maps
+    each controlled (entity, field) to its rtu and line, across the
     sections read so far, so an element field has one controller."""
     rtu = section.name
     points: dict[int, devices.DataPoint] = {}

@@ -128,8 +128,8 @@ MALFORMED = {
     "unknown_dso_option": (
         "flex_demo", "dso = import=5 export=5", "dso = import=5 export=5 form=0", "form=0"),
     "control_field_not_actuatable": (
-        "attack_demo", "201 control sgen:pv1:p_kw scale=1.0", "201 control sgen:pv1:v_pu scale=1.0",
-        "sgen:pv1:v_pu"),
+        "attack_demo", "201 control sgen:pv1:p_kw scale=1.0",
+        "201 control sgen:pv1:v_pu scale=1.0", "sgen:pv1:v_pu"),
     # the same rules on a datapoint line without options
     "plain_ioa_not_an_integer": (
         "attack_demo", "datapoint = 202 control", "datapoint = x2 control", "x2 control"),
