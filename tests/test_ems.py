@@ -8,9 +8,12 @@ from gridcosim.ems import (
     BINDING_DSO,
     BINDING_NONE,
     MODE_DSO_INFEASIBLE,
+    MODE_IDLE,
     MODE_SELF_CONSUMPTION,
+    MODE_VPP_TRACKING,
     Battery,
     DsoLimit,
+    EmsDecision,
     EmsError,
     VppSchedule,
     apply_setpoint,
@@ -96,6 +99,36 @@ class TestStep:
             Battery(capacity_kwh=10, p_max_kw=5, eta_charge=1.2, eta_discharge=1, soc_kwh=0)
         with pytest.raises(EmsError):
             Battery(capacity_kwh=10, p_max_kw=5, eta_charge=1, eta_discharge=1, soc_kwh=11)
+
+
+# a window [900, t_end) seen at these times; t_end=None leaves it open
+EDGE_TIMES = (899, 900, 1799, 1800)
+WINDOWS = [(1800, (False, True, True, False)), (None, (False, True, True, True))]
+
+
+@pytest.mark.parametrize("t_end, active", WINDOWS, ids=["closed", "open"])
+def test_window_edges_in_ems_step(t_end, active):
+    dso = DsoLimit(p_max_import_kw=4.0, p_max_export_kw=5.0, t_start=900, t_end=t_end)
+    vpp = VppSchedule(target_p_kw=3.0, t_start=900, t_end=t_end)
+    for t, on in zip(EDGE_TIMES, active):
+        decision, _ = ems_step(battery(p_max=5.0, soc=9.0), t, 900, load_kw=10.0, pv_kw=0.0,
+                               dso_limits=(dso,))
+        assert (decision.active_mode == MODE_DSO_INFEASIBLE) == on, t
+        decision, _ = ems_step(battery(), t, 900, load_kw=1.0, pv_kw=0.0, vpp_schedules=(vpp,))
+        assert decision.active_mode == (MODE_VPP_TRACKING if on else MODE_SELF_CONSUMPTION), t
+
+
+@pytest.mark.parametrize("t_end, active", WINDOWS, ids=["closed", "open"])
+def test_window_edges_in_kpis(t_end, active):
+    decisions = [EmsDecision(t, 0.0, 10.0, MODE_IDLE, BINDING_NONE) for t in EDGE_TIMES]
+    report = evaluate_run(
+        decisions, decisions, 900,
+        dso_limits=(DsoLimit(p_max_import_kw=4.0, p_max_export_kw=5.0, t_start=900, t_end=t_end),),
+        vpp_schedules=(VppSchedule(target_p_kw=3.0, t_start=900, t_end=t_end),),
+    )
+    for kpi in (report.run, report.baseline):
+        assert kpi.dso_violations == sum(active)
+        assert kpi.vpp_tracking_error_kwh == pytest.approx(sum(active) * 7.0 * 0.25)
 
 
 def simulate(battery_state, series, dt_s=900, dso=(), vpp=()):

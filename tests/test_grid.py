@@ -733,6 +733,22 @@ class TestProfiles:
         injections = bus_injections(model, element_values_at(model, ProfileSet({}), 0))
         assert injections["b"] == (-100.0, -50.0)
 
+    def test_command_over_profile_over_file_value(self):
+        model = parse_grid(TWO_BUS)
+        profiles = parse_profiles(
+            "t_seconds,element_id,field,value\n0,ld,p_kw,5.0\n0,ld,q_kvar,7.0\n"
+        )
+        assert element_values_at(model, profiles, 0) == {("load", "ld"): (5.0, 7.0)}
+        values = element_values_at(model, profiles, 0, {("ld", "p_kw"): 9.0})
+        assert values == {("load", "ld"): (9.0, 7.0)}
+
+    def test_ved_channel_profile_leaves_grid_elements_alone(self):
+        model = parse_grid(TWO_BUS)
+        profiles = parse_profiles(
+            "t_seconds,element_id,field,value\n0,home1,load_kw,3.0\n0,home1,pv_kw,1.0\n"
+        )
+        assert element_values_at(model, profiles, 0) == {("load", "ld"): (100.0, 50.0)}
+
     def test_load_profiles_csv(self, feeder7_profiles_path):
         profiles = load_profiles(feeder7_profiles_path)
         assert profiles.get("ld2", "p_kw") is not None

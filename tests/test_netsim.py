@@ -192,6 +192,27 @@ class TestTransport:
         assert (fin.t_us, fin.seq, fin.ack) == (9_000_000 + 4 * latency, client_seq, server_seq)
 
 
+    def test_clock_is_the_last_logged_segment(self, star):
+        """Each operation leaves the network clock at its last segment's time."""
+        def connect_refused():
+            with pytest.raises(ConnectionRefused):
+                star.open_connection("h1", "10.0.0.3", 80, at_s=3)
+
+        conn = star.open_connection("h1", "10.0.0.2", 80, at_s=2)
+        steps = [
+            lambda: None,  # the connection above
+            connect_refused,
+            lambda: conn.send(b"GET / HTTP/1.1", at_s=4),
+            lambda: conn.send(b"late", at_s=4, from_server=True),
+            lambda: conn.close(at_s=5),
+            lambda: star.open_connection("h2", "10.0.0.1", 22),  # sends a banner
+            lambda: star.scan_subnet("h1", "10.0.0.0/24", ports=(22, 80), at_s=7),
+        ]
+        for step in steps:
+            step()
+            assert star._now_us == star.packet_log[-1].t_us
+
+
 class TestScan:
     def test_scan_reports_open_ports_with_banners(self, star):
         report = star.scan_subnet("h1", "10.0.0.0/24", at_s=0)
