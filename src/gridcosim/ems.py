@@ -55,9 +55,6 @@ class DsoLimit:
     t_start: int = 0
     t_end: int | None = None  # None = whole horizon
 
-    def active_at(self, t: int) -> bool:
-        return t >= self.t_start and (self.t_end is None or t < self.t_end)
-
 
 @dataclass(frozen=True)
 class VppSchedule:
@@ -65,8 +62,13 @@ class VppSchedule:
     t_start: int = 0
     t_end: int | None = None
 
-    def active_at(self, t: int) -> bool:
-        return t >= self.t_start and (self.t_end is None or t < self.t_end)
+
+def _active(windows, t: int):
+    """The first DsoLimit or VppSchedule of `windows` in force at t, or None:
+    a window runs from t_start inclusive to t_end exclusive, or without end
+    when t_end is None."""
+    return next((w for w in windows if w.t_start <= t and (w.t_end is None or t < w.t_end)),
+                None)
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def ems_step(
 
     p_lo, p_hi, lo_kind, hi_kind = battery_limits(battery, dt_h)
 
-    dso = next((d for d in dso_limits if d.active_at(t)), None)
+    dso = _active(dso_limits, t)
     if dso is not None:
         d_lo = -dso.p_max_export_kw - net
         d_hi = dso.p_max_import_kw - net
@@ -147,7 +149,7 @@ def ems_step(
         )
         return decision, apply_setpoint(battery, p, dt_h)
 
-    vpp = next((v for v in vpp_schedules if v.active_at(t)), None)
+    vpp = _active(vpp_schedules, t)
     if external_setpoint_kw is not None:
         p_raw = external_setpoint_kw
         mode = MODE_EXTERNAL_SETPOINT
@@ -206,12 +208,12 @@ def _kpi(
         import_kwh += max(g, 0.0) * dt_h
         export_kwh += max(-g, 0.0) * dt_h
         peak = max(peak, g)
-        dso = next((d for d in dso_limits if d.active_at(decision.t)), None)
+        dso = _active(dso_limits, decision.t)
         if dso is not None and (
             g > dso.p_max_import_kw + 1e-9 or -g > dso.p_max_export_kw + 1e-9
         ):
             violations += 1
-        vpp = next((v for v in vpp_schedules if v.active_at(decision.t)), None)
+        vpp = _active(vpp_schedules, decision.t)
         if vpp is not None:
             error += abs(g - vpp.target_p_kw) * dt_h
     return Kpi(

@@ -1,5 +1,6 @@
 """Time-series profiles for grid elements, CSV `t_seconds,element_id,field,value`.
 
+A file loads as a plain dict, (element_id, field) -> TimeSeriesProfile.
 Lookup is step-hold: the sample at the largest time <= t applies; before the
 first sample the first sample holds.
 """
@@ -19,8 +20,6 @@ _HEADER = ["t_seconds", "element_id", "field", "value"]
 
 @dataclass(slots=True)
 class TimeSeriesProfile:
-    element_id: str
-    fieldname: str
     times: list[int]
     values: list[float]
 
@@ -29,22 +28,10 @@ class TimeSeriesProfile:
         return self.values[0] if pos == 0 else self.values[pos - 1]
 
 
-class ProfileSet:
-    def __init__(self, profiles: dict[tuple[str, str], TimeSeriesProfile]):
-        self.profiles = profiles
-
-    def __len__(self):
-        return len(self.profiles)
-
-    def get(self, element_id: str, fieldname: str) -> TimeSeriesProfile | None:
-        return self.profiles.get((element_id, fieldname))
-
-    def overrides_at(self, t: int) -> dict[tuple[str, str], float]:
-        return {key: prof.value_at(t) for key, prof in self.profiles.items()}
-
-
-def parse_profiles(text: str, source: str = "<profiles>") -> ProfileSet:
-    """Build a ProfileSet from CSV text; errors name the CSV line."""
+def parse_profiles(text: str,
+                   source: str = "<profiles>") -> dict[tuple[str, str], TimeSeriesProfile]:
+    """The profiles of CSV text, keyed by (element_id, field); errors name
+    the CSV line."""
     reader = csv.reader(text.splitlines())
     if [h.strip() for h in next(reader, [])] != _HEADER:
         raise ConfigError(f"expected header {','.join(_HEADER)}", source, 1)
@@ -63,18 +50,17 @@ def parse_profiles(text: str, source: str = "<profiles>") -> ProfileSet:
             raise ConfigError(message, source, reader.line_num) from None
         times.append(t)
         values.append(value)
-    return ProfileSet({key: TimeSeriesProfile(*key, times, values)
-                       for key, (times, values) in series.items()})
+    return {key: TimeSeriesProfile(times, values) for key, (times, values) in series.items()}
 
 
-def load_profiles(path) -> ProfileSet:
+def load_profiles(path) -> dict[tuple[str, str], TimeSeriesProfile]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_profiles(fh.read(), source=str(path))
 
 
 def element_values_at(
     model: GridModel,
-    profiles: ProfileSet | None,
+    profiles: dict[tuple[str, str], TimeSeriesProfile] | None,
     t: int,
     command_overrides: Mapping[tuple[str, str], float] | None = None,
 ) -> dict[tuple[str, str], tuple[float, float]]:
@@ -83,7 +69,8 @@ def element_values_at(
     File values are the base, profile samples override them, and command
     overrides (operator set-points) take final precedence.
     """
-    overrides = profiles.overrides_at(t) if profiles is not None else {}
+    overrides = ({key: profile.value_at(t) for key, profile in profiles.items()}
+                 if profiles is not None else {})
     if command_overrides:
         overrides.update(command_overrides)
     values: dict[tuple[str, str], tuple[float, float]] = {}

@@ -77,7 +77,7 @@ from .configfile import (
 )
 from .grid.model import MONITOR_FIELDS, GridModel, load_grid
 from .grid.powerflow import PowerFlowError, measurements_at, run_power_flow
-from .grid.profiles import ProfileSet, bus_injections, element_values_at, load_profiles
+from .grid.profiles import TimeSeriesProfile, bus_injections, element_values_at, load_profiles
 from .kernel import Kernel, SimulatorDescriptor, SimulatorFault
 
 GROUND_TRUTH_CSV = "ground_truth.csv"
@@ -181,7 +181,6 @@ class VedConfig:
 
 @dataclass
 class EmsConfig:
-    ved: str
     dso_limits: tuple[ems.DsoLimit, ...] = ()
     vpp_schedules: tuple[ems.VppSchedule, ...] = ()
 
@@ -199,7 +198,7 @@ class Scenario:
     attack_plan: attacker_mod.AttackPlan | None
     outdir: str
     grid_model: GridModel = field(repr=False)
-    profiles: ProfileSet | None = field(repr=False)
+    profiles: dict[tuple[str, str], TimeSeriesProfile] | None = field(repr=False)
 
 
 def _named_sections(sections: list[Section], kind: str) -> list[Section]:
@@ -420,7 +419,6 @@ def load_scenario(path) -> Scenario:
         if section.name not in ved_names:
             raise section.error(f"ems section for unknown ved '{section.name}'")
         ems_configs[section.name] = EmsConfig(
-            ved=section.name,
             dso_limits=tuple(
                 ems.DsoLimit(*_parse_window(entry, ("import", "export")))
                 for entry in section.get_all("dso")
@@ -447,7 +445,7 @@ def load_scenario(path) -> Scenario:
     # profile targets must resolve against the grid or a ved load/pv channel
     if profiles is not None:
         injectors = {e.id for e in grid_model.loads + grid_model.sgens}
-        for element_id, fieldname in profiles.profiles:
+        for element_id, fieldname in profiles:
             if element_id in injectors and fieldname in ("p_kw", "q_kvar"):
                 continue
             if element_id in ved_names and fieldname in ("load_kw", "pv_kw"):
@@ -472,7 +470,7 @@ class GridSimulator:
     returns that step's outputs: every solve starts flat, so a second solve
     would repeat it exactly."""
 
-    def __init__(self, model: GridModel, profiles: ProfileSet | None,
+    def __init__(self, model: GridModel, profiles: dict[tuple[str, str], TimeSeriesProfile] | None,
                  monitored: list[tuple[str, str, str]],
                  controllable: list[tuple[str, str, str]],
                  ved_buses: dict[str, str]):
@@ -533,9 +531,9 @@ class EmsSimulator:
     inputs and returns the VED's grid exchange."""
 
     def __init__(self, config: VedConfig, ems_config: EmsConfig | None,
-                 profiles: ProfileSet | None, step_s: int):
+                 profiles: dict[tuple[str, str], TimeSeriesProfile] | None, step_s: int):
         self.config = config
-        self.ems_config = ems_config or EmsConfig(ved=config.name)
+        self.ems_config = ems_config or EmsConfig()
         self.profiles = profiles
         self.step_s = step_s
         self.battery = config.battery
@@ -545,7 +543,7 @@ class EmsSimulator:
     def _profile_value(self, fieldname: str, t: int) -> float:
         if self.profiles is None:
             return 0.0
-        profile = self.profiles.get(self.config.name, fieldname)
+        profile = self.profiles.get((self.config.name, fieldname))
         return profile.value_at(t) if profile is not None else 0.0
 
     def step(self, t: int, _inputs: dict) -> dict:
@@ -556,11 +554,7 @@ class EmsSimulator:
             dso_limits=self.ems_config.dso_limits,
             vpp_schedules=self.ems_config.vpp_schedules,
         )
-        baseline_decision, _ = ems.ems_step(
-            None, t, self.step_s, load_kw, pv_kw,
-            dso_limits=self.ems_config.dso_limits,
-            vpp_schedules=self.ems_config.vpp_schedules,
-        )
+        baseline_decision, _ = ems.ems_step(None, t, self.step_s, load_kw, pv_kw)
         self.decisions.append(decision)
         self.baseline.append(baseline_decision)
         return {(f"ved:{self.config.name}", "grid_kw"): decision.grid_exchange_kw}

@@ -31,7 +31,6 @@ from gridcosim.grid.powerflow import (
     run_power_flow,
 )
 from gridcosim.grid.profiles import (
-    ProfileSet,
     bus_injections,
     element_values_at,
     load_profiles,
@@ -711,14 +710,14 @@ STEP_PROFILE = "t_seconds,element_id,field,value\n0,ld,p_kw,5.0\n3600,ld,p_kw,8.
 class TestProfiles:
     def test_step_hold(self):
         profiles = parse_profiles(STEP_PROFILE)
-        profile = profiles.get("ld", "p_kw")
+        profile = profiles[("ld", "p_kw")]
         assert profile.value_at(1800) == 5.0
         assert profile.value_at(3600) == 8.0
         assert profile.value_at(7200) == 8.0
 
     def test_first_sample_hold_before_t0(self):
         profiles = parse_profiles("t_seconds,element_id,field,value\n600,ld,p_kw,5.0\n")
-        assert profiles.get("ld", "p_kw").value_at(0) == 5.0
+        assert profiles[("ld", "p_kw")].value_at(0) == 5.0
 
     def test_apply_profiles_injections(self):
         model = parse_grid(TWO_BUS)
@@ -730,7 +729,7 @@ class TestProfiles:
 
     def test_untouched_elements_keep_file_values(self):
         model = parse_grid(TWO_BUS)
-        injections = bus_injections(model, element_values_at(model, ProfileSet({}), 0))
+        injections = bus_injections(model, element_values_at(model, {}, 0))
         assert injections["b"] == (-100.0, -50.0)
 
     def test_command_over_profile_over_file_value(self):
@@ -751,8 +750,8 @@ class TestProfiles:
 
     def test_load_profiles_csv(self, feeder7_profiles_path):
         profiles = load_profiles(feeder7_profiles_path)
-        assert profiles.get("ld2", "p_kw") is not None
-        assert profiles.get("pv6", "p_kw").value_at(0) == 0.0
+        assert ("ld2", "p_kw") in profiles
+        assert profiles[("pv6", "p_kw")].value_at(0) == 0.0
 
 
 HEADER = "t_seconds,element_id,field,value\n"
@@ -806,7 +805,7 @@ def test_profile_fields_parse_and_a_corrupt_field_names_its_row(samples, start, 
         values.append(float(value_text))
     assert len(profiles) == len(expected)
     for (element, fieldname), (times, values) in expected.items():
-        profile = profiles.get(element, fieldname)
+        profile = profiles[(element, fieldname)]
         assert profile.times == times and profile.values == values
         assert all(type(t) is int for t in profile.times)
         assert all(type(v) is float for v in profile.values)

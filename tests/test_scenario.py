@@ -264,7 +264,7 @@ class TestRun:
 
         scenario_file = edited_copy(flex_demo_path, tmp_path / "big_pv", "profiles.csv", scale_pv)
         scenario = load_scenario(scenario_file)
-        assert max(scenario.profiles.get("home1", "pv_kw").values) == 360.0
+        assert max(scenario.profiles[("home1", "pv_kw")].values) == 360.0
         outdir = tmp_path / "big_pv_out"
         assert cli.main(["run", str(scenario_file), "--out", str(outdir)]) == 0
         for name in (*HASHED_OUTPUTS, "run_report.txt", "manifest.txt"):
