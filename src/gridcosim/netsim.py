@@ -26,7 +26,7 @@ the range of a TCP header's port field):
   [switch <name>]
 
   [link]
-  <id>  a=<node> b=<node> [latency_ms=<ms >= 0>]
+  <id>  a=<node> b=<node> [latency_ms=<ms >= 0>]   # rounded to the nearest microsecond
 
   [firewall]
   deny = <src-cidr> <dst-cidr> [port=<port>]
@@ -199,6 +199,8 @@ class TcpConnection:
         self.on_data: Callable[[bytes], None] | None = None
 
     def _record(self, from_client: bool, flags: int, payload: bytes, t_us: int):
+        """Log one segment at `t_us`, at or after the network clock, and
+        move the clock to it."""
         size = len(payload) + (1 if flags & (SYN | FIN) else 0)
         if from_client:
             record = PacketRecord(t_us, self.client_ip, self.server_ip, self.client_port,
@@ -211,6 +213,7 @@ class TcpConnection:
                                   self.client_seq if flags & ACK else 0)
             self.server_seq += size
         self.network.packet_log.append(record)
+        self.network._now_us = t_us
 
     def send(self, payload: bytes, at_s: int | None = None, from_server: bool = False):
         """Send bytes on the stream; the peer handler sees them after one path latency."""
@@ -221,9 +224,7 @@ class TcpConnection:
             raise Unreachable(
                 f"path between {self.client_host} and {self.server_host} is down"
             )
-        # latency is never negative, so delivery never moves the clock back
-        network._now_us = deliver_us = network._clock(at_s) + self.latency_us
-        self._record(not from_server, PSH | ACK, payload, deliver_us)
+        self._record(not from_server, PSH | ACK, payload, network._clock(at_s) + self.latency_us)
         if from_server:
             if self.on_data is not None:
                 self.on_data(payload)
@@ -241,7 +242,6 @@ class TcpConnection:
         self._record(from_server, ACK, b"", t + 2 * lat)
         self._record(from_server, FIN | ACK, b"", t + 3 * lat)
         self._record(by_client, ACK, b"", t + 4 * lat)
-        self.network._advance(t + 4 * lat)
         self.closed = True
 
 
@@ -373,9 +373,6 @@ class Network:
         """The network clock in whole seconds."""
         return self._now_us // US_PER_S
 
-    def _advance(self, t_us: int):
-        self._now_us = max(self._now_us, t_us)
-
     def _next_conn_index(self) -> int:
         self._conn_count += 1
         return self._conn_count - 1
@@ -416,12 +413,10 @@ class Network:
         if service is None:
             conn._record(True, SYN, b"", t + latency)
             conn._record(False, RST | ACK, b"", t + 2 * latency)
-            self._advance(t + 2 * latency)
             raise ConnectionRefused(f"{dst_ip}:{dst_port} has no listener")
         conn._record(True, SYN, b"", t + latency)
         conn._record(False, SYN | ACK, b"", t + 2 * latency)
         conn._record(True, ACK, b"", t + 3 * latency)
-        self._advance(t + 3 * latency)
         conn.handler = self._handler_for(dst, service)
         self._connections.append(conn)
         conn.handler.on_connect(conn)
@@ -485,7 +480,7 @@ class Network:
                         tcp_flags=flags, payload=b"", seq=0, ack=1,
                     )
                 )
-                self._advance(t + 2 * latency)
+                self._now_us = t + 2 * latency  # the reply's time
                 if service is not None and allowed:
                     open_ports.append((port, service.kind, service.banner))
             report[ip] = open_ports
@@ -680,7 +675,7 @@ def parse_topology(text: str, source: str = "<topology>") -> Network:
             try:
                 network.add_link(
                     Link(id=row.id, a=row.require("a"), b=row.require("b"),
-                         latency_us=int(latency_ms * 1000))
+                         latency_us=round(latency_ms * 1000))
                 )
             except NetError as exc:
                 raise row.error(str(exc)) from None

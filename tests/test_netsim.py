@@ -49,6 +49,13 @@ class TestTopology:
         assert star.path_latency_us("h1", "h2") == 2000
         assert star.path_latency_us("h2", "h3") == 2000
 
+    @pytest.mark.parametrize("latency_ms, latency_us", [("2.01", 2010), ("1.005", 1005),
+                                                        ("0.0004", 0), ("0.0006", 1)])
+    def test_fractional_latency_rounds_to_the_microsecond(self, latency_ms, latency_us):
+        network = parse_topology(STAR.replace("l1 a=h1 b=sw latency_ms=1",
+                                              f"l1 a=h1 b=sw latency_ms={latency_ms}"))
+        assert network.links[0].latency_us == latency_us
+
     def test_duplicate_ip_rejected(self):
         with pytest.raises(NetError, match=r"ip 10\.0\.0\.1 assigned twice"):
             parse_topology(STAR.replace("10.0.0.2 ", "10.0.0.1 ", 1))
