@@ -4,7 +4,8 @@ Grid-file schema (see configfile for the line grammar): one section per
 element class, one row per element. A section or attribute not listed here
 is an error at its line, and so is a row that breaks a grid invariant
 (`validate`): a missing bus, a bad impedance, a second slack bus or a
-repeated id (at the second row). base_mva and nominal_kv must be positive.
+repeated id (at the second row). base_mva, nominal_kv and a trafo's tap
+ratio, 1 + tap_position * TAP_STEP_PERCENT / 100, must be positive.
 A rule about the whole grid (no slack bus, a loop without `meshed = true`)
 names the file.
 
@@ -305,9 +306,13 @@ def parse_grid(text: str, source: str = "<grid>") -> GridModel:
                               row.get_float("max_i_ka"), row.get_bool("status", True)))
     for section in sections_of(sections, "trafo"):
         for row in section.rows:
-            trafos.append(Trafo(row.id, row.require("hv_bus"), row.require("lv_bus"),
-                                row.get_float("s_rated_kva"), row.get_float("vk_percent"),
-                                row.get_float("vkr_percent"), row.get_int("tap_position", 0)))
+            trafo = Trafo(row.id, row.require("hv_bus"), row.require("lv_bus"),
+                          row.get_float("s_rated_kva"), row.get_float("vk_percent"),
+                          row.get_float("vkr_percent"), row.get_int("tap_position", 0))
+            if trafo.tap_ratio <= 0:
+                raise row.error(f"trafo '{row.id}': tap ratio must be positive, "
+                                f"tap_position {trafo.tap_position} gives {trafo.tap_ratio:g}")
+            trafos.append(trafo)
     for kind, cls, pool in (("load", Load, loads), ("sgen", Sgen, sgens)):
         for section in sections_of(sections, kind):
             for row in section.rows:

@@ -447,6 +447,8 @@ MALFORMED_INPUT = {
     "profile_time_goes_backwards": (
         "attack_demo", "profiles.csv", "1800,l2,p_kw,36.0", "600,l2,p_kw,36.0",
         "600,l2,p_kw"),
+    "grid_trafo_tap_ratio_zero": (
+        "attack_demo", "grid.txt", "tap_position=0", "tap_position=-40", "tap_position=-40"),
 }
 
 
@@ -464,6 +466,8 @@ INPUT_MESSAGES = {
     "firewall_port_out_of_range": "allow: port 70000 outside 0..65535",
     "grid_base_mva_zero": "base_mva must be positive, got 0.0",
     "grid_bus_nominal_kv_zero": "bus 'mv0': nominal_kv must be positive",
+    "grid_trafo_tap_ratio_zero":
+        "trafo 'tr1': tap ratio must be positive, tap_position -40 gives 0",
 }
 
 
